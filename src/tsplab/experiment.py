@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import ParseError
 from .instance import Instance, generate_convex, generate_grid, generate_with_inner
-from .oracle import OracleResult, brute_force_optimum, held_karp_optimum, hull_order_optimum, interleaving_count
+from .oracle import OracleResult, held_karp_optimum, hull_order_optimum, interleaving_count
 from .search import EAConfig, MutationSpec, Trajectory, run_ea, run_rls
 
 CSV_COLUMNS = [
@@ -134,11 +134,15 @@ def parse_config(path) -> ExperimentConfig:
         val = val.strip()
         if not val:
             raise ParseError(f"line {lineno}: empty value for {key!r}")
+        if key in values:
+            raise ParseError(f"line {lineno}: duplicate key {key!r}")
         if key in _INT_KEYS:
             try:
                 values[key] = int(val)
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {key} must be an integer, got {val!r}") from exc
+            if key in ("budget", "runs") and values[key] < 1:
+                raise ParseError(f"line {lineno}: {key} must be >= 1, got {values[key]}")
         elif key in _LIST_KEYS:
             try:
                 if key == "mutation":
@@ -199,8 +203,6 @@ def strongest_oracle(instance: Instance) -> Optional[OracleResult]:
         return held_karp_optimum(instance)
     if interleaving_count(instance) <= 10**6:
         return hull_order_optimum(instance)
-    if instance.n <= 11:
-        return brute_force_optimum(instance)
     return None
 
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import NamedTuple, Sequence
 
-from .errors import CollinearTripleError, TooSmallError
+from .errors import CollinearTripleError, DuplicatePointError, TooSmallError
 
 
 class Point(NamedTuple):
@@ -52,20 +53,30 @@ def orient(p: Point, q: Point, r: Point) -> int:
     return 0
 
 
-def segments_properly_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True iff the open segments ab and cd cross at an interior point.
+def properly_cross(ax: int, ay: int, bx: int, by: int, cx: int, cy: int, dx: int, dy: int) -> bool:
+    """True iff the open segments ab and cd, given by raw coordinates,
+    cross at an interior point.
 
     Segments that share an endpoint do not properly intersect. Assumes
     no three of the involved points are collinear (a strict straddle
     test in both directions decides everything).
     """
-    o1 = orient(a, b, c)
-    o2 = orient(a, b, d)
+    abx = bx - ax
+    aby = by - ay
+    o1 = abx * (cy - ay) - aby * (cx - ax)
+    o2 = abx * (dy - ay) - aby * (dx - ax)
     if o1 * o2 >= 0:
         return False
-    o3 = orient(c, d, a)
-    o4 = orient(c, d, b)
+    cdx = dx - cx
+    cdy = dy - cy
+    o3 = cdx * (ay - cy) - cdy * (ax - cx)
+    o4 = cdx * (by - cy) - cdy * (bx - cx)
     return o3 * o4 < 0
+
+
+def segments_properly_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
+    """properly_cross on Points."""
+    return properly_cross(a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y)
 
 
 def convex_hull(points: Sequence[Point]) -> tuple[int, ...]:
@@ -120,12 +131,64 @@ def min_uncross_gain_of(d_min: float, epsilon: float) -> float:
     return 2.0 * d_min / cos_ratio(epsilon)
 
 
+def _reduced_direction(dx: int, dy: int) -> tuple[int, int]:
+    """Nonzero (dx, dy) over its gcd, signed so that dx > 0 or dx == 0 < dy:
+    two vectors are parallel iff their reduced directions are equal."""
+    g = -math.gcd(dx, dy) if dx < 0 or (dx == 0 and dy < 0) else math.gcd(dx, dy)
+    return dx // g, dy // g
+
+
+def first_collinear_triple(coords: Sequence[tuple[int, int]]) -> tuple[int, int, int] | None:
+    """Lexicographically first 0-based (i, j, k), i < j < k, of three collinear
+    points, or None; the points must be distinct. O(n^2): for each i in order,
+    the points j > i are grouped by their direction from i."""
+    n = len(coords)
+    for i in range(n - 2):
+        xi, yi = coords[i]
+        first: dict[tuple[int, int], int] = {}
+        best = None
+        for j in range(i + 1, n):
+            x, y = coords[j]
+            a = first.setdefault(_reduced_direction(x - xi, y - yi), j)
+            if a != j and (best is None or a < best[0]):
+                best = (a, j)
+        if best is not None:
+            return (i, *best)
+    return None
+
+
+def collinear_with_any(coords: Sequence[tuple[int, int]], cand: tuple[int, int]) -> bool:
+    """True iff cand, not itself one of coords, is collinear with two of
+    them: two lie in the same direction from cand. O(n)."""
+    cx, cy = cand
+    seen: set[tuple[int, int]] = set()
+    for x, y in coords:
+        d = _reduced_direction(x - cx, y - cy)
+        if d in seen:
+            return True
+        seen.add(d)
+    return False
+
+
+@cmp_to_key
+def _exact_angle_key(u: tuple[int, int], w: tuple[int, int]) -> int:
+    """Exact order of directions by angle in (-pi, pi]: the half-plane
+    first, then the sign of the cross product within it."""
+    hu = u[1] > 0 or (u[1] == 0 and u[0] < 0)
+    hw = w[1] > 0 or (w[1] == 0 and w[0] < 0)
+    cross = u[0] * w[1] - u[1] * w[0]
+    return hu - hw if hu != hw else (cross < 0) - (cross > 0)
+
+
 def instance_metrics(points: Sequence[Point]) -> InstanceMetrics:
     """Compute d_min, d_max, the minimum angle, and derived factors.
 
-    Plain O(n^3) scan over triples; desk-scale n keeps this cheap and
-    obvious. A collinear triple makes the angle bound vanish and is
-    rejected.
+    Each vertex sorts its directions to the other points by angle (an
+    atan2 pre-sort, then an exact integer sort, so floats never decide
+    the order) and measures only circular neighbours: any other pair
+    spans two gaps or more, so the minimum is the same. O(n^2 log n).
+    Raises DuplicatePointError, or CollinearTripleError naming j, i, k
+    for the first_collinear_triple (i, j, k).
     """
     n = len(points)
     if n < 3:
@@ -136,28 +199,27 @@ def instance_metrics(points: Sequence[Point]) -> InstanceMetrics:
         for j in range(i + 1, n):
             d = distance(points[i], points[j])
             if d < d_min:
+                if d == 0.0:
+                    raise DuplicatePointError(points[i].id, points[j].id)
                 d_min = d
             if d > d_max:
                 d_max = d
     epsilon = math.inf
-    for v in range(n):
-        pv = points[v]
-        for i in range(n):
-            if i == v:
-                continue
-            ux = points[i].x - pv.x
-            uy = points[i].y - pv.y
-            for j in range(i + 1, n):
-                if j == v:
-                    continue
-                wx = points[j].x - pv.x
-                wy = points[j].y - pv.y
-                cross = ux * wy - uy * wx
-                if cross == 0:
-                    raise CollinearTripleError(points[i].id, pv.id, points[j].id)
-                theta = math.atan2(abs(cross), ux * wx + uy * wy)
-                if theta < epsilon:
-                    epsilon = theta
+    atan2 = math.atan2
+    for v, pv in enumerate(points):
+        dirs = [(p.x - pv.x, p.y - pv.y) for p in points[:v] + points[v + 1 :]]
+        dirs.sort(key=lambda d: atan2(d[1], d[0]))
+        dirs.sort(key=_exact_angle_key)
+        ux, uy = dirs[-1]
+        for wx, wy in dirs:
+            cross = ux * wy - uy * wx
+            if cross == 0:
+                i, j, k = first_collinear_triple([(p.x, p.y) for p in points])
+                raise CollinearTripleError(points[j].id, points[i].id, points[k].id)
+            theta = atan2(abs(cross), ux * wx + uy * wy)
+            if theta < epsilon:
+                epsilon = theta
+            ux, uy = wx, wy
     return InstanceMetrics(
         d_min=d_min,
         d_max=d_max,
@@ -172,8 +234,8 @@ def grid_angle_lower_bound(m: int) -> float:
     m x m grid: arctan(1/(2(m-2)^2))."""
     if m < 3:
         raise ValueError(f"grid side must be >= 3, got {m}")
-    # atan2 keeps this bit-identical with the atan2-based angle scan
-    # in instance_metrics when the extremal slope pair occurs
+    # atan2, as instance_metrics measures each angle, keeps the two
+    # bit-identical when the extremal slope pair occurs
     return math.atan2(1.0, 2.0 * (m - 2) ** 2)
 
 

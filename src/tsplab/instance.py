@@ -20,6 +20,7 @@ from .errors import (
     TooSmallError,
 )
 from .geom import Point, convex_hull, distance, instance_metrics, point_strictly_inside
+from .geom import collinear_with_any, first_collinear_triple
 from .rng import Xoshiro256StarStar
 
 # total point draws a generator may spend before giving up
@@ -100,6 +101,13 @@ class Instance:
         return f"Instance(n={self.n}, m={self.grid_size}, k={self.inner_count})"
 
 
+def _check_coordinate(x: int, y: int, grid_size: int, error=ValueError, where: str = "") -> None:
+    if not (-_COORD_LIMIT < x < _COORD_LIMIT and -_COORD_LIMIT < y < _COORD_LIMIT):
+        raise error(f"{where}coordinate ({x}, {y}) outside 32-bit signed range")
+    if grid_size > 0 and not (0 <= x < grid_size and 0 <= y < grid_size):
+        raise error(f"{where}coordinate ({x}, {y}) outside {grid_size}x{grid_size} grid")
+
+
 def validate(points: Sequence, grid_size: int = 0) -> Instance:
     """Check a point sequence and build an Instance.
 
@@ -115,10 +123,7 @@ def validate(points: Sequence, grid_size: int = 0) -> Instance:
             x, y = p.x, p.y
         else:
             x, y = p
-        if not (-_COORD_LIMIT < x < _COORD_LIMIT and -_COORD_LIMIT < y < _COORD_LIMIT):
-            raise ValueError(f"coordinate ({x}, {y}) outside 32-bit signed range")
-        if grid_size > 0 and not (0 <= x < grid_size and 0 <= y < grid_size):
-            raise ValueError(f"coordinate ({x}, {y}) outside {grid_size}x{grid_size} grid")
+        _check_coordinate(x, y, grid_size)
         pts.append(Point(idx + 1, x, y))
     seen: dict[tuple[int, int], int] = {}
     for p in pts:
@@ -126,30 +131,11 @@ def validate(points: Sequence, grid_size: int = 0) -> Instance:
         if key in seen:
             raise DuplicatePointError(seen[key], p.id)
         seen[key] = p.id
-    n = len(pts)
-    for i in range(n):
-        xi, yi = pts[i].x, pts[i].y
-        for j in range(i + 1, n):
-            dx = pts[j].x - xi
-            dy = pts[j].y - yi
-            for k in range(j + 1, n):
-                if dx * (pts[k].y - yi) - dy * (pts[k].x - xi) == 0:
-                    raise CollinearTripleError(i + 1, j + 1, k + 1)
+    triple = first_collinear_triple([(p.x, p.y) for p in pts])
+    if triple is not None:
+        raise CollinearTripleError(*(i + 1 for i in triple))
     hull = convex_hull(pts)
     return Instance(tuple(pts), grid_size, hull)
-
-
-def _collinear_with_any(coords: list[tuple[int, int]], cand: tuple[int, int]) -> bool:
-    cx, cy = cand
-    n = len(coords)
-    for i in range(n):
-        xi, yi = coords[i]
-        dxi = cx - xi
-        dyi = cy - yi
-        for j in range(i + 1, n):
-            if dxi * (coords[j][1] - yi) - dyi * (coords[j][0] - xi) == 0:
-                return True
-    return False
 
 
 def generate_grid(n: int, m: int, seed: int) -> Instance:
@@ -174,7 +160,7 @@ def generate_grid(n: int, m: int, seed: int) -> Instance:
             )
         cand = (rng.randbelow(m), rng.randbelow(m))
         draws += 1
-        if cand in taken or _collinear_with_any(coords, cand):
+        if cand in taken or collinear_with_any(coords, cand):
             continue
         coords.append(cand)
         taken.add(cand)
@@ -233,14 +219,9 @@ def _first_convex_offender(coords: list[tuple[int, int]]) -> int | None:
         if c in seen:
             return i
         seen[c] = i
-    for i in range(n):
-        xi, yi = coords[i]
-        for j in range(i + 1, n):
-            dx = coords[j][0] - xi
-            dy = coords[j][1] - yi
-            for k in range(j + 1, n):
-                if dx * (coords[k][1] - yi) - dy * (coords[k][0] - xi) == 0:
-                    return k
+    triple = first_collinear_triple(coords)
+    if triple is not None:
+        return triple[2]
     pts = [Point(i + 1, x, y) for i, (x, y) in enumerate(coords)]
     hull = set(convex_hull(pts))
     for i in range(n):
@@ -294,7 +275,7 @@ def generate_with_inner(h: int, k: int, m: int, seed: int) -> Instance:
             continue
         if not point_strictly_inside(hull_pts, Point(0, cand[0], cand[1])):
             continue
-        if _collinear_with_any(coords, cand):
+        if collinear_with_any(coords, cand):
             continue
         coords.append(cand)
         taken.add(cand)
@@ -338,8 +319,7 @@ def read_instance(path) -> Instance:
             x, y = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ParseError(f"line {row}: non-integer coordinate in {ln!r}") from exc
-        if m > 0 and not (0 <= x < m and 0 <= y < m):
-            raise ParseError(f"line {row}: coordinate ({x}, {y}) outside {m}x{m} grid")
+        _check_coordinate(x, y, m, ParseError, f"line {row}: ")
         coords.append((x, y))
     return validate(coords, grid_size=m)
 

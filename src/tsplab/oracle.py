@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -54,10 +54,7 @@ def _evaluate_blocks(instance: Instance) -> Iterator[np.ndarray]:
     """
     n = instance.n
     f = n - 1
-    dist = np.zeros((n, n))
-    for i, p in enumerate(instance.points):
-        for j, q in enumerate(instance.points):
-            dist[i, j] = instance.distance_matrix[i * n + j]
+    dist = np.array(instance.distance_matrix).reshape(n, n)
 
     rest = np.arange(1, n, dtype=np.int8)
     if f <= 9:
@@ -82,29 +79,30 @@ def _evaluate_blocks(instance: Instance) -> Iterator[np.ndarray]:
         yield full[keep]
 
 
-def brute_force_optimum(instance: Instance) -> OracleResult:
-    """Exhaustive scan over all (n-1)!/2 distinct cycles (n <= 11).
+def _shortest(instance: Instance, tours: Iterable[Tour], method: str) -> OracleResult:
+    """The shortest of the tours by the shared tour_length; ties on the
+    exact value break by canonical-form lexicographic order."""
+    best_value = math.inf
+    best_tour: Optional[Tour] = None
+    for t in tours:
+        length = tour_length(instance, t)
+        if length < best_value:
+            best_value = length
+            best_tour = canonical_form(t)
+        elif length == best_value:
+            cand = canonical_form(t)
+            if cand < best_tour:
+                best_tour = cand
+    return OracleResult(best_value, best_tour, method)
 
-    Ties on the exact optimum break by canonical-form lexicographic
-    order.
-    """
+
+def brute_force_optimum(instance: Instance) -> OracleResult:
+    """Exhaustive scan over all (n-1)!/2 distinct cycles (n <= 11)."""
     n = instance.n
     if n > _BRUTE_MAX_N:
         raise TooLargeError(f"brute force accepts n <= {_BRUTE_MAX_N}, got {n}")
-    best_value = math.inf
-    best_tour: Optional[Tour] = None
-    for block in _evaluate_blocks(instance):
-        for row in block:
-            t = tuple(int(v) + 1 for v in row)
-            length = tour_length(instance, t)
-            if length < best_value:
-                best_value = length
-                best_tour = canonical_form(t)
-            elif length == best_value:
-                cand = canonical_form(t)
-                if cand < best_tour:
-                    best_tour = cand
-    return OracleResult(best_value, best_tour, "brute")
+    rows = (tuple(int(v) + 1 for v in row) for block in _evaluate_blocks(instance) for row in block)
+    return _shortest(instance, rows, "brute")
 
 
 def held_karp_optimum(instance: Instance) -> OracleResult:
@@ -211,18 +209,7 @@ def hull_order_optimum(instance: Instance) -> OracleResult:
         raise TooLargeError(
             f"hull-order enumeration budget exceeded: C(n,k)*k! = {interleaving_count(instance)}"
         )
-    best_value = math.inf
-    best_tour: Optional[Tour] = None
-    for t in hull_order_tours(instance):
-        length = tour_length(instance, t)
-        if length < best_value:
-            best_value = length
-            best_tour = canonical_form(t)
-        elif length == best_value:
-            cand = canonical_form(t)
-            if cand < best_tour:
-                best_tour = cand
-    return OracleResult(best_value, best_tour, "hull_order")
+    return _shortest(instance, hull_order_tours(instance), "hull_order")
 
 
 def enumerate_intersection_free(instance: Instance) -> list[Tour]:

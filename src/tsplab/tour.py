@@ -11,7 +11,7 @@ reversal.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .geom import segments_properly_intersect
 from .instance import Instance
@@ -86,32 +86,30 @@ def jump_as_inversions(i: int, j: int) -> list[tuple[int, int]]:
     return [(j, i), (j + 1, i)]
 
 
-def crossing_pairs(instance: Instance, tour: Sequence[int]) -> list[tuple[int, int]]:
-    """All pairs (i, j), i < j, of edge positions whose segments cross.
-
-    Edge p joins tour positions p and p+1 (edge n closes the cycle).
-    Edges sharing an endpoint never properly cross, so adjacency needs
-    no special casing. O(n^2) pairwise scan.
-    """
+def _crossings(instance: Instance, tour: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Edge-position pairs (i, j), i < j, whose segments properly cross,
+    lazily in lexicographic order. Edge p joins tour positions p and p+1
+    (edge n closes the cycle); edges sharing an endpoint never cross."""
     _check_tour(instance, tour)
     n = instance.n
     pts = instance.points
-    segs = []
-    for p in range(n):
-        segs.append((pts[tour[p] - 1], pts[tour[(p + 1) % n] - 1]))
-    out = []
+    segs = [(pts[tour[p] - 1], pts[tour[(p + 1) % n] - 1]) for p in range(n)]
     for a in range(n):
         sa, sb = segs[a]
         for b in range(a + 1, n):
             tc, td = segs[b]
             if segments_properly_intersect(sa, sb, tc, td):
-                out.append((a + 1, b + 1))
-    return out
+                yield (a + 1, b + 1)
+
+
+def crossing_pairs(instance: Instance, tour: Sequence[int]) -> list[tuple[int, int]]:
+    """All pairs (i, j), i < j, of edge positions whose segments cross."""
+    return list(_crossings(instance, tour))
 
 
 def is_intersection_free(instance: Instance, tour: Sequence[int]) -> bool:
-    """True iff no two tour edges properly cross."""
-    return not crossing_pairs(instance, tour)
+    """True iff no two tour edges properly cross (stops at the first)."""
+    return next(_crossings(instance, tour), None) is None
 
 
 def find_uncrossing_inversion(instance: Instance, tour: Sequence[int]) -> Optional[tuple[int, int]]:
@@ -122,19 +120,8 @@ def find_uncrossing_inversion(instance: Instance, tour: Sequence[int]) -> Option
     inversion is (p+1, q): it removes exactly those two edges, and the
     two replacement edges cannot cross each other.
     """
-    _check_tour(instance, tour)
-    n = instance.n
-    pts = instance.points
-    segs = []
-    for p in range(n):
-        segs.append((pts[tour[p] - 1], pts[tour[(p + 1) % n] - 1]))
-    for a in range(n):
-        sa, sb = segs[a]
-        for b in range(a + 1, n):
-            tc, td = segs[b]
-            if segments_properly_intersect(sa, sb, tc, td):
-                return (a + 2, b + 1)
-    return None
+    first = next(_crossings(instance, tour), None)
+    return None if first is None else (first[0] + 1, first[1])
 
 
 def respects_hull_order(instance: Instance, tour: Sequence[int]) -> bool:

@@ -15,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from tsplab import Instance, Point, validate
+from tsplab import Instance, InstanceMetrics, Point, validate
+from tsplab.errors import CollinearTripleError, TooSmallError
+from tsplab.geom import distance, gamma_of, min_uncross_gain_of
 from tsplab.rng import Xoshiro256StarStar
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -143,3 +145,53 @@ def random_tour(n: int, rng: Xoshiro256StarStar) -> tuple[int, ...]:
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
     return tuple(perm)
+
+
+def triple_scan_collinear(coords) -> tuple[int, int, int] | None:
+    """First collinear 0-based (i, j, k), i < j < k, by scanning every
+    triple in lexicographic order with one cross product each."""
+    n = len(coords)
+    for i in range(n):
+        xi, yi = coords[i]
+        for j in range(i + 1, n):
+            dx = coords[j][0] - xi
+            dy = coords[j][1] - yi
+            for k in range(j + 1, n):
+                if dx * (coords[k][1] - yi) - dy * (coords[k][0] - xi) == 0:
+                    return (i, j, k)
+    return None
+
+
+def triple_scan_metrics(points) -> InstanceMetrics:
+    """InstanceMetrics by measuring the angle at every vertex between
+    every pair of other points (O(n^3) atan2 calls); a collinear triple
+    raises CollinearTripleError at the first vertex that sees it."""
+    n = len(points)
+    if n < 3:
+        raise TooSmallError("metrics need at least 3 points")
+    dists = [distance(points[i], points[j]) for i in range(n) for j in range(i + 1, n)]
+    d_min, d_max = min(dists), max(dists)
+    epsilon = math.inf
+    for v in range(n):
+        pv = points[v]
+        for i in range(n):
+            if i == v:
+                continue
+            ux = points[i].x - pv.x
+            uy = points[i].y - pv.y
+            for j in range(i + 1, n):
+                if j == v:
+                    continue
+                wx = points[j].x - pv.x
+                wy = points[j].y - pv.y
+                cross = ux * wy - uy * wx
+                if cross == 0:
+                    raise CollinearTripleError(points[i].id, pv.id, points[j].id)
+                epsilon = min(epsilon, math.atan2(abs(cross), ux * wx + uy * wy))
+    return InstanceMetrics(
+        d_min=d_min,
+        d_max=d_max,
+        epsilon=epsilon,
+        gamma=gamma_of(d_min, d_max, epsilon),
+        min_uncross_gain=min_uncross_gain_of(d_min, epsilon),
+    )

@@ -4,7 +4,8 @@ import sys
 import pytest
 
 from tsplab import read_instance, read_tour
-from tsplab.experiment import CSV_COLUMNS
+from tsplab.errors import ParseError
+from tsplab.experiment import CSV_COLUMNS, parse_config
 
 from conftest import cli_env
 
@@ -179,6 +180,31 @@ out = {out}
         r = cli("experiment", str(cfg))
         assert r.returncode == 1
         assert "line 2" in r.stderr
+
+
+class TestParseConfig:
+    BASE = "family = convex\nn = 8\nm = 256\nalgorithm = rls\nbase_seed = 1\nout = o.csv\n"
+
+    def test_valid(self, tmp_path):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(self.BASE + "budget = 1\nruns = 1\n", encoding="utf-8")
+        parsed = parse_config(cfg)
+        assert (parsed.budget, parsed.runs) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            ("budget = 100\nruns = -3\n", "line 8: runs must be >= 1"),
+            ("budget = 100\nruns = 0\n", "line 8: runs must be >= 1"),
+            ("budget = 0\nruns = 3\n", "line 7: budget must be >= 1"),
+            ("budget = 100\nruns = 3\nm = 512\n", "line 9: duplicate key 'm'"),
+        ],
+    )
+    def test_rejected_at_parse_time(self, tmp_path, extra, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(self.BASE + extra, encoding="utf-8")
+        with pytest.raises(ParseError, match=message):
+            parse_config(cfg)
 
 
 class TestMutationStatsCmd:

@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsplab import (
     Point,
@@ -13,10 +15,11 @@ from tsplab import (
     orient,
     segments_properly_intersect,
 )
-from tsplab.errors import CollinearTripleError, TooSmallError
+from tsplab.errors import CollinearTripleError, DuplicatePointError, TooSmallError
+from tsplab.geom import first_collinear_triple
 from tsplab.rng import Xoshiro256StarStar
 
-from conftest import brute_hull, frac_segments_cross
+from conftest import brute_hull, frac_segments_cross, triple_scan_collinear, triple_scan_metrics
 
 
 def P(x, y, pid=0):
@@ -165,6 +168,67 @@ class TestInstanceMetrics:
     def test_collinear_triple_rejected(self):
         with pytest.raises(CollinearTripleError):
             instance_metrics([P(0, 0, 1), P(1, 1, 2), P(2, 2, 3), P(0, 2, 4)])
+
+    def test_duplicate_point_rejected(self):
+        with pytest.raises(DuplicatePointError) as err:
+            instance_metrics([P(0, 0, 1), P(3, 1, 2), P(0, 0, 3), P(1, 3, 4)])
+        assert err.value.labels == (1, 3)
+
+
+_MAX_COORD = 2**31 - 1
+
+
+def _point_sets(coord):
+    return st.lists(st.tuples(coord, coord), min_size=3, max_size=12, unique=True)
+
+
+# small grids hold many collinear triples; the scaled ones put them at
+# large coordinates, where directions need their gcd reduction
+_coord_sets = st.one_of(
+    _point_sets(st.integers(0, 4)),
+    _point_sets(st.integers(-20, 20)),
+    _point_sets(st.integers(-_MAX_COORD, _MAX_COORD)),
+    st.builds(
+        lambda cs, scale, ox, oy: [(ox + scale * x, oy + scale * y) for x, y in cs],
+        _point_sets(st.integers(0, 5)),
+        st.integers(1, 2**28),
+        st.integers(-(2**29), 2**29),
+        st.integers(-(2**29), 2**29),
+    ),
+)
+
+
+class TestAgainstTripleScans:
+    """The O(n^2) collinearity check and the angular sweep against the
+    O(n^3) triple scans in conftest."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_coord_sets)
+    def test_first_collinear_triple(self, coords):
+        assert first_collinear_triple(coords) == triple_scan_collinear(coords)
+
+    def test_directions_atan2_cannot_order(self):
+        # three directions from the origin with one float atan2 value
+        # (cross products 1); ordered by atan2 alone, the smallest gap
+        # is not measured and epsilon comes out over twice too large
+        coords = [(0, 0), (597592487, 543017063), (229206983, 208274544), (826799470, 751291607), (-79, -8)]
+        assert len({math.atan2(y, x) for x, y in coords[1:4]}) == 1
+        pts = [P(x, y, i + 1) for i, (x, y) in enumerate(coords)]
+        assert instance_metrics(pts) == triple_scan_metrics(pts)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_coord_sets)
+    def test_instance_metrics_bit_identical(self, coords):
+        pts = [P(x, y, i + 1) for i, (x, y) in enumerate(coords)]
+        try:
+            expected = triple_scan_metrics(pts)
+        except CollinearTripleError as exc:
+            with pytest.raises(CollinearTripleError) as err:
+                instance_metrics(pts)
+            assert err.value.labels == exc.labels
+        else:
+            # dataclass equality compares all five fields with ==
+            assert instance_metrics(pts) == expected
 
 
 class TestGridAngleBound:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -142,6 +143,32 @@ class TestGenerateWithInner:
         assert set(inst.hull) == brute_hull(inst.points)
 
 
+class TestPinnedOutput:
+    """Generator output and epsilon pinned by value: a change to the
+    rejection checks that moves one RNG draw changes the coordinates."""
+
+    @pytest.mark.parametrize(
+        "gen,args,coords_sha256,epsilon_repr",
+        [
+            (generate_grid, (64, 1024, 1), "8ccb381941fd4cc6bd05d2c0a03c842a28a20fec6872af99a591e739d174096b", "7.046918370926515e-05"),
+            (generate_grid, (64, 1024, 2), "f9d5bf4c523ddbb3e1d9dbf2bc53a581ce2880a0634176977994b73823c2cee1", "1.5298356190433734e-05"),
+            (generate_grid, (128, 1024, 1), "f3cf6495451ad090336174b23eb17b8620cee899a9207fae92c592816821ea70", "2.0475984741267554e-06"),
+            (generate_grid, (128, 1024, 2), "4e9ae099858ca35364d5ff96b422f8925a9376f8c6956eb9f04124a4780b92c1", "4.3869077125943074e-06"),
+            (generate_grid, (256, 1024, 1), "f2adfd2074ab2b48b90098312194ac566cce141b5ce5ed1352fb0efe048eb0a8", "1.3245331351824018e-06"),
+            (generate_grid, (256, 1024, 2), "f23060902632e5007a4169dd09bd5a0860bcb6d97668b7f6c0f3e7ef6817feb3", "2.891477082144589e-06"),
+            (generate_with_inner, (9, 3, 256, 1), "cc6192eeca6f521e2333237a78bd67acbbd2b3c76b1e285e71bc07b5687503db", "0.006566616564056038"),
+            (generate_with_inner, (9, 3, 256, 2), "5037b3e188058cce4a19db03638aedcd15174e9980e484c543ead5e01fcd1681", "0.00735280866669081"),
+            (generate_convex, (32, 512, 1), "f674dabee32fcc070e83e65f298287092c110f470044af7ac6723b5b07590779", "0.07500354651707766"),
+            (generate_convex, (32, 512, 2), "c6c7e58afeb581a795fcb8811d3e32da45235361ce92999170d4c30165eb6821", "0.07604355927911707"),
+        ],
+    )
+    def test_coordinates_and_epsilon(self, gen, args, coords_sha256, epsilon_repr):
+        inst = gen(*args)
+        text = "".join(f"{p.x} {p.y}\n" for p in inst.points)
+        assert hashlib.sha256(text.encode()).hexdigest() == coords_sha256
+        assert repr(inst.metrics.epsilon) == epsilon_repr
+
+
 class TestInstanceFiles:
     def test_round_trip(self, tmp_path):
         inst = generate_grid(9, 32, 13)
@@ -173,6 +200,12 @@ class TestInstanceFiles:
         path = tmp_path / "range.tsp"
         path.write_text("3 4\n0 0\n9 1\n1 3\n", encoding="utf-8")
         with pytest.raises(ParseError):
+            read_instance(path)
+
+    def test_coordinate_beyond_32_bits_free_form(self, tmp_path):
+        path = tmp_path / "big.tsp"
+        path.write_text(f"3 0\n0 0\n{2**31} 1\n1 3\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 3"):
             read_instance(path)
 
     def test_malformed_row(self, tmp_path):

@@ -246,10 +246,6 @@ class TestMutationSpecValidation:
         with pytest.raises(ValueError):
             MutationSpec("three_opt")
 
-    def test_poisson_mean_fixed(self):
-        with pytest.raises(ValueError):
-            MutationSpec("two_opt", poisson_mean=2.0)
-
     def test_ea_config_checked(self):
         with pytest.raises(ValueError):
             EAConfig(mu=0)
