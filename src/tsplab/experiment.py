@@ -123,6 +123,7 @@ def parse_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     values: dict[str, object] = {}
+    line_of: dict[str, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -136,6 +137,7 @@ def parse_config(path) -> ExperimentConfig:
             raise ParseError(f"line {lineno}: empty value for {key!r}")
         if key in values:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
+        line_of[key] = lineno
         if key in _INT_KEYS:
             try:
                 values[key] = int(val)
@@ -155,6 +157,11 @@ def parse_config(path) -> ExperimentConfig:
                     values[key] = [int(s) for s in val.split(",")]
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: bad list value for {key}: {val!r}") from exc
+            seen = set()
+            for item in values[key]:
+                if item in seen:
+                    raise ParseError(f"line {lineno}: repeated value {item} in {key!r}")
+                seen.add(item)
         elif key in _STR_KEYS:
             values[key] = val
         else:
@@ -171,6 +178,14 @@ def parse_config(path) -> ExperimentConfig:
     algorithm = need("algorithm")
     if algorithm not in ("rls", "ea"):
         raise ParseError(f"algorithm must be rls or ea, got {algorithm!r}")
+    inapplicable = {"grid": ("h", "k"), "convex": ("h", "k"), "inner": ("n",)}[family]
+    for key in inapplicable:
+        if key in values:
+            raise ParseError(f"line {line_of[key]}: {key!r} does not apply to family {family!r}")
+    if algorithm == "rls":
+        for key in ("mutation", "mu", "lambda"):
+            if key in values:
+                raise ParseError(f"line {line_of[key]}: {key!r} does not apply to algorithm 'rls'")
     if family == "inner":
         h_values = need("h")
         k_values = need("k")

@@ -307,11 +307,14 @@ def read_instance(path) -> Instance:
         raise ParseError(f"non-integer header: {lines[0]!r}") from exc
     if m < 0:
         raise ParseError(f"grid size must be >= 0, got {m}")
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) != n or len(lines[1:]) > len(body):
-        raise ParseError(f"expected {n} coordinate rows, found {len(lines) - 1}")
+    rows = lines[1:]
+    found = sum(1 for ln in rows if ln.strip())
+    if found != n:
+        raise ParseError(f"expected {n} coordinate rows, found {found}")
     coords = []
-    for row, ln in enumerate(body, start=2):
+    for row, ln in enumerate(rows, start=2):
+        if not ln.strip():
+            raise ParseError(f"line {row}: blank line")
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError(f"line {row}: expected 'x y', got {ln!r}")

@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from tsplab import Instance, InstanceMetrics, Point, validate
 from tsplab.errors import CollinearTripleError, TooSmallError
@@ -21,6 +22,12 @@ from tsplab.geom import distance, gamma_of, min_uncross_gain_of
 from tsplab.rng import Xoshiro256StarStar
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+# one profile for every property test: the same examples on every run
+# (derandomize also turns off the example database), and no per-example
+# deadline, which a slow or shared machine would trip
+settings.register_profile("tsplab", deadline=None, derandomize=True)
+settings.load_profile("tsplab")
 
 
 def cli_env() -> dict[str, str]:
@@ -139,6 +146,19 @@ def slow_tour_length(instance: Instance, tour) -> float:
         dy = p.y - q.y
         terms.append(math.sqrt(dx * dx + dy * dy))
     return math.fsum(terms)
+
+
+def full_scan_local_optimum(instance: Instance, tour) -> bool:
+    """2-opt local optimality by rebuilding every inversion neighbour and
+    comparing slow_tour_length values with a strict <."""
+    n = len(tour)
+    base = slow_tour_length(instance, tour)
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            neighbour = tour[: i - 1] + tour[i - 1 : j][::-1] + tour[j:]
+            if slow_tour_length(instance, neighbour) < base:
+                return False
+    return True
 
 
 def random_tour(n: int, rng: Xoshiro256StarStar) -> tuple[int, ...]:

@@ -2,12 +2,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsplab import read_instance, read_tour
-from tsplab.errors import ParseError
+from tsplab.errors import ParseError, TsplabError
 from tsplab.experiment import CSV_COLUMNS, parse_config
 
-from conftest import cli_env
+from conftest import SRC_DIR, cli_env
 
 
 def cli(*args, cwd=None):
@@ -184,6 +186,8 @@ out = {out}
 
 class TestParseConfig:
     BASE = "family = convex\nn = 8\nm = 256\nalgorithm = rls\nbase_seed = 1\nout = o.csv\n"
+    GRID = BASE.replace("convex", "grid")
+    INNER = "family = inner\nh = 6\nk = 2\nm = 256\nalgorithm = ea\nbase_seed = 1\nout = o.csv\n"
 
     def test_valid(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
@@ -198,6 +202,12 @@ class TestParseConfig:
             ("budget = 100\nruns = 0\n", "line 8: runs must be >= 1"),
             ("budget = 0\nruns = 3\n", "line 7: budget must be >= 1"),
             ("budget = 100\nruns = 3\nm = 512\n", "line 9: duplicate key 'm'"),
+            ("budget = 100\nruns = 3\nmutation = mixed,mixed\n", "line 9: repeated value mixed in 'mutation'"),
+            ("budget = 100\nruns = 3\nh = 5\n", "line 9: 'h' does not apply to family 'convex'"),
+            ("k = 2\nbudget = 100\nruns = 3\n", "line 7: 'k' does not apply to family 'convex'"),
+            ("budget = 100\nruns = 3\nmutation = mixed\n", "line 9: 'mutation' does not apply to algorithm 'rls'"),
+            ("budget = 100\nmu = 2\nruns = 3\n", "line 8: 'mu' does not apply to algorithm 'rls'"),
+            ("budget = 100\nruns = 3\nlambda = 2\n", "line 9: 'lambda' does not apply to algorithm 'rls'"),
         ],
     )
     def test_rejected_at_parse_time(self, tmp_path, extra, message):
@@ -205,6 +215,79 @@ class TestParseConfig:
         cfg.write_text(self.BASE + extra, encoding="utf-8")
         with pytest.raises(ParseError, match=message):
             parse_config(cfg)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (BASE.replace("n = 8", "n = 6,6"), "line 2: repeated value 6 in 'n'"),
+            (GRID.replace("n = 8", "n = 8,10,8"), "line 2: repeated value 8 in 'n'"),
+            (GRID + "h = 5\n", "line 7: 'h' does not apply to family 'grid'"),
+            (INNER.replace("h = 6", "h = 6,7,6"), "line 2: repeated value 6 in 'h'"),
+            (INNER.replace("k = 2", "k = 2,2"), "line 3: repeated value 2 in 'k'"),
+            (INNER + "n = 8\n", "line 8: 'n' does not apply to family 'inner'"),
+        ],
+    )
+    def test_rejected_config(self, tmp_path, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text + "budget = 1\nruns = 1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=message):
+            parse_config(cfg)
+
+    @pytest.mark.parametrize("name", ["convex_sweep.cfg", "grid_rls.cfg", "inner_paired.cfg"])
+    def test_example_configs_parse(self, name):
+        parse_config(SRC_DIR.parent / "configs" / name)
+
+
+_CONFIG_KEYS = [
+    "family", "n", "h", "k", "m", "algorithm", "mu", "lambda", "mutation", "budget", "runs", "base_seed", "out", "x"
+]
+_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.integers(-5, 40).map(str),
+    st.lists(st.integers(-2, 12), min_size=1, max_size=4).map(lambda v: ",".join(map(str, v))),
+    st.sampled_from(["grid", "convex", "inner", "rls", "ea", "two_opt", "mixed", "two_opt,mixed", "o.csv"]),
+)
+_INT_ROW = st.tuples(st.integers(-3, 2**31 + 1), st.integers(-3, 2**31 + 1)).map(lambda xy: f"{xy[0]} {xy[1]}")
+
+# arbitrary UTF-8 text, plus lines shaped like each format, so that the
+# examples also get past the first checks
+_CONFIG_TEXT = st.one_of(
+    st.text(),
+    st.lists(
+        st.one_of(st.text(max_size=20), st.builds(lambda k, v: f"{k} = {v}", st.sampled_from(_CONFIG_KEYS), _VALUES)),
+        max_size=12,
+    ).map("\n".join),
+)
+_INSTANCE_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.one_of(st.text(max_size=12), _INT_ROW, st.integers(0, 9).map(lambda m: f"{m} 4")), max_size=8).map(
+        "\n".join
+    ),
+)
+_TOUR_TEXT = st.one_of(st.text(), st.lists(st.integers(-2, 8).map(str), max_size=9).map(" ".join))
+
+
+class TestArbitraryText:
+    """Every reader fails on malformed text with a TsplabError subclass."""
+
+    @pytest.mark.parametrize(
+        "reader,texts",
+        [(parse_config, _CONFIG_TEXT), (read_instance, _INSTANCE_TEXT), (read_tour, _TOUR_TEXT)],
+        ids=["parse_config", "read_instance", "read_tour"],
+    )
+    def test_only_tsplab_errors(self, tmp_path_factory, reader, texts):
+        path = tmp_path_factory.mktemp("fuzz") / "input.txt"
+
+        @settings(max_examples=500)
+        @given(texts)
+        def check(text):
+            path.write_text(text, encoding="utf-8")
+            try:
+                reader(path)
+            except TsplabError:
+                pass
+
+        check()
 
 
 class TestMutationStatsCmd:

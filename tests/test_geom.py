@@ -16,7 +16,7 @@ from tsplab import (
     segments_properly_intersect,
 )
 from tsplab.errors import CollinearTripleError, DuplicatePointError, TooSmallError
-from tsplab.geom import first_collinear_triple
+from tsplab.geom import first_collinear_triple, properly_cross
 from tsplab.rng import Xoshiro256StarStar
 
 from conftest import brute_hull, frac_segments_cross, triple_scan_collinear, triple_scan_metrics
@@ -198,11 +198,43 @@ _coord_sets = st.one_of(
 )
 
 
+_HALF = 2**30
+
+
+@st.composite
+def _four_points(draw):
+    """Coordinates of a, b, c, d anywhere in +-(2^31 - 1), or within one
+    unit of a common line (some exactly on it); sometimes c or d is an
+    endpoint of ab."""
+    ox, oy = draw(st.integers(-_HALF, _HALF)), draw(st.integers(-_HALF, _HALF))
+    vx, vy = draw(st.integers(-(2**15), 2**15)), draw(st.integers(-(2**15), 2**15))
+    near_line = draw(st.booleans())
+    pts = []
+    for _ in range(4):
+        if near_line:
+            t = draw(st.integers(-(2**14), 2**14))
+            pts.append((ox + t * vx + draw(st.integers(-1, 1)), oy + t * vy + draw(st.integers(-1, 1))))
+        else:
+            pts.append((draw(st.integers(-_MAX_COORD, _MAX_COORD)), draw(st.integers(-_MAX_COORD, _MAX_COORD))))
+    if draw(st.booleans()):
+        i, j = draw(st.sampled_from([(2, 0), (2, 1), (3, 0), (3, 1)]))
+        pts[i] = pts[j]
+    return pts
+
+
+class TestProperlyCrossAgainstFractions:
+    @settings(max_examples=1000)
+    @given(_four_points())
+    def test_matches_rational_intersection(self, pts):
+        a, b, c, d = (P(x, y) for x, y in pts)
+        assert properly_cross(*(v for xy in pts for v in xy)) == frac_segments_cross(a, b, c, d)
+
+
 class TestAgainstTripleScans:
     """The O(n^2) collinearity check and the angular sweep against the
     O(n^3) triple scans in conftest."""
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(_coord_sets)
     def test_first_collinear_triple(self, coords):
         assert first_collinear_triple(coords) == triple_scan_collinear(coords)
@@ -216,7 +248,7 @@ class TestAgainstTripleScans:
         pts = [P(x, y, i + 1) for i, (x, y) in enumerate(coords)]
         assert instance_metrics(pts) == triple_scan_metrics(pts)
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(_coord_sets)
     def test_instance_metrics_bit_identical(self, coords):
         pts = [P(x, y, i + 1) for i, (x, y) in enumerate(coords)]

@@ -214,6 +214,20 @@ class TestInstanceFiles:
         with pytest.raises(ParseError):
             read_instance(path)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("3 0\n0 0\n1 0\n0 1\n\n", "^line 5: blank line$"),
+            ("3 0\n0 0\n\n1 0\n0 1\n", "^line 3: blank line$"),
+            ("3 0\n0 0\n  \n1 0\n\n", "^expected 3 coordinate rows, found 2$"),
+        ],
+    )
+    def test_blank_line_named(self, tmp_path, text, message):
+        path = tmp_path / "blank.tsp"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=message):
+            read_instance(path)
+
     def test_trailing_content_rejected(self, tmp_path):
         path = tmp_path / "trail.tsp"
         path.write_text("3 0\n0 0\n1 0\n0 1\nextra 1\n", encoding="utf-8")

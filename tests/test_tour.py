@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsplab import (
     apply_inversion,
@@ -16,12 +18,27 @@ from tsplab import (
     is_two_opt_local_optimum,
     jump_as_inversions,
     respects_hull_order,
+    run_rls,
     tour_length,
+    validate,
 )
 from tsplab.oracle import brute_force_optimum, enumerate_intersection_free
 from tsplab.rng import Xoshiro256StarStar
 
-from conftest import crossing_count_fractions, cycle_edges, random_tour, slow_tour_length
+from conftest import (
+    crossing_count_fractions,
+    cycle_edges,
+    full_scan_local_optimum,
+    random_tour,
+    slow_tour_length,
+)
+
+# (n, m): m = 1024 grids with n <= 40, and small tie-heavy grids (many
+# equal distances) with n <= m, which the generator always fills
+_grid_sizes = st.one_of(
+    st.tuples(st.integers(3, 40), st.just(1024)),
+    st.integers(5, 16).flatmap(lambda m: st.tuples(st.integers(3, m), st.just(m))),
+)
 
 
 class TestTourLength:
@@ -244,27 +261,47 @@ class TestLocalOptimum:
         assert not is_two_opt_local_optimum(square, (1, 3, 2, 4))
 
     def test_against_independent_scan(self):
-        # fresh implementation: build each neighbor and compare full sums
-        def oracle(inst, t):
-            n = len(t)
-            base = slow_tour_length(inst, t)
-            for i in range(1, n):
-                for j in range(i + 1, n + 1):
-                    y = t[: i - 1] + t[i - 1 : j][::-1] + t[j:]
-                    if slow_tour_length(inst, y) < base:
-                        return False
-            return True
-
         inst = generate_grid(8, 64, 73)
         rng = Xoshiro256StarStar(41)
-        flagged = 0
         for _ in range(60):
             t = random_tour(8, rng)
-            mine = is_two_opt_local_optimum(inst, t)
-            assert mine == oracle(inst, t)
-            flagged += mine
+            assert is_two_opt_local_optimum(inst, t) == full_scan_local_optimum(inst, t)
         res = brute_force_optimum(inst)
-        assert is_two_opt_local_optimum(inst, res.optimum_tour) == oracle(inst, res.optimum_tour)
+        t = res.optimum_tour
+        assert is_two_opt_local_optimum(inst, t) == full_scan_local_optimum(inst, t)
+
+    @pytest.mark.parametrize("size,local", [(2**24, False), (2**26, True)])
+    def test_tiny_negative_delta(self, size, local):
+        # q = label 2 sits between p1 and p3, which are equally far from
+        # p2 = (0, 0), with |q p3|^2 = |q p1|^2 - 2: moving q next to p3
+        # (inversion (2, 3)) is the one move with a negative delta, about
+        # -sqrt(2)/size. At 2^24 that is 0.82 * 2^-48 of the added edge
+        # lengths, and it shortens the fsum length; at 2^26 it is an ulp
+        # or two of the edge lengths, both tours round to the same fsum
+        # length, and the tour is a local optimum
+        inst = validate([(size, 1), (size // 2 - 1, size // 2), (0, 0), (-1, size), (size - 1, size + 1)])
+        t = (1, 2, 3, 4, 5)
+        d = inst.distance_matrix
+        assert math.fsum((d[0 * 5 + 2], d[1 * 5 + 3], -d[0 * 5 + 1], -d[2 * 5 + 3])) < 0
+        assert (tour_length(inst, apply_inversion(t, 2, 3)) < tour_length(inst, t)) is not local
+        assert full_scan_local_optimum(inst, t) is local
+        assert is_two_opt_local_optimum(inst, t) is local
+
+    @settings(max_examples=300)
+    @given(_grid_sizes, st.integers(0, 2**32 - 1), st.sampled_from(["random", "rls_end", "one_off"]), st.data())
+    def test_matches_full_scan(self, size, seed, kind, data):
+        # RLS end tours are mostly local optima, where the delta scan
+        # runs over every pair; one inversion away they mostly are not
+        n, m = size
+        inst = generate_grid(n, m, seed)
+        if kind == "random":
+            t = random_tour(n, Xoshiro256StarStar(seed))
+        else:
+            t = run_rls(inst, 20 * n * n, seed).final_tour
+            if kind == "one_off":
+                i = data.draw(st.integers(1, n - 1))
+                t = apply_inversion(t, i, data.draw(st.integers(i + 1, n)))
+        assert is_two_opt_local_optimum(inst, t) == full_scan_local_optimum(inst, t)
 
     def test_local_optima_are_crossing_free(self):
         # consequence of the uncrossing improvement on collinear-free sets
