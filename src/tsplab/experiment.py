@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ParseError
-from .instance import Instance, generate_convex, generate_grid, generate_with_inner
+from .instance import Instance, generate_convex, generate_grid, generate_with_inner, parse_int
 from .oracle import OracleResult, held_karp_optimum, hull_order_optimum, interleaving_count
 from .search import EAConfig, MutationSpec, Trajectory, run_ea, run_rls
 
@@ -139,24 +139,18 @@ def parse_config(path) -> ExperimentConfig:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
         line_of[key] = lineno
         if key in _INT_KEYS:
-            try:
-                values[key] = int(val)
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {key} must be an integer, got {val!r}") from exc
+            values[key] = parse_int(val, f"line {lineno}: {key} must be an integer, got {val!r}")
             if key in ("budget", "runs") and values[key] < 1:
                 raise ParseError(f"line {lineno}: {key} must be >= 1, got {values[key]}")
         elif key in _LIST_KEYS:
-            try:
-                if key == "mutation":
-                    items = [s.strip() for s in val.split(",")]
-                    for s in items:
-                        if s not in ("two_opt", "mixed"):
-                            raise ValueError(s)
-                    values[key] = items
-                else:
-                    values[key] = [int(s) for s in val.split(",")]
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad list value for {key}: {val!r}") from exc
+            items = [s.strip() for s in val.split(",")]
+            bad = f"line {lineno}: bad list value for {key}: {val!r}"
+            if key == "mutation":
+                if any(s not in ("two_opt", "mixed") for s in items):
+                    raise ParseError(bad)
+                values[key] = items
+            else:
+                values[key] = [parse_int(s, bad) for s in items]
             seen = set()
             for item in values[key]:
                 if item in seen:

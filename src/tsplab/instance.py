@@ -10,6 +10,7 @@ number of draws.
 from __future__ import annotations
 
 import math
+import re
 from typing import Sequence
 
 from .errors import (
@@ -282,6 +283,24 @@ def generate_with_inner(h: int, k: int, m: int, seed: int) -> Instance:
     return validate(coords, grid_size=m)
 
 
+_ASCII_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text: str, error: str) -> int:
+    """The integer spelled by ASCII digits with an optional sign.
+
+    int() alone also takes underscores ('1_0'), non-ASCII digits ('٦٤',
+    '５') and surrounding whitespace; anything but sign and digits raises
+    ParseError(error), so callers name the line in `error`.
+    """
+    if _ASCII_INT.fullmatch(text) is None:
+        raise ParseError(error)
+    try:
+        return int(text)
+    except ValueError as exc:  # beyond int()'s digit limit
+        raise ParseError(error) from exc
+
+
 def write_instance(instance: Instance, path) -> None:
     """Write the text format: 'n m' header then one 'x y' row per point."""
     lines = [f"{instance.n} {instance.grid_size}"]
@@ -301,10 +320,8 @@ def read_instance(path) -> Instance:
     header = lines[0].split()
     if len(header) != 2:
         raise ParseError(f"header must be 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise ParseError(f"non-integer header: {lines[0]!r}") from exc
+    bad = f"line 1: non-integer header: {lines[0]!r}"
+    n, m = parse_int(header[0], bad), parse_int(header[1], bad)
     if m < 0:
         raise ParseError(f"grid size must be >= 0, got {m}")
     rows = lines[1:]
@@ -318,10 +335,8 @@ def read_instance(path) -> Instance:
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError(f"line {row}: expected 'x y', got {ln!r}")
-        try:
-            x, y = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"line {row}: non-integer coordinate in {ln!r}") from exc
+        bad = f"line {row}: non-integer coordinate in {ln!r}"
+        x, y = parse_int(parts[0], bad), parse_int(parts[1], bad)
         _check_coordinate(x, y, m, ParseError, f"line {row}: ")
         coords.append((x, y))
     return validate(coords, grid_size=m)
@@ -337,13 +352,12 @@ def read_tour(path) -> tuple[int, ...]:
     """Read a tour file and check it is a permutation of 1..n."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
-    parts = raw.split()
-    try:
-        labels = tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise ParseError(f"non-integer label in tour file {path}") from exc
+    labels: list[int] = []
+    for row, ln in enumerate(raw.splitlines(), start=1):
+        bad = f"line {row}: non-integer label in tour file {path}: {ln!r}"
+        labels.extend(parse_int(v, bad) for v in ln.split())
     if not labels:
         raise ParseError("empty tour file")
     if sorted(labels) != list(range(1, len(labels) + 1)):
         raise ParseError("tour file is not a permutation of 1..n")
-    return labels
+    return tuple(labels)

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 # the hot loops, and not a module boundary that perfbench/tracer.py wraps
 from .geom import properly_cross as _properly_cross
 from .instance import Instance
-from .rng import Xoshiro256StarStar
+from .rng import _INV_2_53, Xoshiro256StarStar
 from .tour import Tour, crossing_pairs, is_two_opt_local_optimum, tour_length
 
 _INV_E = math.exp(-1.0)
@@ -179,8 +179,9 @@ def classify_state(instance: Instance, tour: Sequence[int], optimum_value: Optio
     return "beta"
 
 
-def _crossing_count(xs, ys, perm) -> int:
-    """Number of properly crossing edge pairs of the cycle (0-based labels)."""
+def _crossing_count(xs, ys, perm, first_only: bool = False) -> int:
+    """Number of properly crossing edge pairs of the cycle (0-based labels);
+    with first_only, 1 at the first crossing found, else 0."""
     n = len(perm)
     count = 0
     for a in range(n):
@@ -191,6 +192,8 @@ def _crossing_count(xs, ys, perm) -> int:
             s = perm[b]
             t = perm[b + 1 - n]
             if _properly_cross(ux, uy, vx, vy, xs[s], ys[s], xs[t], ys[t]):
+                if first_only:
+                    return 1
                 count += 1
     return count
 
@@ -358,6 +361,41 @@ def run_rls(
     )
 
 
+def _ea_margin_unit(d, n: int) -> float:
+    """Per-move bound on |est - fsum(child)| for run_ea's delta prefilter.
+
+    Let u = 2^-53, M the largest stored distance and L = n*M, which bounds
+    the exact sum S of the n stored edge values of any tour. distance_matrix
+    stores one value for both directions, so a move's exact delta (the sum
+    of the stored values of its added edges minus those of its removed
+    edges) is the exact change of S. A child made by s moves from a parent
+    of fitness F = fsum(parent) = round(S_0) is priced as
+
+        e_0 = F,  e_k = fl(e_{k-1} + fl-delta_k),  est = e_s.
+
+    - |F - S_0| <= u*L (fsum is correctly rounded).
+    - A move's delta is 4 (inversion) or 6 (jump) stored values, each at
+      most M, summed left to right: its error is at most
+      gamma_5 * 6M < 31uM =: E.
+    - Each addition rounds by at most u*|e_{k-1} + fl-delta_k|
+      <= u*(L + err_{k-1} + E), since the exact intermediate sum S_k is the
+      S of the tour after k moves. By induction err_k <= u*L + k*c with
+      c = E + 2uL, as long as u*L + k*c + E <= L, which holds for every
+      s <= 2^48 (n >= 3); each move costs at least one RNG draw, so no run
+      comes near.
+    - fsum(child) = round(S_s) is within u*L of S_s.
+
+    So |est - fsum(child)| <= 2uL + s*c < uM(2n + s(2n+31)). A child is
+    rejected when est > fl(worst + fl(s * unit)) with
+    unit = fl(2^-50 * M * (n + 8)), about 8uM(n + 8). Each of the three
+    roundings loses a relative u, the sum's at most u*worst <= u(1+u)L,
+    so the right side stays above worst + uM(2n + s(2n+31)) for s >= 1:
+    a rejected child has fsum(child) > worst and could not have entered
+    the population.
+    """
+    return 2.0**-50 * max(d) * (n + 8)
+
+
 def run_ea(
     instance: Instance,
     config: EAConfig,
@@ -371,6 +409,14 @@ def run_ea(
     plus offspring. Fitness ties prefer offspring over parents, then
     lower creation index. The run stops at the budget, or as soon as the
     population best matches a supplied optimum value.
+
+    A child is priced first by its parent's fitness plus the float deltas
+    of its moves. It can only survive if its exact fitness is <= the worst
+    parent's, so a child whose estimate exceeds that by more than the
+    proven error bound of _ea_margin_unit is dropped without an exact
+    length; every other child gets the exact fsum and the exact sort, so
+    the trajectory is the one full evaluation of every child gives. The
+    mutation draws are those of plan_two_opt / plan_mixed, inlined.
     """
     n = instance.n
     mu = config.mu
@@ -379,14 +425,26 @@ def run_ea(
     rng = Xoshiro256StarStar(config.seed)
     d = instance.distance_matrix
     xs, ys = instance.coords
-    mutate = two_opt_mutation if config.mutation.kind == "two_opt" else mixed_mutation
+    mixed = config.mutation.kind == "mixed"
+    unit = _ea_margin_unit(d, n)
 
-    # individuals: (fitness, parent_flag, creation_index, tour)
+    next_u64 = rng.next_u64
+    two64 = 1 << 64
+    mu_limit = two64 - two64 % mu
+    pairs = tuple((i - 1, j) for i, j in _pair_table(n))  # (i0, j0): slice lst[i0:j0]
+    npairs = len(pairs)
+    pair_limit = two64 - two64 % npairs
+    njumps = n * (n - 1)
+    jump_limit = two64 - two64 % njumps
+    last = n - 1
+
+    # individuals: (fitness, parent_flag, creation_index, 0-based tour);
+    # creation indices are unique, so tuples sort by (fitness, flag, index)
     pop = []
     for idx in range(mu):
-        t = tuple(v + 1 for v in _random_perm0(n, rng))
-        pop.append((_fsum_length(d, n, [v - 1 for v in t]), 1, idx, t))
-    pop.sort(key=lambda ind: (ind[0], ind[1], ind[2]))
+        perm = _random_perm0(n, rng)
+        pop.append((_fsum_length(d, n, perm), 1, idx, tuple(perm)))
+    pop.sort()
     next_idx = mu
 
     opt_tol = None if optimum_value is None else optimum_value * _OPT_REL_TOL
@@ -408,25 +466,78 @@ def run_ea(
             break
         if gens >= budget:
             break
-        if best[3] != cls_tour:
+        if best[3] is not cls_tour:
             cls_tour = best[3]
-            cls_alpha = 1 if _crossing_count(xs, ys, [v - 1 for v in cls_tour]) else 0
+            cls_alpha = _crossing_count(xs, ys, cls_tour, first_only=True)
         alpha += cls_alpha
         beta += 1 - cls_alpha
         gens += 1
         if series is not None and gens % stride == 0:
             series.append(best[0])
 
+        worst = pop[-1][0]
         offspring = []
         for _ in range(lam):
-            parent = pop[rng.randbelow(mu)]
-            child = mutate(parent[3], rng)
-            fit = _fsum_length(d, n, [v - 1 for v in child])
-            offspring.append((fit, 0, next_idx, child))
+            if mu > 1:
+                u = next_u64()
+                while u >= mu_limit:
+                    u = next_u64()
+                parent = pop[u % mu]
+            else:
+                parent = pop[0]
+            lst = list(parent[3])
+            est = parent[0]
+            inversions = (next_u64() >> 11) * _INV_2_53 < 0.5 if mixed else True
+            reps = 1
+            prod = (next_u64() >> 11) * _INV_2_53
+            while prod >= _INV_E:
+                reps += 1
+                prod *= (next_u64() >> 11) * _INV_2_53
+            if inversions:
+                for _ in range(reps):
+                    u = next_u64()
+                    while u >= pair_limit:
+                        u = next_u64()
+                    i0, j0 = pairs[u % npairs]
+                    if i0 == 0 and j0 == n:
+                        # full reversal: same cycle
+                        lst.reverse()
+                        continue
+                    a = lst[i0 - 1]
+                    b = lst[i0]
+                    c = lst[j0 - 1]
+                    e = lst[j0 - n]
+                    est += d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e]
+                    lst[i0:j0] = lst[i0:j0][::-1]
+            else:
+                for _ in range(reps):
+                    u = next_u64()
+                    while u >= jump_limit:
+                        u = next_u64()
+                    p, r = divmod(u % njumps, last)
+                    q = r if r < p else r + 1
+                    # v leaves its neighbours lft, rgt and enters between x, y
+                    lft = lst[p - 1]
+                    rgt = lst[p - last]
+                    v = lst.pop(p)
+                    x = lst[q - 1]
+                    y = lst[q - last]
+                    lst.insert(q, v)
+                    est += (
+                        d[lft * n + rgt] + d[x * n + v] + d[v * n + y]
+                        - d[lft * n + v] - d[v * n + rgt] - d[x * n + y]
+                    )
+            if est <= worst + reps * unit:
+                offspring.append((_fsum_length(d, n, lst), 0, next_idx, tuple(lst)))
             next_idx += 1
-        merged = pop + offspring
-        merged.sort(key=lambda ind: (ind[0], ind[1], ind[2]))
-        pop = [(f, 1, idx, t) for f, _, idx, t in merged[:mu]]
+        if offspring:
+            merged = pop + offspring
+            merged.sort()
+            pop = [(f, 1, idx, t) for f, _, idx, t in merged[:mu]]
+        else:
+            # an offspring that tied a parent sits ahead of it; the merge
+            # of a generation that keeps no child still re-sorts
+            pop.sort()
 
     best = pop[0]
     return Trajectory(
@@ -436,7 +547,7 @@ def run_ea(
         fitness_evals=mu + lam * gens,
         alpha_steps=alpha,
         beta_steps=beta,
-        final_tour=best[3],
+        final_tour=tuple(v + 1 for v in best[3]),
         final_length=best[0],
         best_fitness_series=series,
     )

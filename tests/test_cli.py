@@ -233,6 +233,29 @@ class TestParseConfig:
         with pytest.raises(ParseError, match=message):
             parse_config(cfg)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (BASE.replace("m = 256", "m = ٦٤"), "^line 3: m must be an integer"),
+            (BASE + "budget = 1_0\n", "^line 7: budget must be an integer"),
+            (BASE.replace("n = 8", "n = 8,１６"), "^line 2: bad list value for n"),
+            (BASE.replace("n = 8", "n = 1_0"), "^line 2: bad list value for n"),
+            (BASE.replace("n = 8", "n = 8,,16"), "^line 2: bad list value for n"),
+        ],
+    )
+    def test_non_ascii_integers_rejected(self, tmp_path, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text + "budget = 1\nruns = 1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=message):
+            parse_config(cfg)
+
+    def test_signs_spaces_and_leading_zeros_accepted(self, tmp_path):
+        cfg = tmp_path / "ok.cfg"
+        text = self.BASE.replace("n = 8", "n = 8, +16 ,032").replace("base_seed = 1", "base_seed = -7")
+        cfg.write_text(text + "budget = 010\nruns = +1\n", encoding="utf-8")
+        parsed = parse_config(cfg)
+        assert (parsed.n_values, parsed.base_seed, parsed.budget, parsed.runs) == ([8, 16, 32], -7, 10, 1)
+
     @pytest.mark.parametrize("name", ["convex_sweep.cfg", "grid_rls.cfg", "inner_paired.cfg"])
     def test_example_configs_parse(self, name):
         parse_config(SRC_DIR.parent / "configs" / name)

@@ -228,6 +228,27 @@ class TestInstanceFiles:
         with pytest.raises(ParseError, match=message):
             read_instance(path)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("٣ 0\n0 0\n1 0\n0 1\n", "^line 1: non-integer header"),
+            ("3 0\n0 0\n1_0 0\n0 1\n", "^line 3: non-integer coordinate"),
+            ("3 0\n0 0\n1 0\n0 ５\n", "^line 4: non-integer coordinate"),
+            ("3 0\n0 0\n1 0\n0 1.0\n", "^line 4: non-integer coordinate"),
+            (f"3 0\n0 0\n1 0\n0 {'9' * 5000}\n", "^line 4: non-integer coordinate"),
+        ],
+    )
+    def test_non_ascii_integer_rejected(self, tmp_path, text, message):
+        path = tmp_path / "digits.tsp"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=message):
+            read_instance(path)
+
+    def test_signs_and_leading_zeros_accepted(self, tmp_path):
+        path = tmp_path / "signs.tsp"
+        path.write_text("+3 00\n-1 0\n+1 0\n00 1\n", encoding="utf-8")
+        assert read_instance(path) == validate([(-1, 0), (1, 0), (0, 1)])
+
     def test_trailing_content_rejected(self, tmp_path):
         path = tmp_path / "trail.tsp"
         path.write_text("3 0\n0 0\n1 0\n0 1\nextra 1\n", encoding="utf-8")
@@ -246,6 +267,18 @@ class TestTourFiles:
         path.write_text("1 2 2 4\n", encoding="utf-8")
         with pytest.raises(ParseError):
             read_tour(path)
+
+    @pytest.mark.parametrize("bad", ["٣", "３", "1_0", "+-2", "2.0"])
+    def test_non_ascii_label_rejected(self, tmp_path, bad):
+        path = tmp_path / "t.tour"
+        path.write_text(f"1 2\n{bad} 4\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="^line 2: non-integer label"):
+            read_tour(path)
+
+    def test_multi_line_tour(self, tmp_path):
+        path = tmp_path / "t.tour"
+        path.write_text("3 1\n\n+4\t2\n", encoding="utf-8")
+        assert read_tour(path) == (3, 1, 4, 2)
 
 
 class TestDistanceMatrix:

@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import tsplab.search
 from tsplab import (
     EAConfig,
     MutationSpec,
@@ -11,16 +14,20 @@ from tsplab import (
     generate_grid,
     generate_with_inner,
     is_intersection_free,
+    apply_inversion,
+    apply_jump,
     mixed_mutation,
     poisson_plus_one,
     run_ea,
     run_rls,
     tour_length,
     two_opt_mutation,
+    validate,
 )
+from tsplab.errors import CollinearTripleError, DuplicatePointError
 from tsplab.oracle import enumerate_intersection_free, held_karp_optimum, hull_order_optimum
 from tsplab.rng import Xoshiro256StarStar
-from tsplab.search import draw_inversion_pair, draw_jump_pair, plan_mixed, plan_two_opt
+from tsplab.search import _ea_margin_unit, _pair_table, draw_inversion_pair, draw_jump_pair, plan_mixed, plan_two_opt
 
 from conftest import ForcedRng, random_tour
 
@@ -221,6 +228,215 @@ class TestRunEA:
             cfg = EAConfig(mu=1, lam=1, mutation=MutationSpec("two_opt"), max_generations=3000, seed=seed)
             traj = run_ea(inst, cfg, optimum_value=opt)
             assert traj.final_length >= opt * (1 - 1e-12)
+
+
+class ScriptedRng(Xoshiro256StarStar):
+    """Returns the raw draws in `script` (a class attribute set per test)."""
+
+    script: list[int] = []
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self._draws = iter(self.script)
+
+    def next_u64(self):
+        v = next(self._draws, None)
+        assert v is not None, "script exhausted"
+        return v
+
+
+def identity_shuffle(n):
+    """Draws that make Fisher-Yates leave range(n) as it is."""
+    return list(range(n - 1, 0, -1))
+
+
+def uniform_draw(r):
+    return int(r * 2**53) << 11
+
+
+def strength(reps):
+    """Uniforms whose running product first drops below 1/e at the reps-th."""
+    return [uniform_draw(0.999)] * (reps - 1) + [0]
+
+
+def inversion_draw(n, i, j):
+    return _pair_table(n).index((i, j))
+
+
+def jump_draw(n, i, j):
+    return (i - 1) * (n - 1) + (j - 1 if j < i else j - 2)
+
+
+def child_draws(n, kind, moves):
+    """Raw draws of one child: ("inversion" | "jump", [(i, j), ...])."""
+    branch, pairs = moves
+    out = [] if kind == "two_opt" else [uniform_draw(0.25 if branch == "inversion" else 0.75)]
+    out += strength(len(pairs))
+    draw = inversion_draw if branch == "inversion" else jump_draw
+    return out + [draw(n, i, j) for i, j in pairs]
+
+
+def apply_moves(tour, moves):
+    branch, pairs = moves
+    apply = apply_inversion if branch == "inversion" else apply_jump
+    for i, j in pairs:
+        tour = apply(tour, i, j)
+    return tour
+
+
+class MarginSpy:
+    """Stands in for run_ea's margin unit and records every child's estimate.
+
+    run_ea keeps a child for the exact length iff `est <= worst + reps * unit`.
+    With this object as `unit`, `reps * unit` and `worst + ...` build a
+    threshold whose reflected `>=` sees est, worst and reps, records them
+    and answers with the real unit, so the run itself is unchanged.
+    """
+
+    def __init__(self, unit):
+        self.unit = unit
+        self.seen = []
+
+    def __rmul__(self, reps):
+        return _Scaled(self, reps)
+
+
+class _Scaled:
+    def __init__(self, spy, reps):
+        self.spy, self.reps = spy, reps
+
+    def __radd__(self, worst):
+        return _Threshold(self.spy, self.reps, worst)
+
+
+class _Threshold:
+    def __init__(self, spy, reps, worst):
+        self.spy, self.reps, self.worst = spy, reps, worst
+
+    def __ge__(self, est):
+        self.spy.seen.append((est, self.worst, self.reps))
+        return est <= self.worst + self.reps * self.spy.unit
+
+
+def run_scripted(monkeypatch, instance, cfg, script):
+    """run_ea on scripted draws; the trajectory and the recorded estimates."""
+    spy = MarginSpy(_ea_margin_unit(instance.distance_matrix, instance.n))
+    monkeypatch.setattr(ScriptedRng, "script", script)
+    monkeypatch.setattr(tsplab.search, "Xoshiro256StarStar", ScriptedRng)
+    monkeypatch.setattr(tsplab.search, "_ea_margin_unit", lambda d, n: spy)
+    return run_ea(instance, cfg), spy.seen
+
+
+class TestEAChildPricing:
+    """run_ea prices a child as parent fitness plus move deltas; the
+    estimate must stay within the proven margin of the exact length."""
+
+    N = 9
+
+    def one_child(self, monkeypatch, kind, moves):
+        inst = generate_grid(self.N, 1024, 31)
+        n = inst.n
+        parent = tuple(range(1, n + 1))
+        cfg = EAConfig(mutation=MutationSpec(kind), max_generations=1)
+        script = identity_shuffle(n) + child_draws(n, kind, moves)
+        traj, seen = run_scripted(monkeypatch, inst, cfg, script)
+        child = apply_moves(parent, moves)
+        (est, worst, reps), = seen
+        exact = tour_length(inst, child)
+        assert worst == tour_length(inst, parent)
+        assert reps == len(moves[1])
+        assert abs(est - exact) <= reps * _ea_margin_unit(inst.distance_matrix, n)
+        # ties prefer the offspring
+        assert traj.final_tour == (child if exact <= worst else parent)
+        return est, exact, worst
+
+    @pytest.mark.parametrize("j", [1, 2, N - 1])
+    def test_jump_from_last_position(self, monkeypatch, j):
+        self.one_child(monkeypatch, "mixed", ("jump", [(self.N, j)]))
+
+    @pytest.mark.parametrize("i", [2, 5, N])
+    def test_jump_to_first_position(self, monkeypatch, i):
+        self.one_child(monkeypatch, "mixed", ("jump", [(i, 1)]))
+
+    @pytest.mark.parametrize("i", [1, 4, N - 1])
+    def test_jump_to_last_position(self, monkeypatch, i):
+        self.one_child(monkeypatch, "mixed", ("jump", [(i, self.N)]))
+
+    @pytest.mark.parametrize("pair", [(1, N), (1, N - 1), (2, N)])
+    @pytest.mark.parametrize("kind", ["two_opt", "mixed"])
+    def test_cycle_preserving_inversions_tie_and_survive(self, monkeypatch, pair, kind):
+        est, exact, worst = self.one_child(monkeypatch, kind, ("inversion", [pair]))
+        assert exact == worst
+        if pair == (1, self.N):
+            assert est == worst
+
+    def test_jumps_between_neighbours(self, monkeypatch):
+        # (n, 1) and (1, n) move an element across the closing edge, which
+        # keeps the cycle; (3, 4) and (4, 3) swap two neighbours
+        for pair in [(self.N, 1), (1, self.N), (3, 4), (4, 3)]:
+            _, exact, worst = self.one_child(monkeypatch, "mixed", ("jump", [pair]))
+            if pair in ((self.N, 1), (1, self.N)):
+                assert exact == worst
+
+    def test_multi_move_children(self, monkeypatch):
+        n = self.N
+        self.one_child(monkeypatch, "two_opt", ("inversion", [(1, n), (2, n), (1, n - 1), (3, 7), (1, 2)]))
+        self.one_child(monkeypatch, "mixed", ("jump", [(n, 1), (1, n), (n, n - 1), (2, 1), (5, 2)]))
+
+    def test_no_survivor_resorts_tied_population(self, monkeypatch):
+        # generation 1: the child of (1, n-1) ties its parent and enters ahead
+        # of it (offspring first), so the population is (child, parent) with
+        # equal fitness and creation indices 2 > 0. Generation 2: no child
+        # survives; the population must still come out sorted, parent first.
+        inst = generate_grid(self.N, 1024, 31)
+        n = inst.n
+        parent = tuple(range(1, n + 1))
+        tied = apply_inversion(parent, 1, n - 1)
+        worse = max(_pair_table(n), key=lambda p: tour_length(inst, apply_inversion(tied, *p)))
+        assert tour_length(inst, apply_inversion(tied, *worse)) > tour_length(inst, parent)
+        script = identity_shuffle(n) * 2
+        script += [0] + child_draws(n, "two_opt", ("inversion", [(1, n - 1)]))
+        script += [0] + child_draws(n, "two_opt", ("inversion", [worse]))
+        cfg = EAConfig(mu=2, lam=1, max_generations=1)
+        one, _ = run_scripted(monkeypatch, inst, cfg, script)
+        assert one.final_tour == tied
+        cfg = EAConfig(mu=2, lam=1, max_generations=2)
+        two, seen = run_scripted(monkeypatch, inst, cfg, script)
+        assert seen[1][0] > seen[1][1] + _ea_margin_unit(inst.distance_matrix, n)  # priced out
+        assert two.final_tour == parent
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_estimate_within_margin(self, data):
+        coord = st.integers(-(2**31 - 1), 2**31 - 1)
+        pts = data.draw(st.lists(st.tuples(coord, coord), min_size=5, max_size=12, unique=True))
+        try:
+            inst = validate(pts)
+        except (CollinearTripleError, DuplicatePointError):
+            assume(False)
+        n = inst.n
+        kind = data.draw(st.sampled_from(["two_opt", "mixed"]))
+        pos = st.integers(1, n)
+        children = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            branch = "inversion" if kind == "two_opt" else data.draw(st.sampled_from(["inversion", "jump"]))
+            if branch == "inversion":
+                pair = st.tuples(pos, pos).filter(lambda p: p[0] < p[1])
+            else:
+                pair = st.tuples(pos, pos).filter(lambda p: p[0] != p[1])
+            children.append((branch, data.draw(st.lists(pair, min_size=1, max_size=12))))
+        script = identity_shuffle(n)
+        for moves in children:
+            script += child_draws(n, kind, moves)
+        cfg = EAConfig(lam=len(children), mutation=MutationSpec(kind), max_generations=1)
+        with pytest.MonkeyPatch.context() as mp:
+            _, seen = run_scripted(mp, inst, cfg, script)
+        parent = tuple(range(1, n + 1))
+        unit = _ea_margin_unit(inst.distance_matrix, n)
+        assert len(seen) == len(children)
+        for (est, _, reps), moves in zip(seen, children):
+            assert reps == len(moves[1])
+            assert abs(est - tour_length(inst, apply_moves(parent, moves))) <= reps * unit
 
 
 class TestClassifyState:

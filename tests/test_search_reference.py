@@ -5,7 +5,11 @@ same stopping step). This pins the incremental fitness and crossing
 bookkeeping to ground truth.
 """
 
+import itertools
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tsplab import (
     EAConfig,
@@ -21,6 +25,7 @@ from tsplab import (
     run_rls,
     tour_length,
     two_opt_mutation,
+    validate,
 )
 from tsplab.oracle import held_karp_optimum, hull_order_optimum
 from tsplab.rng import Xoshiro256StarStar
@@ -174,3 +179,52 @@ def test_ea_matches_reference_without_optimum():
     inst = generate_convex(7, 128, 215)
     cfg = EAConfig(mu=2, lam=3, mutation=MutationSpec("mixed"), max_generations=800, seed=6)
     assert run_ea(inst, cfg) == reference_ea(inst, cfg)
+
+
+def _general_position(candidates, n):
+    """The first n candidates that add no duplicate and no collinear triple."""
+    pts = []
+    for c in candidates:
+        if c in pts:
+            continue
+        pairs = itertools.combinations(pts, 2)
+        if any((b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0]) for a, b in pairs):
+            continue
+        pts.append(c)
+        if len(pts) == n:
+            break
+    return pts
+
+
+@st.composite
+def _instances(draw):
+    """n = 5..14 points in general position; small grids (m <= 8) make
+    equal distances, hence exact fitness ties, common."""
+    n = draw(st.integers(5, 14))
+    m = draw(st.sampled_from([5, 6, 7, 8, 1024]))
+    coord = st.integers(0, m - 1)
+    pts = _general_position(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=6 * n)), n)
+    assume(len(pts) >= 5)
+    return validate(pts, grid_size=m)
+
+
+@settings(max_examples=150)
+@given(
+    inst=_instances(),
+    mu=st.integers(1, 4),
+    lam=st.integers(1, 4),
+    kind=st.sampled_from(["two_opt", "mixed"]),
+    with_opt=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_ea_matches_reference_on_random_instances(inst, mu, lam, kind, with_opt, seed):
+    opt = held_karp_optimum(inst).optimum_value if with_opt else None
+    cfg = EAConfig(mu=mu, lam=lam, mutation=MutationSpec(kind), max_generations=150, seed=seed)
+    assert run_ea(inst, cfg, optimum_value=opt) == reference_ea(inst, cfg, optimum_value=opt)
+
+
+@settings(max_examples=100)
+@given(inst=_instances(), with_opt=st.booleans(), seed=st.integers(0, 2**64 - 1))
+def test_rls_matches_reference_on_random_instances(inst, with_opt, seed):
+    opt = held_karp_optimum(inst).optimum_value if with_opt else None
+    assert run_rls(inst, 400, seed, optimum_value=opt) == reference_rls(inst, 400, seed, optimum_value=opt)
