@@ -102,6 +102,13 @@ def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
     return table
 
 
+def _slice_table(n: int) -> tuple[tuple[int, int, int], ...]:
+    """_pair_table(n) as 0-based slices (i - 1, j, j % n): inverting the
+    pair reverses lst[i - 1:j], between lst[i - 2] and lst[j % n]. Built
+    per run: a cache would keep the table of every n a process has run."""
+    return tuple((i - 1, j, j % n) for i, j in _pair_table(n))
+
+
 def draw_inversion_pair(n: int, rng: Xoshiro256StarStar) -> tuple[int, int]:
     """Uniform unordered pair out of the n(n-1)/2 with i < j."""
     table = _pair_table(n)
@@ -236,8 +243,7 @@ def run_rls(
     d = instance.distance_matrix
     xs, ys = instance.coords
 
-    # pair table with precomputed slice indices: (i0, j0, jmod)
-    pairs = tuple((i - 1, j, j % n) for i, j in _pair_table(n))
+    pairs = _slice_table(n)
     npairs = len(pairs)
     two64 = 1 << 64
     limit = two64 - (two64 % npairs)
@@ -396,6 +402,71 @@ def _ea_margin_unit(d, n: int) -> float:
     return 2.0**-50 * max(d) * (n + 8)
 
 
+def _child_pricer(d, n: int, mixed: bool, next_u64):
+    """run_ea's mutation with its fitness estimate.
+
+    The returned price(tour, fitness) mutates a copy of the 0-based tour
+    with the draws of plan_two_opt / plan_mixed, inlined in their order
+    (mixed branch uniform, Poisson strength, pairs), and returns
+    (est, reps, child): child is the mutated list, reps its number of
+    moves, and est = fitness plus the float delta of each move (4 terms
+    per inversion, 6 per jump; the full reversal keeps the cycle and adds
+    nothing). _ea_margin_unit bounds |est - fsum(child)|.
+    """
+    two64 = 1 << 64
+    pairs = _slice_table(n)
+    npairs = len(pairs)
+    pair_limit = two64 - two64 % npairs
+    njumps = n * (n - 1)
+    jump_limit = two64 - two64 % njumps
+    last = n - 1
+
+    def price(tour, est):
+        lst = list(tour)
+        inversions = (next_u64() >> 11) * _INV_2_53 < 0.5 if mixed else True
+        reps = 1
+        prod = (next_u64() >> 11) * _INV_2_53
+        while prod >= _INV_E:
+            reps += 1
+            prod *= (next_u64() >> 11) * _INV_2_53
+        if inversions:
+            for _ in range(reps):
+                u = next_u64()
+                while u >= pair_limit:
+                    u = next_u64()
+                i0, j0, jmod = pairs[u % npairs]
+                if i0 == 0 and j0 == n:
+                    lst.reverse()
+                    continue
+                a = lst[i0 - 1]
+                b = lst[i0]
+                c = lst[j0 - 1]
+                e = lst[jmod]
+                est += d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e]
+                lst[i0:j0] = lst[i0:j0][::-1]
+        else:
+            for _ in range(reps):
+                u = next_u64()
+                while u >= jump_limit:
+                    u = next_u64()
+                p, r = divmod(u % njumps, last)
+                q = r if r < p else r + 1
+                # v leaves its neighbours lft, rgt and enters between x, y
+                lft = lst[p - 1]
+                rgt = lst[p - last]
+                v = lst.pop(p)
+                x = lst[q - 1]
+                y = lst[q - last]
+                lst.insert(q, v)
+                est += (
+                    d[lft * n + rgt] + d[x * n + v] + d[v * n + y]
+                    - d[lft * n + v] - d[v * n + rgt] - d[x * n + y]
+                )
+        return est, reps, lst
+
+    return price
+
+
 def run_ea(
     instance: Instance,
     config: EAConfig,
@@ -411,12 +482,12 @@ def run_ea(
     population best matches a supplied optimum value.
 
     A child is priced first by its parent's fitness plus the float deltas
-    of its moves. It can only survive if its exact fitness is <= the worst
-    parent's, so a child whose estimate exceeds that by more than the
-    proven error bound of _ea_margin_unit is dropped without an exact
-    length; every other child gets the exact fsum and the exact sort, so
-    the trajectory is the one full evaluation of every child gives. The
-    mutation draws are those of plan_two_opt / plan_mixed, inlined.
+    of its moves (_child_pricer). It can only survive if its exact fitness
+    is <= the worst parent's, so a child whose estimate exceeds that by
+    more than the proven error bound of _ea_margin_unit is dropped without
+    an exact length; every other child gets the exact fsum and the exact
+    sort, so the trajectory is the one full evaluation of every child
+    gives.
     """
     n = instance.n
     mu = config.mu
@@ -425,18 +496,9 @@ def run_ea(
     rng = Xoshiro256StarStar(config.seed)
     d = instance.distance_matrix
     xs, ys = instance.coords
-    mixed = config.mutation.kind == "mixed"
     unit = _ea_margin_unit(d, n)
-
     next_u64 = rng.next_u64
-    two64 = 1 << 64
-    mu_limit = two64 - two64 % mu
-    pairs = tuple((i - 1, j) for i, j in _pair_table(n))  # (i0, j0): slice lst[i0:j0]
-    npairs = len(pairs)
-    pair_limit = two64 - two64 % npairs
-    njumps = n * (n - 1)
-    jump_limit = two64 - two64 % njumps
-    last = n - 1
+    mu_limit = (1 << 64) - (1 << 64) % mu
 
     # individuals: (fitness, parent_flag, creation_index, 0-based tour);
     # creation indices are unique, so tuples sort by (fitness, flag, index)
@@ -446,6 +508,7 @@ def run_ea(
         pop.append((_fsum_length(d, n, perm), 1, idx, tuple(perm)))
     pop.sort()
     next_idx = mu
+    price = _child_pricer(d, n, config.mutation.kind == "mixed", next_u64)
 
     opt_tol = None if optimum_value is None else optimum_value * _OPT_REL_TOL
 
@@ -485,59 +548,13 @@ def run_ea(
                 parent = pop[u % mu]
             else:
                 parent = pop[0]
-            lst = list(parent[3])
-            est = parent[0]
-            inversions = (next_u64() >> 11) * _INV_2_53 < 0.5 if mixed else True
-            reps = 1
-            prod = (next_u64() >> 11) * _INV_2_53
-            while prod >= _INV_E:
-                reps += 1
-                prod *= (next_u64() >> 11) * _INV_2_53
-            if inversions:
-                for _ in range(reps):
-                    u = next_u64()
-                    while u >= pair_limit:
-                        u = next_u64()
-                    i0, j0 = pairs[u % npairs]
-                    if i0 == 0 and j0 == n:
-                        # full reversal: same cycle
-                        lst.reverse()
-                        continue
-                    a = lst[i0 - 1]
-                    b = lst[i0]
-                    c = lst[j0 - 1]
-                    e = lst[j0 - n]
-                    est += d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e]
-                    lst[i0:j0] = lst[i0:j0][::-1]
-            else:
-                for _ in range(reps):
-                    u = next_u64()
-                    while u >= jump_limit:
-                        u = next_u64()
-                    p, r = divmod(u % njumps, last)
-                    q = r if r < p else r + 1
-                    # v leaves its neighbours lft, rgt and enters between x, y
-                    lft = lst[p - 1]
-                    rgt = lst[p - last]
-                    v = lst.pop(p)
-                    x = lst[q - 1]
-                    y = lst[q - last]
-                    lst.insert(q, v)
-                    est += (
-                        d[lft * n + rgt] + d[x * n + v] + d[v * n + y]
-                        - d[lft * n + v] - d[v * n + rgt] - d[x * n + y]
-                    )
+            est, reps, lst = price(parent[3], parent[0])
             if est <= worst + reps * unit:
                 offspring.append((_fsum_length(d, n, lst), 0, next_idx, tuple(lst)))
             next_idx += 1
-        if offspring:
-            merged = pop + offspring
-            merged.sort()
-            pop = [(f, 1, idx, t) for f, _, idx, t in merged[:mu]]
-        else:
-            # an offspring that tied a parent sits ahead of it; the merge
-            # of a generation that keeps no child still re-sorts
-            pop.sort()
+        merged = pop + offspring
+        merged.sort()
+        pop = [(f, 1, idx, t) for f, _, idx, t in merged[:mu]]
 
     best = pop[0]
     return Trajectory(

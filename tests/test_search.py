@@ -27,7 +27,7 @@ from tsplab import (
 from tsplab.errors import CollinearTripleError, DuplicatePointError
 from tsplab.oracle import enumerate_intersection_free, held_karp_optimum, hull_order_optimum
 from tsplab.rng import Xoshiro256StarStar
-from tsplab.search import _ea_margin_unit, _pair_table, draw_inversion_pair, draw_jump_pair, plan_mixed, plan_two_opt
+from tsplab.search import _child_pricer, _ea_margin_unit, _pair_table, draw_inversion_pair, draw_jump_pair, plan_mixed, plan_two_opt
 
 from conftest import ForcedRng, random_tour
 
@@ -284,47 +284,21 @@ def apply_moves(tour, moves):
     return tour
 
 
-class MarginSpy:
-    """Stands in for run_ea's margin unit and records every child's estimate.
-
-    run_ea keeps a child for the exact length iff `est <= worst + reps * unit`.
-    With this object as `unit`, `reps * unit` and `worst + ...` build a
-    threshold whose reflected `>=` sees est, worst and reps, records them
-    and answers with the real unit, so the run itself is unchanged.
-    """
-
-    def __init__(self, unit):
-        self.unit = unit
-        self.seen = []
-
-    def __rmul__(self, reps):
-        return _Scaled(self, reps)
-
-
-class _Scaled:
-    def __init__(self, spy, reps):
-        self.spy, self.reps = spy, reps
-
-    def __radd__(self, worst):
-        return _Threshold(self.spy, self.reps, worst)
-
-
-class _Threshold:
-    def __init__(self, spy, reps, worst):
-        self.spy, self.reps, self.worst = spy, reps, worst
-
-    def __ge__(self, est):
-        self.spy.seen.append((est, self.worst, self.reps))
-        return est <= self.worst + self.reps * self.spy.unit
+def price_child(inst, kind, moves, tour):
+    """_child_pricer on the raw draws of one child of `tour` (1-based):
+    (est, reps, child), every draw used."""
+    draws = iter(child_draws(inst.n, kind, moves))
+    price = _child_pricer(inst.distance_matrix, inst.n, kind == "mixed", lambda: next(draws))
+    est, reps, lst = price(tuple(v - 1 for v in tour), tour_length(inst, tour))
+    assert next(draws, None) is None, "draws left over"
+    return est, reps, tuple(v + 1 for v in lst)
 
 
 def run_scripted(monkeypatch, instance, cfg, script):
-    """run_ea on scripted draws; the trajectory and the recorded estimates."""
-    spy = MarginSpy(_ea_margin_unit(instance.distance_matrix, instance.n))
+    """run_ea on scripted raw draws."""
     monkeypatch.setattr(ScriptedRng, "script", script)
     monkeypatch.setattr(tsplab.search, "Xoshiro256StarStar", ScriptedRng)
-    monkeypatch.setattr(tsplab.search, "_ea_margin_unit", lambda d, n: spy)
-    return run_ea(instance, cfg), spy.seen
+    return run_ea(instance, cfg)
 
 
 class TestEAChildPricing:
@@ -337,16 +311,15 @@ class TestEAChildPricing:
         inst = generate_grid(self.N, 1024, 31)
         n = inst.n
         parent = tuple(range(1, n + 1))
-        cfg = EAConfig(mutation=MutationSpec(kind), max_generations=1)
-        script = identity_shuffle(n) + child_draws(n, kind, moves)
-        traj, seen = run_scripted(monkeypatch, inst, cfg, script)
-        child = apply_moves(parent, moves)
-        (est, worst, reps), = seen
-        exact = tour_length(inst, child)
-        assert worst == tour_length(inst, parent)
+        est, reps, child = price_child(inst, kind, moves, parent)
+        assert child == apply_moves(parent, moves)
         assert reps == len(moves[1])
+        exact = tour_length(inst, child)
+        worst = tour_length(inst, parent)
         assert abs(est - exact) <= reps * _ea_margin_unit(inst.distance_matrix, n)
-        # ties prefer the offspring
+        # run_ea on the same draws: ties prefer the offspring
+        cfg = EAConfig(mutation=MutationSpec(kind), max_generations=1)
+        traj = run_scripted(monkeypatch, inst, cfg, identity_shuffle(n) + child_draws(n, kind, moves))
         assert traj.final_tour == (child if exact <= worst else parent)
         return est, exact, worst
 
@@ -393,16 +366,14 @@ class TestEAChildPricing:
         parent = tuple(range(1, n + 1))
         tied = apply_inversion(parent, 1, n - 1)
         worse = max(_pair_table(n), key=lambda p: tour_length(inst, apply_inversion(tied, *p)))
-        assert tour_length(inst, apply_inversion(tied, *worse)) > tour_length(inst, parent)
+        est, _, _ = price_child(inst, "two_opt", ("inversion", [worse]), tied)
+        assert est > tour_length(inst, parent) + _ea_margin_unit(inst.distance_matrix, n)  # priced out
         script = identity_shuffle(n) * 2
         script += [0] + child_draws(n, "two_opt", ("inversion", [(1, n - 1)]))
         script += [0] + child_draws(n, "two_opt", ("inversion", [worse]))
-        cfg = EAConfig(mu=2, lam=1, max_generations=1)
-        one, _ = run_scripted(monkeypatch, inst, cfg, script)
+        one = run_scripted(monkeypatch, inst, EAConfig(mu=2, lam=1, max_generations=1), script)
         assert one.final_tour == tied
-        cfg = EAConfig(mu=2, lam=1, max_generations=2)
-        two, seen = run_scripted(monkeypatch, inst, cfg, script)
-        assert seen[1][0] > seen[1][1] + _ea_margin_unit(inst.distance_matrix, n)  # priced out
+        two = run_scripted(monkeypatch, inst, EAConfig(mu=2, lam=1, max_generations=2), script)
         assert two.final_tour == parent
 
     @settings(max_examples=300)
@@ -415,28 +386,19 @@ class TestEAChildPricing:
         except (CollinearTripleError, DuplicatePointError):
             assume(False)
         n = inst.n
+        tour = tuple(data.draw(st.permutations(range(1, n + 1))))
         kind = data.draw(st.sampled_from(["two_opt", "mixed"]))
+        branch = "inversion" if kind == "two_opt" else data.draw(st.sampled_from(["inversion", "jump"]))
         pos = st.integers(1, n)
-        children = []
-        for _ in range(data.draw(st.integers(1, 4))):
-            branch = "inversion" if kind == "two_opt" else data.draw(st.sampled_from(["inversion", "jump"]))
-            if branch == "inversion":
-                pair = st.tuples(pos, pos).filter(lambda p: p[0] < p[1])
-            else:
-                pair = st.tuples(pos, pos).filter(lambda p: p[0] != p[1])
-            children.append((branch, data.draw(st.lists(pair, min_size=1, max_size=12))))
-        script = identity_shuffle(n)
-        for moves in children:
-            script += child_draws(n, kind, moves)
-        cfg = EAConfig(lam=len(children), mutation=MutationSpec(kind), max_generations=1)
-        with pytest.MonkeyPatch.context() as mp:
-            _, seen = run_scripted(mp, inst, cfg, script)
-        parent = tuple(range(1, n + 1))
-        unit = _ea_margin_unit(inst.distance_matrix, n)
-        assert len(seen) == len(children)
-        for (est, _, reps), moves in zip(seen, children):
-            assert reps == len(moves[1])
-            assert abs(est - tour_length(inst, apply_moves(parent, moves))) <= reps * unit
+        if branch == "inversion":
+            pair = st.tuples(pos, pos).filter(lambda p: p[0] < p[1])
+        else:
+            pair = st.tuples(pos, pos).filter(lambda p: p[0] != p[1])
+        moves = (branch, data.draw(st.lists(pair, min_size=1, max_size=12)))
+        est, reps, child = price_child(inst, kind, moves, tour)
+        assert child == apply_moves(tour, moves)
+        assert reps == len(moves[1])
+        assert abs(est - tour_length(inst, child)) <= reps * _ea_margin_unit(inst.distance_matrix, n)
 
 
 class TestClassifyState:
