@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import ParseError
 from .instance import Instance, generate_convex, generate_grid, generate_with_inner, parse_int
-from .oracle import OracleResult, held_karp_optimum, hull_order_optimum, interleaving_count
+from .oracle import _INTERLEAVING_BUDGET, OracleResult, held_karp_optimum, hull_order_optimum, interleaving_count
 from .search import EAConfig, MutationSpec, Trajectory, run_ea, run_rls
 
 CSV_COLUMNS = [
@@ -210,7 +210,7 @@ def strongest_oracle(instance: Instance) -> Optional[OracleResult]:
     """Best exact optimum the oracles can afford, or None."""
     if instance.n <= _HELD_KARP_AUTO_MAX_N:
         return held_karp_optimum(instance)
-    if interleaving_count(instance) <= 10**6:
+    if interleaving_count(instance) <= _INTERLEAVING_BUDGET:
         return hull_order_optimum(instance)
     return None
 

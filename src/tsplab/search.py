@@ -20,16 +20,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-# search's inner kernel under a private name: a plain global lookup in
-# the hot loops, and not a module boundary that perfbench/tracer.py wraps
-from .geom import properly_cross as _properly_cross
 from .instance import Instance
 from .rng import _INV_2_53, Xoshiro256StarStar
-from .tour import Tour, crossing_pairs, is_two_opt_local_optimum, tour_length
+from .tour import Tour, _crossing_change, _crossings0, is_intersection_free, is_two_opt_local_optimum, tour_length
 
 _INV_E = math.exp(-1.0)
-# incremental fitness / crossing counters are re-derived from scratch
-# this often to bound float drift
+# the incremental float length is re-derived from scratch this often to
+# bound its drift; the crossing count is an exact integer and needs none
 _REVALIDATE_EVERY = 1 << 16
 # relative slack when comparing a recomputed length against the optimum
 _OPT_REL_TOL = 1e-12
@@ -105,8 +102,9 @@ def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
 def _slice_table(n: int) -> tuple[tuple[int, int, int], ...]:
     """_pair_table(n) as 0-based slices (i - 1, j, j % n): inverting the
     pair reverses lst[i - 1:j], between lst[i - 2] and lst[j % n]. Built
-    per run: a cache would keep the table of every n a process has run."""
-    return tuple((i - 1, j, j % n) for i, j in _pair_table(n))
+    per run, not from the cached _pair_table: a cache would keep the
+    tables of every n a process has run."""
+    return tuple((i0, j, j % n) for i0 in range(n - 1) for j in range(i0 + 2, n + 1))
 
 
 def draw_inversion_pair(n: int, rng: Xoshiro256StarStar) -> tuple[int, int]:
@@ -181,28 +179,9 @@ def classify_state(instance: Instance, tour: Sequence[int], optimum_value: Optio
         length = tour_length(instance, tour)
         if abs(length - optimum_value) <= optimum_value * _OPT_REL_TOL:
             return "optimal"
-    if crossing_pairs(instance, tour):
-        return "alpha"
-    return "beta"
-
-
-def _crossing_count(xs, ys, perm, first_only: bool = False) -> int:
-    """Number of properly crossing edge pairs of the cycle (0-based labels);
-    with first_only, 1 at the first crossing found, else 0."""
-    n = len(perm)
-    count = 0
-    for a in range(n):
-        u = perm[a]
-        v = perm[a + 1 - n]
-        ux, uy, vx, vy = xs[u], ys[u], xs[v], ys[v]
-        for b in range(a + 1, n):
-            s = perm[b]
-            t = perm[b + 1 - n]
-            if _properly_cross(ux, uy, vx, vy, xs[s], ys[s], xs[t], ys[t]):
-                if first_only:
-                    return 1
-                count += 1
-    return count
+    if is_intersection_free(instance, tour):
+        return "beta"
+    return "alpha"
 
 
 def _random_perm0(n: int, rng: Xoshiro256StarStar) -> list[int]:
@@ -250,7 +229,7 @@ def run_rls(
     next_u64 = rng.next_u64
 
     cur_len = _fsum_length(d, n, perm)
-    cross = _crossing_count(xs, ys, perm)
+    cross = sum(1 for _ in _crossings0(xs, ys, perm))
     has_cross = 1 if cross else 0
 
     opt_hi = None if optimum_value is None else optimum_value * (1.0 + _OPT_TRIGGER)
@@ -295,38 +274,8 @@ def run_rls(
                 e = perm[jmod]
                 delta = d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e]
                 if delta <= 0.0:
-                    if not ((i0 == 1 and j0 == n) or (i0 == 0 and j0 == n - 1)):
-                        # edge set changes: update the crossing count by
-                        # scanning the unchanged edges once (perm[p+1-n]
-                        # wraps the closing edge via negative indexing)
-                        lost = 1 if _properly_cross(
-                            xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], xs[e], ys[e]
-                        ) else 0
-                        gained = 0
-                        e1 = i0 - 1 if i0 else n - 1
-                        e2 = j0 - 1
-                        axv, ayv = xs[a], ys[a]
-                        bxv, byv = xs[b], ys[b]
-                        cxv, cyv = xs[c], ys[c]
-                        exv, eyv = xs[e], ys[e]
-                        for p in range(n):
-                            if p == e1 or p == e2:
-                                continue
-                            s = perm[p]
-                            t = perm[p + 1 - n]
-                            sx, sy, tx, ty = xs[s], ys[s], xs[t], ys[t]
-                            if _properly_cross(axv, ayv, bxv, byv, sx, sy, tx, ty):
-                                lost += 1
-                            if _properly_cross(cxv, cyv, exv, eyv, sx, sy, tx, ty):
-                                lost += 1
-                            if _properly_cross(axv, ayv, cxv, cyv, sx, sy, tx, ty):
-                                gained += 1
-                            if _properly_cross(bxv, byv, exv, eyv, sx, sy, tx, ty):
-                                gained += 1
-                        if _properly_cross(axv, ayv, cxv, cyv, bxv, byv, exv, eyv):
-                            gained += 1
-                        cross += gained - lost
-                        has_cross = 1 if cross else 0
+                    cross += _crossing_change(xs, ys, perm, i0, j0, jmod)
+                    has_cross = 1 if cross else 0
                     perm[i0:j0] = perm[i0:j0][::-1]
                     cur_len += delta
                     accepted += 1
@@ -342,8 +291,6 @@ def run_rls(
             if gens >= revalidate_at:
                 revalidate_at += _REVALIDATE_EVERY
                 cur_len = _fsum_length(d, n, perm)
-                cross = _crossing_count(xs, ys, perm)
-                has_cross = 1 if cross else 0
                 if opt_hi is not None and cur_len <= opt_hi and _confirm_optimum():
                     reached_optimum = True
                     break
@@ -531,7 +478,7 @@ def run_ea(
             break
         if best[3] is not cls_tour:
             cls_tour = best[3]
-            cls_alpha = _crossing_count(xs, ys, cls_tour, first_only=True)
+            cls_alpha = 0 if next(_crossings0(xs, ys, cls_tour), None) is None else 1
         alpha += cls_alpha
         beta += 1 - cls_alpha
         gens += 1

@@ -6,6 +6,12 @@ A tour is a tuple of 1-based labels; positions at the API surface are
 epsilon: tour_length sums edge lengths with math.fsum, so tours inducing
 the same cycle get the identical value regardless of rotation or
 reversal.
+
+The private kernels _crossings0 and _crossing_change take raw
+coordinates (Instance.coords) and a 0-based permutation, the search
+loops' own state. They stay private, as does the predicate alias:
+perfbench/tracer.py wraps each public function bound across modules,
+which would make every predicate call of a traced scan a span.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional, Sequence
 
-from .geom import segments_properly_intersect
+from .geom import properly_cross as _properly_cross
 from .instance import Instance
 
 Tour = tuple[int, ...]
@@ -86,25 +92,70 @@ def jump_as_inversions(i: int, j: int) -> list[tuple[int, int]]:
     return [(j, i), (j + 1, i)]
 
 
-def _crossings(instance: Instance, tour: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Edge-position pairs (i, j), i < j, whose segments properly cross,
-    lazily in lexicographic order. Edge p joins tour positions p and p+1
-    (edge n closes the cycle); edges sharing an endpoint never cross."""
-    _check_tour(instance, tour)
-    n = instance.n
-    pts = instance.points
-    segs = [(pts[tour[p] - 1], pts[tour[(p + 1) % n] - 1]) for p in range(n)]
+def _crossings0(xs, ys, perm) -> Iterator[tuple[int, int]]:
+    """0-based edge-position pairs (a, b), a < b, whose segments properly
+    cross, lazily in lexicographic order. Edge p joins perm[p] and
+    perm[p+1] (edge n-1 closes the cycle: perm[p+1-n] wraps); edges
+    sharing an endpoint never cross."""
+    n = len(perm)
     for a in range(n):
-        sa, sb = segs[a]
+        u = perm[a]
+        v = perm[a + 1 - n]
+        ux, uy, vx, vy = xs[u], ys[u], xs[v], ys[v]
         for b in range(a + 1, n):
-            tc, td = segs[b]
-            if segments_properly_intersect(sa, sb, tc, td):
-                yield (a + 1, b + 1)
+            s = perm[b]
+            t = perm[b + 1 - n]
+            if _properly_cross(ux, uy, vx, vy, xs[s], ys[s], xs[t], ys[t]):
+                yield (a, b)
+
+
+def _crossing_change(xs, ys, perm, i0: int, j0: int, jmod: int) -> int:
+    """Change in the number of crossing edge pairs when the 0-based perm
+    reverses perm[i0:j0] (jmod = j0 % n; not the full reversal).
+
+    The move swaps edges ab and ce (a = perm[i0-1], b = perm[i0],
+    c = perm[j0-1], e = perm[jmod]) for ac and be and keeps the others:
+    one pass over those, four predicate calls per edge, counts the
+    crossings gained minus those lost. Cycle-preserving inversions give 0.
+    """
+    n = len(perm)
+    a = perm[i0 - 1]
+    b = perm[i0]
+    c = perm[j0 - 1]
+    e = perm[jmod]
+    ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
+    cx, cy, ex, ey = xs[c], ys[c], xs[e], ys[e]
+    change = _properly_cross(ax, ay, cx, cy, bx, by, ex, ey) - _properly_cross(ax, ay, bx, by, cx, cy, ex, ey)
+    # the removed edges' positions; i0 == 0 removes the closing edge
+    e1 = i0 - 1 if i0 else n - 1
+    e2 = j0 - 1
+    for p in range(n):
+        if p == e1 or p == e2:
+            continue
+        s = perm[p]
+        t = perm[p + 1 - n]
+        sx, sy, tx, ty = xs[s], ys[s], xs[t], ys[t]
+        change += (
+            _properly_cross(ax, ay, cx, cy, sx, sy, tx, ty)
+            + _properly_cross(bx, by, ex, ey, sx, sy, tx, ty)
+            - _properly_cross(ax, ay, bx, by, sx, sy, tx, ty)
+            - _properly_cross(cx, cy, ex, ey, sx, sy, tx, ty)
+        )
+    return change
+
+
+def _crossings(instance: Instance, tour: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """_crossings0 of a checked 1-based tour."""
+    _check_tour(instance, tour)
+    xs, ys = instance.coords
+    return _crossings0(xs, ys, [v - 1 for v in tour])
 
 
 def crossing_pairs(instance: Instance, tour: Sequence[int]) -> list[tuple[int, int]]:
-    """All pairs (i, j), i < j, of edge positions whose segments cross."""
-    return list(_crossings(instance, tour))
+    """All pairs (i, j), i < j, of edge positions whose segments cross,
+    in lexicographic order. Edge p joins tour positions p and p+1 (edge n
+    closes the cycle)."""
+    return [(a + 1, b + 1) for a, b in _crossings(instance, tour)]
 
 
 def is_intersection_free(instance: Instance, tour: Sequence[int]) -> bool:
@@ -121,7 +172,7 @@ def find_uncrossing_inversion(instance: Instance, tour: Sequence[int]) -> Option
     two replacement edges cannot cross each other.
     """
     first = next(_crossings(instance, tour), None)
-    return None if first is None else (first[0] + 1, first[1])
+    return None if first is None else (first[0] + 2, first[1] + 1)
 
 
 def respects_hull_order(instance: Instance, tour: Sequence[int]) -> bool:

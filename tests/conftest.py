@@ -111,19 +111,26 @@ def cycle_edges(tour) -> frozenset[frozenset[int]]:
     return frozenset(frozenset((tour[i], tour[(i + 1) % n])) for i in range(n))
 
 
-def crossing_count_fractions(instance: Instance, tour) -> int:
-    """Crossing count with the Fraction predicate (fresh code path)."""
+def crossing_pairs_fractions(instance: Instance, tour) -> list[tuple[int, int]]:
+    """1-based edge-position pairs (i, j), i < j, in lexicographic order,
+    that cross by the Fraction predicate (fresh code path); edge i joins
+    tour positions i and i+1, edge n closes the cycle."""
     n = instance.n
     pts = instance.points
     segs = [
         (pts[tour[i] - 1], pts[tour[(i + 1) % n] - 1])
         for i in range(n)
     ]
-    count = 0
-    for (a, b), (c, d) in itertools.combinations(segs, 2):
-        if len({a.id, b.id, c.id, d.id}) == 4 and frac_segments_cross(a, b, c, d):
-            count += 1
-    return count
+    return [
+        (i + 1, j + 1)
+        for (i, (a, b)), (j, (c, d)) in itertools.combinations(enumerate(segs), 2)
+        if len({a.id, b.id, c.id, d.id}) == 4 and frac_segments_cross(a, b, c, d)
+    ]
+
+
+def crossing_count_fractions(instance: Instance, tour) -> int:
+    """Crossing count with the Fraction predicate (fresh code path)."""
+    return len(crossing_pairs_fractions(instance, tour))
 
 
 def all_cycles(n: int):

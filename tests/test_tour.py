@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tsplab import (
@@ -22,11 +22,17 @@ from tsplab import (
     tour_length,
     validate,
 )
+import tsplab.search
+import tsplab.tour
+from tsplab.errors import CollinearTripleError, DuplicatePointError
+from tsplab.geom import properly_cross, segments_properly_intersect
 from tsplab.oracle import brute_force_optimum, enumerate_intersection_free
 from tsplab.rng import Xoshiro256StarStar
+from tsplab.tour import _crossing_change
 
 from conftest import (
     crossing_count_fractions,
+    crossing_pairs_fractions,
     cycle_edges,
     full_scan_local_optimum,
     random_tour,
@@ -181,14 +187,56 @@ class TestCrossings:
     def test_count_matches_rational_rescan(self):
         inst = generate_grid(9, 64, 47)
         rng = Xoshiro256StarStar(31)
+        closing = 0
         for _ in range(40):
             t = random_tour(9, rng)
-            assert len(crossing_pairs(inst, t)) == crossing_count_fractions(inst, t)
+            pairs = crossing_pairs(inst, t)
+            assert pairs == crossing_pairs_fractions(inst, t)
+            closing += sum(1 for _, j in pairs if j == 9)
+        # the closing edge, position n, is compared too
+        assert closing > 0
+
+    def test_predicate_bound_only_privately(self):
+        # perfbench/tracer.py wraps each public function bound across
+        # modules: a public binding would make every predicate call of a
+        # traced crossing scan a span
+        for mod in (tsplab.tour, tsplab.search):
+            for name, obj in vars(mod).items():
+                if obj is properly_cross or obj is segments_properly_intersect:
+                    assert name.startswith("_"), f"{mod.__name__}.{name}"
 
     def test_optimum_is_crossing_free(self):
         inst = generate_with_inner(6, 2, 256, 33)
         res = brute_force_optimum(inst)
         assert is_intersection_free(inst, res.optimum_tour)
+
+
+class TestCrossingChange:
+    @settings(max_examples=200)
+    @given(st.sampled_from(["grid", "wide"]), st.data())
+    def test_matches_rational_recount(self, source, data):
+        # every inversion but the full reversal, so each example has moves
+        # with i0 == 0 and with j0 == n (jmod == 0), both of which remove
+        # the closing edge; the cycle-preserving (1, n-1) and (2, n) give 0
+        if source == "grid":
+            m = data.draw(st.integers(5, 8))
+            inst = generate_grid(data.draw(st.integers(4, m)), m, data.draw(st.integers(0, 2**32 - 1)))
+        else:
+            coord = st.integers(-(2**31 - 1), 2**31 - 1)
+            try:
+                inst = validate(data.draw(st.lists(st.tuples(coord, coord), min_size=4, max_size=12, unique=True)))
+            except (CollinearTripleError, DuplicatePointError):
+                assume(False)
+        n = inst.n
+        tour = tuple(data.draw(st.permutations(range(1, n + 1))))
+        xs, ys = inst.coords
+        perm = [v - 1 for v in tour]
+        before = crossing_count_fractions(inst, tour)
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):
+                if (i, j) != (1, n):
+                    after = crossing_count_fractions(inst, apply_inversion(tour, i, j))
+                    assert _crossing_change(xs, ys, perm, i - 1, j, j % n) == after - before, (i, j)
 
 
 class TestFindUncrossing:
