@@ -168,6 +168,37 @@ def full_scan_local_optimum(instance: Instance, tour) -> bool:
     return True
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64_state(seed: int) -> list[int]:
+    """The four xoshiro256 state words SplitMix64 expands `seed` into."""
+    state = seed & _MASK64
+    words = []
+    for _ in range(4):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        words.append(z ^ (z >> 31))
+    return words
+
+
+def scalar_xoshiro_stream(s0: int, s1: int, s2: int, s3: int):
+    """xoshiro256** one word at a time with Python ints: the frozen
+    reference the block-filled `Xoshiro256StarStar` must reproduce."""
+    while True:
+        x = (s1 * 5) & _MASK64
+        yield (((x << 7 | x >> 57) & _MASK64) * 9) & _MASK64
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = (s3 << 45 | s3 >> 19) & _MASK64
+
+
 def random_tour(n: int, rng: Xoshiro256StarStar) -> tuple[int, ...]:
     perm = list(range(1, n + 1))
     rng.shuffle(perm)

@@ -1,12 +1,25 @@
-import pytest
+import gc
+import itertools
+import subprocess
+import sys
+import weakref
 
-from tsplab.rng import Xoshiro256StarStar
+import pytest
+import test_search_reference
+from conftest import cli_env, scalar_xoshiro_stream, splitmix64_state
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_search_reference import reference_ea, reference_rls
+
+import tsplab.search
+from tsplab import EAConfig, MutationSpec, generate_grid, generate_with_inner, run_ea, run_rls
+from tsplab.oracle import held_karp_optimum
+from tsplab.rng import _BLOCK, Xoshiro256StarStar
 
 
 def test_known_state_outputs():
     # by-hand evaluation of the update rule from state (1, 2, 3, 4)
-    rng = Xoshiro256StarStar(0)
-    rng._s0, rng._s1, rng._s2, rng._s3 = 1, 2, 3, 4
+    rng = Xoshiro256StarStar.from_state(1, 2, 3, 4)
     assert rng.next_u64() == 11520
     assert rng.next_u64() == 0
     assert rng.next_u64() == 1509978240
@@ -58,3 +71,146 @@ def test_shuffle_is_permutation_and_deterministic():
     again = list(range(20))
     Xoshiro256StarStar(3).shuffle(again)
     assert items == again
+
+
+def take(stream, count):
+    return list(itertools.islice(stream, count))
+
+
+def words_of(state: int) -> list[int]:
+    """The 256-bit `state` as four words; bit b is bit b % 64 of word b // 64."""
+    return [(state >> (64 * w)) & ((1 << 64) - 1) for w in range(4)]
+
+
+class TestBlockStream:
+    """The block-filled stream equals the scalar reference word for word."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_seeded_stream_across_block_boundaries(self, seed):
+        count = 3 * _BLOCK + 5
+        rng = Xoshiro256StarStar(seed)
+        got = [rng.next_u64() for _ in range(count)]
+        assert got == take(scalar_xoshiro_stream(*splitmix64_state(seed)), count)
+
+    @pytest.mark.parametrize("bit", [0, 1, 63, 64, 100, 127, 128, 191, 192, 254, 255])
+    @pytest.mark.parametrize("popcount", [1, 255])
+    def test_hand_set_states(self, bit, popcount):
+        state = 1 << bit if popcount == 1 else (1 << 256) - 1 - (1 << bit)
+        words = words_of(state)
+        rng = Xoshiro256StarStar.from_state(*words)
+        count = 2 * _BLOCK + 1
+        assert [rng.next_u64() for _ in range(count)] == take(scalar_xoshiro_stream(*words), count)
+
+    @settings(max_examples=200)
+    @given(state=st.integers(1, 2**256 - 1))
+    def test_random_states(self, state):
+        words = words_of(state)
+        rng = Xoshiro256StarStar.from_state(*words)
+        count = _BLOCK + 3
+        assert [rng.next_u64() for _ in range(count)] == take(scalar_xoshiro_stream(*words), count)
+
+    def test_randbelow_one_consumes_nothing_at_block_boundary(self):
+        rng = Xoshiro256StarStar(7)
+        expected = take(scalar_xoshiro_stream(*splitmix64_state(7)), _BLOCK + 1)
+        assert [rng.next_u64() for _ in range(_BLOCK)] == expected[:_BLOCK]
+        assert rng.randbelow(1) == 0
+        assert rng.next_u64() == expected[_BLOCK]
+
+    @pytest.mark.parametrize(
+        "words", [(0, 0, 0, 0), (2**64, 0, 0, 0), (1, -1, 0, 0)], ids=["zero", "too-large", "negative"]
+    )
+    def test_from_state_rejects(self, words):
+        with pytest.raises(ValueError):
+            Xoshiro256StarStar.from_state(*words)
+
+
+def counting_class(counter: list[int]):
+    """A subclass counting raw draws the way a tracing wrapper does: it
+    overrides the method and delegates to the base class."""
+
+    class Counting(Xoshiro256StarStar):
+        __slots__ = ()
+
+        def next_u64(self):
+            counter[0] += 1
+            return Xoshiro256StarStar.next_u64(self)
+
+    return Counting
+
+
+class TestOverrideContract:
+    """An overriding subclass sees every draw of the library and keeps its
+    trajectories."""
+
+    def test_methods_draw_through_next_u64(self):
+        counter = [0]
+        rng = counting_class(counter)(3)
+        plain = Xoshiro256StarStar(3)
+        assert rng.randbelow(66) == plain.randbelow(66)
+        assert counter == [1]
+        assert rng.uniform() == plain.uniform()
+        assert counter == [2]
+        items, again = list(range(10)), list(range(10))
+        rng.shuffle(items)
+        plain.shuffle(again)
+        assert items == again
+        assert counter[0] == 2 + 9
+        assert rng.next_u64() == plain.next_u64()
+
+    def counted(self, monkeypatch, module, run):
+        counter = [0]
+        with monkeypatch.context() as m:
+            m.setattr(module, "Xoshiro256StarStar", counting_class(counter))
+            result = run()
+        return result, counter[0]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rls_draw_count(self, monkeypatch, seed):
+        inst = generate_grid(8, 64, 301)
+        fast, fast_draws = self.counted(monkeypatch, tsplab.search, lambda: run_rls(inst, 1500, seed))
+        slow, slow_draws = self.counted(
+            monkeypatch, test_search_reference, lambda: reference_rls(inst, 1500, seed)
+        )
+        assert fast == slow == run_rls(inst, 1500, seed)
+        assert fast_draws == slow_draws >= fast.generations + inst.n - 1
+
+    @pytest.mark.parametrize("mu,lam,kind", [(1, 1, "two_opt"), (1, 1, "mixed"), (4, 8, "mixed")])
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_ea_draw_count(self, monkeypatch, mu, lam, kind, seed):
+        inst = generate_with_inner(7, 2, 256, 303)
+        opt = held_karp_optimum(inst).optimum_value
+        cfg = EAConfig(mu=mu, lam=lam, mutation=MutationSpec(kind), max_generations=300, seed=seed)
+        fast, fast_draws = self.counted(monkeypatch, tsplab.search, lambda: run_ea(inst, cfg, optimum_value=opt))
+        slow, slow_draws = self.counted(
+            monkeypatch, test_search_reference, lambda: reference_ea(inst, cfg, optimum_value=opt)
+        )
+        assert fast == slow == run_ea(inst, cfg, optimum_value=opt)
+        assert fast_draws == slow_draws > fast.generations * lam
+
+
+class TestMemory:
+    def test_dropped_generator_freed_without_gc(self):
+        # a block generator holding the Xoshiro256StarStar object would
+        # form a cycle that only a full collection frees
+        class Weak(Xoshiro256StarStar):
+            pass
+
+        gc.disable()
+        try:
+            rng = Weak(5)
+            rng.next_u64()
+            ref = weakref.ref(rng)
+            del rng
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_import_builds_no_table(self):
+        code = (
+            "import tsplab, tsplab.rng as r; r.Xoshiro256StarStar(1); "
+            "print(r._table.cache_info().currsize)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "0"
