@@ -19,7 +19,7 @@ from .errors import (
     TooSmallError,
 )
 from .experiment import (
-    CSV_COLUMNS,
+    format_csv,
     make_instance,
     parse_config,
     run_experiment,
@@ -120,8 +120,7 @@ def cmd_solve(args) -> int:
         inst, instance_id, args.algorithm, args.mu, args.lam, args.mutation,
         args.budget, args.seed, optimum,
     )
-    print(",".join(CSV_COLUMNS))
-    print(",".join(record.row()))
+    sys.stdout.write(format_csv([record]))
     return 0
 
 

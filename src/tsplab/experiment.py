@@ -10,35 +10,14 @@ CSV byte for byte.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Optional
 
 from .errors import ParseError
 from .instance import Instance, generate_convex, generate_grid, generate_with_inner, parse_int
 from .oracle import _INTERLEAVING_BUDGET, OracleResult, held_karp_optimum, hull_order_optimum, interleaving_count
-from .search import EAConfig, MutationSpec, Trajectory, run_ea, run_rls
-
-CSV_COLUMNS = [
-    "instance_id",
-    "n",
-    "k",
-    "m",
-    "epsilon",
-    "gamma",
-    "algorithm",
-    "mu",
-    "lambda",
-    "mutation",
-    "seed",
-    "generations",
-    "fitness_evals",
-    "alpha_steps",
-    "beta_steps",
-    "reached_optimum",
-    "reached_local_optimum",
-    "final_length",
-    "optimum_length",
-]
+from .search import EAConfig, MutationSpec, run_ea, run_rls
 
 # instance seeds sit far away from run seeds (base_seed + run index)
 _INSTANCE_SEED_STRIDE = 100003
@@ -48,6 +27,8 @@ _HELD_KARP_AUTO_MAX_N = 16
 
 @dataclass
 class RunRecord:
+    """One run. Its fields, in order, are the run CSV's columns (`lam` as `lambda`); `_cell` formats each."""
+
     instance_id: str
     n: int
     k: int
@@ -69,31 +50,20 @@ class RunRecord:
     optimum_length: Optional[float]
 
     def row(self) -> list[str]:
-        return [
-            self.instance_id,
-            str(self.n),
-            str(self.k),
-            str(self.m),
-            repr(self.epsilon),
-            repr(self.gamma),
-            self.algorithm,
-            "" if self.mu is None else str(self.mu),
-            "" if self.lam is None else str(self.lam),
-            self.mutation,
-            str(self.seed),
-            str(self.generations),
-            str(self.fitness_evals),
-            str(self.alpha_steps),
-            str(self.beta_steps),
-            _fmt_bool(self.reached_optimum),
-            "" if self.reached_local_optimum is None else _fmt_bool(self.reached_local_optimum),
-            repr(self.final_length),
-            "" if self.optimum_length is None else repr(self.optimum_length),
-        ]
+        return [_cell(v) for v in _field_values(self)]
 
 
-def _fmt_bool(b: bool) -> str:
-    return "true" if b else "false"
+def _cell(value) -> str:
+    """None empty, booleans true/false, floats shortest round-trip decimal, anything else its str."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+_field_values = attrgetter(*(f.name for f in fields(RunRecord)))
+CSV_COLUMNS = ["lambda" if f.name == "lam" else f.name for f in fields(RunRecord)]
 
 
 @dataclass
@@ -140,7 +110,7 @@ def parse_config(path) -> ExperimentConfig:
         line_of[key] = lineno
         if key in _INT_KEYS:
             values[key] = parse_int(val, f"line {lineno}: {key} must be an integer, got {val!r}")
-            if key in ("budget", "runs") and values[key] < 1:
+            if key in ("budget", "runs", "mu", "lambda") and values[key] < 1:
                 raise ParseError(f"line {lineno}: {key} must be >= 1, got {values[key]}")
         elif key in _LIST_KEYS:
             items = [s.strip() for s in val.split(",")]
@@ -306,11 +276,15 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[RunRecord], str]:
     return records, format_summary(records)
 
 
-def write_csv(records: list[RunRecord], path) -> None:
+def format_csv(records: list[RunRecord]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     lines.extend(",".join(r.row()) for r in records)
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(records: list[RunRecord], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(format_csv(records))
 
 
 def format_summary(records: list[RunRecord]) -> str:

@@ -57,22 +57,13 @@ def _evaluate_blocks(instance: Instance) -> Iterator[np.ndarray]:
     dist = np.array(instance.distance_matrix).reshape(n, n)
 
     rest = np.arange(1, n, dtype=np.int8)
-    if f <= 9:
-        first_choices = [None]
-    else:
-        first_choices = list(range(f))
-
-    for choice in first_choices:
-        if choice is None:
-            block = rest[_perm_array(f)]
-        else:
-            others = np.delete(rest, choice)
-            sub = others[_perm_array(f - 1)]
-            head = np.full((sub.shape[0], 1), rest[choice], dtype=np.int8)
-            block = np.hstack([head, sub])
+    # one block per second label; the largest cannot sort below the last
+    for choice in range(f - 1):
+        others = np.delete(rest, choice)
+        sub = others[_perm_array(f - 1)]
+        head = np.full((sub.shape[0], 1), rest[choice], dtype=np.int8)
+        block = np.hstack([head, sub])
         block = block[block[:, 0] < block[:, -1]]
-        if block.shape[0] == 0:
-            continue
         full = np.hstack([np.zeros((block.shape[0], 1), dtype=np.int8), block])
         lengths = dist[full[:, :-1], full[:, 1:]].sum(axis=1) + dist[full[:, -1], full[:, 0]]
         keep = lengths <= lengths.min() * (1.0 + 1e-9)
@@ -218,8 +209,7 @@ def enumerate_intersection_free(instance: Instance) -> list[Tour]:
     Candidates are the hull-ordered interleavings (every crossing-free
     tour is one); each is filtered by the exact crossing scan.
     """
-    n = instance.n
-    if n > 10 and interleaving_count(instance) > _INTERLEAVING_BUDGET:
+    if interleaving_count(instance) > _INTERLEAVING_BUDGET:
         raise TooLargeError(
             f"enumeration budget exceeded: C(n,k)*k! = {interleaving_count(instance)}"
         )

@@ -183,15 +183,11 @@ def respects_hull_order(instance: Instance, tour: Sequence[int]) -> bool:
     hull_set = set(hull)
     seq = tuple(v for v in tour if v in hull_set)
     h = len(hull)
-    doubled = hull + hull
-    for start in range(h):
-        if doubled[start : start + h] == seq:
-            return True
-    rev = hull[::-1]
-    doubled = rev + rev
-    for start in range(h):
-        if doubled[start : start + h] == seq:
-            return True
+    for order in (hull, hull[::-1]):
+        doubled = order + order
+        for start in range(h):
+            if doubled[start : start + h] == seq:
+                return True
     return False
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from tsplab import read_instance, read_tour
 from tsplab.errors import ParseError, TsplabError
-from tsplab.experiment import CSV_COLUMNS, parse_config
+from tsplab.experiment import CSV_COLUMNS, parse_config, run_experiment, write_csv
 
 from conftest import SRC_DIR, cli_env
 
@@ -20,6 +21,14 @@ def cli(*args, cwd=None):
         cwd=cwd,
         env=cli_env(),
     )
+
+
+# the run CSV header, written out so that a change to the schema shows here
+CSV_HEADER = (
+    "instance_id,n,k,m,epsilon,gamma,algorithm,mu,lambda,mutation,seed,generations,"
+    "fitness_evals,alpha_steps,beta_steps,reached_optimum,reached_local_optimum,"
+    "final_length,optimum_length"
+)
 
 
 class TestGenerate:
@@ -64,7 +73,7 @@ class TestSolve:
         r = cli("solve", str(square_file), "--algorithm", "rls", "--budget", "10000", "--seed", "3")
         assert r.returncode == 0
         header, row = r.stdout.strip().splitlines()
-        assert header == ",".join(CSV_COLUMNS)
+        assert header == CSV_HEADER
         rec = dict(zip(CSV_COLUMNS, row.split(",")))
         assert rec["reached_optimum"] == "true"
         assert rec["final_length"] == "4.0"
@@ -141,7 +150,7 @@ out = {out}
         assert r1.returncode == 0
         first = out.read_bytes()
         rows = first.decode().strip().splitlines()
-        assert rows[0] == ",".join(CSV_COLUMNS)
+        assert rows[0] == CSV_HEADER
         assert len(rows) == 1 + 2 * 3
         r2 = cli("experiment", str(cfg))
         assert out.read_bytes() == first
@@ -184,6 +193,41 @@ out = {out}
         assert "line 2" in r.stderr
 
 
+class TestCsvContract:
+    """The run CSV's bytes, pinned across commits.
+
+    RLS without an optimum leaves mu, lambda, mutation and optimum_length
+    empty; the (2+3) EA with a Held-Karp optimum leaves
+    reached_local_optimum empty. Together the two files hold every cell
+    type: strings, ints, floats, true, false and empty.
+    """
+
+    CONFIGS = {
+        "rls": "family = grid\nn = 20\nm = 64\nalgorithm = rls\nbudget = 3000\nruns = 2\nbase_seed = 5\n",
+        "ea": (
+            "family = grid\nn = 8\nm = 64\nalgorithm = ea\nmu = 2\nlambda = 3\nmutation = two_opt,mixed\n"
+            "budget = 2000\nruns = 2\nbase_seed = 5\n"
+        ),
+    }
+    SHA256 = {
+        "rls": "ca9af9f7a78f6e33b8e83dd40eb212f25dc2e4810e950dcd71451d7981e78ccb",
+        "ea": "82ed1c6aba38d580fe56d00abf736756391c88b32131e8a2b28e12e8c75bb73c",
+    }
+
+    @pytest.mark.parametrize("name", ["rls", "ea"])
+    def test_pinned_bytes(self, tmp_path, name):
+        cfg = tmp_path / f"{name}.cfg"
+        out = tmp_path / f"{name}.csv"
+        cfg.write_text(self.CONFIGS[name] + f"out = {out}\n", encoding="utf-8")
+        records, _ = run_experiment(parse_config(cfg))
+        write_csv(records, out)
+        data = out.read_bytes()
+        assert data.decode().splitlines()[0] == CSV_HEADER
+        cells = {c for line in data.decode().splitlines()[1:] for c in line.split(",")}
+        assert {"", "true"} <= cells
+        assert hashlib.sha256(data).hexdigest() == self.SHA256[name]
+
+
 class TestParseConfig:
     BASE = "family = convex\nn = 8\nm = 256\nalgorithm = rls\nbase_seed = 1\nout = o.csv\n"
     GRID = BASE.replace("convex", "grid")
@@ -201,6 +245,8 @@ class TestParseConfig:
             ("budget = 100\nruns = -3\n", "line 8: runs must be >= 1"),
             ("budget = 100\nruns = 0\n", "line 8: runs must be >= 1"),
             ("budget = 0\nruns = 3\n", "line 7: budget must be >= 1"),
+            ("budget = 100\nruns = 3\nmu = 0\n", "line 9: mu must be >= 1"),
+            ("budget = 100\nruns = 3\nlambda = 0\n", "line 9: lambda must be >= 1"),
             ("budget = 100\nruns = 3\nm = 512\n", "line 9: duplicate key 'm'"),
             ("budget = 100\nruns = 3\nmutation = mixed,mixed\n", "line 9: repeated value mixed in 'mutation'"),
             ("budget = 100\nruns = 3\nh = 5\n", "line 9: 'h' does not apply to family 'convex'"),
