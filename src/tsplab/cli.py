@@ -107,6 +107,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    for flag, value in (("--budget", args.budget), ("--mu", args.mu), ("--lambda", args.lam)):
+        if value < 1:
+            raise _UsageError(f"{flag} must be >= 1, got {value}")
     inst = read_instance(args.instance)
     if args.optimum is not None:
         optimum = args.optimum

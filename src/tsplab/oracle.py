@@ -23,6 +23,10 @@ from .tour import Tour, apply_jump, canonical_form, is_intersection_free, respec
 _BRUTE_MAX_N = 11
 _HELD_KARP_MAX_N = 18
 _INTERLEAVING_BUDGET = 10**6
+# a float-summed length within this factor of a minimum may tie it exactly
+_NEAR_TIE = 1.0 + 1e-9
+# rows of interleavings priced at once for the last inner point
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,12 @@ class OracleResult:
 
 
 _perm_cache: dict[int, np.ndarray] = {}
+
+
+def _dist_array(instance: Instance) -> np.ndarray:
+    """The distance matrix as an (n, n) float64 array, 0-based."""
+    n = instance.n
+    return np.array(instance.distance_matrix).reshape(n, n)
 
 
 def _perm_array(f: int) -> np.ndarray:
@@ -54,7 +64,7 @@ def _evaluate_blocks(instance: Instance) -> Iterator[np.ndarray]:
     """
     n = instance.n
     f = n - 1
-    dist = np.array(instance.distance_matrix).reshape(n, n)
+    dist = _dist_array(instance)
 
     rest = np.arange(1, n, dtype=np.int8)
     # one block per second label; the largest cannot sort below the last
@@ -66,7 +76,7 @@ def _evaluate_blocks(instance: Instance) -> Iterator[np.ndarray]:
         block = block[block[:, 0] < block[:, -1]]
         full = np.hstack([np.zeros((block.shape[0], 1), dtype=np.int8), block])
         lengths = dist[full[:, :-1], full[:, 1:]].sum(axis=1) + dist[full[:, -1], full[:, 0]]
-        keep = lengths <= lengths.min() * (1.0 + 1e-9)
+        keep = lengths <= lengths.min() * _NEAR_TIE
         yield full[keep]
 
 
@@ -99,63 +109,49 @@ def brute_force_optimum(instance: Instance) -> OracleResult:
 def held_karp_optimum(instance: Instance) -> OracleResult:
     """Bitmask dynamic program over subsets (n <= 18).
 
+    Node 0 is the fixed start; bit i of a mask stands for node i+1, and
+    dp[mask, j] is the shortest path from node 0 through the mask's nodes
+    ending at node j+1. The table is filled one popcount layer at a time:
+    for each end node j, every mask of the layer that holds j takes
+    dp[mask ^ bit_j] + dist[j+1, 1:] and its argmin. Columns outside
+    mask ^ bit_j are inf, so argmin picks the first minimal member, and
+    each candidate is the same float sum of the same two operands as in
+    a scalar loop over masks in increasing order with a strict < rule.
+
     The reported value is the shared tour_length of the reconstructed
     tour, not the DP accumulator.
     """
     n = instance.n
     if n > _HELD_KARP_MAX_N:
         raise TooLargeError(f"held-karp accepts n <= {_HELD_KARP_MAX_N}, got {n}")
-    d = instance.distance_matrix
-    free = n - 1  # node 0 is the fixed start; bit i means node i+1
+    dist = _dist_array(instance)
+    free = n - 1
     size = 1 << free
-    inf = math.inf
-    dp = [inf] * (size * free)
-    parent = bytearray(size * free)
+    dp = np.full((size, free), np.inf)
+    parent = np.zeros((size, free), dtype=np.int8)
+    ends = np.arange(free)
+    dp[1 << ends, ends] = dist[0, 1:]
+    masks = np.arange(size)
+    popcount = np.zeros(size, dtype=np.int8)
     for i in range(free):
-        dp[(1 << i) * free + i] = d[i + 1]  # d[0*n + (i+1)]
-    for mask in range(1, size):
-        if mask & (mask - 1) == 0:
-            continue
-        base = mask * free
-        rem = mask
-        while rem:
-            jbit = rem & -rem
-            rem ^= jbit
-            j = jbit.bit_length() - 1
-            pm = mask ^ jbit
-            pbase = pm * free
-            col = (j + 1) * n
-            best = inf
-            bi = 0
-            r2 = pm
-            while r2:
-                ibit = r2 & -r2
-                r2 ^= ibit
-                i = ibit.bit_length() - 1
-                v = dp[pbase + i] + d[col + i + 1]
-                if v < best:
-                    best = v
-                    bi = i
-            dp[base + j] = best
-            parent[base + j] = bi
-    full = size - 1
-    fbase = full * free
-    best = inf
-    bj = 0
-    for j in range(free):
-        v = dp[fbase + j] + d[(j + 1) * n]
-        if v < best:
-            best = v
-            bj = j
+        popcount += (masks >> i) & 1
+    for layer in range(2, free + 1):
+        in_layer = masks[popcount == layer]
+        for j in range(free):
+            sub = in_layer[(in_layer >> j) & 1 == 1]
+            cand = dp[sub ^ (1 << j)] + dist[j + 1, 1:]
+            best = cand.argmin(axis=1)
+            dp[sub, j] = cand[np.arange(len(sub)), best]
+            parent[sub, j] = best
+    mask = size - 1
+    j = int((dp[mask] + dist[1:, 0]).argmin())
     order = []
-    mask = full
-    j = bj
     while True:
         order.append(j + 1)
         pm = mask ^ (1 << j)
         if pm == 0:
             break
-        j = parent[mask * free + j]
+        j = int(parent[mask, j])
         mask = pm
     t = tuple([1] + [v + 1 for v in reversed(order)])
     return OracleResult(tour_length(instance, t), canonical_form(t), "held_karp")
@@ -189,18 +185,81 @@ def hull_order_tours(instance: Instance) -> Iterator[Tour]:
     yield from rec(hull, 0)
 
 
+def _insertion_costs(rows: np.ndarray, p: int, dist: np.ndarray) -> np.ndarray:
+    """Length change of putting p after each position of each cyclic row.
+
+    Entry (r, c) replaces the edge (rows[r, c], rows[r, c+1]), wrapping
+    at the end, by the two edges through p.
+    """
+    after = np.roll(rows, -1, axis=1)
+    return dist[rows, p] + dist[p, after] - dist[rows, after]
+
+
 def hull_order_optimum(instance: Instance) -> OracleResult:
     """Minimum-length tour among hull-ordered interleavings.
 
     Crossing-free tours keep hull order, and the optimum is crossing
     free, so this superset always contains it. Budget-limited by
-    C(n, k) * k! <= 1e6.
+    C(n, k) * k! <= 1e6, checked before anything is built.
+
+    The interleavings of all inner points but the last are built as
+    0-based label rows, in hull_order_tours' order, each with a float
+    length: the hull cycle's sum plus one insertion cost
+    d[a,p] + d[p,b] - d[a,b] per inner point. The last point's
+    insertions are priced as a rows x positions matrix, _BLOCK_ROWS rows
+    at a time, keeping the entries within _NEAR_TIE of the block's
+    minimum and then of the minimum over all blocks. Only those tours
+    reach _shortest, which picks the result by the exact fsum length and
+    canonical form, as over the full enumeration.
+
+    Why no exactly minimal tour is dropped: every edge of a tour of
+    length L is at most L/2, and each partial tour is no longer than the
+    full one up to rounding, so each of the h-1 additions of the hull sum
+    and the three operations per insertion is off by at most 2^-53 L. The
+    float length is within about (n + 3k) 2^-53 relative of the exact sum
+    of the tour's distances, and two tours whose fsum lengths are equal
+    differ in that sum by at most one unit in the last place. For any n
+    the budget admits that is far inside 1e-9, so a tour with the
+    minimal fsum length lies within _NEAR_TIE of every minimum it is
+    filtered against.
     """
-    if interleaving_count(instance) > _INTERLEAVING_BUDGET:
-        raise TooLargeError(
-            f"hull-order enumeration budget exceeded: C(n,k)*k! = {interleaving_count(instance)}"
-        )
-    return _shortest(instance, hull_order_tours(instance), "hull_order")
+    count = interleaving_count(instance)
+    if count > _INTERLEAVING_BUDGET:
+        raise TooLargeError(f"hull-order enumeration budget exceeded: C(n,k)*k! = {count}")
+    inner = [v - 1 for v in instance.inner_labels]
+    if not inner:
+        return _shortest(instance, [instance.hull], "hull_order")
+    dist = _dist_array(instance)
+    rows = (np.array([instance.hull]) - 1).astype(np.min_scalar_type(instance.n - 1))
+    lengths = dist[rows, np.roll(rows, -1, axis=1)].sum(axis=1)
+    for p in inner[:-1]:
+        width = rows.shape[1]
+        # the row for an insertion after column cut: row[:cut+1] + [p] + row[cut+1:]
+        slot = np.arange(width + 1)
+        cut = np.arange(width)[:, None]
+        gather = np.where(slot <= cut, slot, np.where(slot == cut + 1, width, slot - 1))
+        ext = np.hstack([rows, np.full((len(rows), 1), p, dtype=rows.dtype)])
+        lengths = (lengths[:, None] + _insertion_costs(rows, p, dist)).reshape(-1)
+        rows = ext[:, gather].reshape(-1, width + 1)
+    p = inner[-1]
+    kept_rows, kept_cols, kept_lengths = [], [], []
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start : start + _BLOCK_ROWS]
+        totals = lengths[start : start + _BLOCK_ROWS, None] + _insertion_costs(block, p, dist)
+        r, c = np.nonzero(totals <= totals.min() * _NEAR_TIE)
+        kept_rows.append(r + start)
+        kept_cols.append(c)
+        kept_lengths.append(totals[r, c])
+    r = np.concatenate(kept_rows)
+    c = np.concatenate(kept_cols)
+    kept = np.concatenate(kept_lengths)
+    near = kept <= kept.min() * _NEAR_TIE
+    survivors = []
+    for i, col in zip(r[near].tolist(), c[near].tolist()):
+        seq = [v + 1 for v in rows[i].tolist()]
+        seq.insert(col + 1, p + 1)
+        survivors.append(tuple(seq))
+    return _shortest(instance, survivors, "hull_order")
 
 
 def enumerate_intersection_free(instance: Instance) -> list[Tour]:

@@ -16,9 +16,10 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from tsplab import Instance, InstanceMetrics, Point, validate
+from tsplab import Instance, InstanceMetrics, Point, canonical_form, tour_length, validate
 from tsplab.errors import CollinearTripleError, TooSmallError
 from tsplab.geom import distance, gamma_of, min_uncross_gain_of
+from tsplab.oracle import OracleResult, _shortest, hull_order_tours
 from tsplab.rng import Xoshiro256StarStar
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -253,3 +254,72 @@ def triple_scan_metrics(points) -> InstanceMetrics:
         gamma=gamma_of(d_min, d_max, epsilon),
         min_uncross_gain=min_uncross_gain_of(d_min, epsilon),
     )
+
+
+def reference_held_karp(instance: Instance) -> OracleResult:
+    """Held-Karp as a scalar loop over masks in increasing order: for each
+    end j of a mask, the first i (in increasing order) that strictly
+    improves dp[mask ^ bit_j][i] + d(j, i) becomes the parent. The frozen
+    reference the numpy layer-by-layer `held_karp_optimum` must match."""
+    n = instance.n
+    d = instance.distance_matrix
+    free = n - 1  # node 0 is the fixed start; bit i means node i+1
+    size = 1 << free
+    inf = math.inf
+    dp = [inf] * (size * free)
+    parent = bytearray(size * free)
+    for i in range(free):
+        dp[(1 << i) * free + i] = d[i + 1]  # d[0*n + (i+1)]
+    for mask in range(1, size):
+        if mask & (mask - 1) == 0:
+            continue
+        base = mask * free
+        rem = mask
+        while rem:
+            jbit = rem & -rem
+            rem ^= jbit
+            j = jbit.bit_length() - 1
+            pm = mask ^ jbit
+            pbase = pm * free
+            col = (j + 1) * n
+            best = inf
+            bi = 0
+            r2 = pm
+            while r2:
+                ibit = r2 & -r2
+                r2 ^= ibit
+                i = ibit.bit_length() - 1
+                v = dp[pbase + i] + d[col + i + 1]
+                if v < best:
+                    best = v
+                    bi = i
+            dp[base + j] = best
+            parent[base + j] = bi
+    full = size - 1
+    fbase = full * free
+    best = inf
+    bj = 0
+    for j in range(free):
+        v = dp[fbase + j] + d[(j + 1) * n]
+        if v < best:
+            best = v
+            bj = j
+    order = []
+    mask = full
+    j = bj
+    while True:
+        order.append(j + 1)
+        pm = mask ^ (1 << j)
+        if pm == 0:
+            break
+        j = parent[mask * free + j]
+        mask = pm
+    t = tuple([1] + [v + 1 for v in reversed(order)])
+    return OracleResult(tour_length(instance, t), canonical_form(t), "held_karp")
+
+
+def reference_hull_order(instance: Instance) -> OracleResult:
+    """The shortest hull-ordered interleaving by pricing every tour
+    `hull_order_tours` yields with tour_length: the frozen reference the
+    block-filtered `hull_order_optimum` must match."""
+    return _shortest(instance, hull_order_tours(instance), "hull_order")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tsplab.cli
 from tsplab import read_instance, read_tour
 from tsplab.errors import ParseError, TsplabError
 from tsplab.experiment import CSV_COLUMNS, parse_config, run_experiment, write_csv
@@ -102,6 +103,26 @@ class TestSolve:
     def test_missing_file(self):
         r = cli("solve", "nope.tsp", "--algorithm", "rls", "--budget", "10")
         assert r.returncode == 1
+
+    @pytest.mark.parametrize(
+        "flag, args",
+        [
+            ("--mu", ("--algorithm", "ea", "--mu", "0", "--budget", "10")),
+            ("--lambda", ("--algorithm", "ea", "--lambda", "0", "--budget", "10")),
+            ("--budget", ("--algorithm", "rls", "--budget", "0")),
+            ("--budget", ("--algorithm", "ea", "--budget", "-3")),
+        ],
+    )
+    def test_bad_counts_rejected_before_any_work(self, square_file, monkeypatch, capsys, flag, args):
+        def must_not_run(*_):
+            raise AssertionError("ran before the flags were checked")
+
+        monkeypatch.setattr(tsplab.cli, "read_instance", must_not_run)
+        monkeypatch.setattr(tsplab.cli, "strongest_oracle", must_not_run)
+        assert tsplab.cli.main(["solve", str(square_file), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert f"{flag} must be >= 1" in err
 
 
 class TestOracleCmd:

@@ -1,9 +1,14 @@
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from tsplab import (
+    Point,
     apply_inversion,
     apply_jump,
     canonical_form,
@@ -16,6 +21,7 @@ from tsplab import (
     tour_length,
     validate,
 )
+from tsplab import oracle
 from tsplab.errors import TooLargeError
 from tsplab.oracle import (
     brute_force_optimum,
@@ -27,7 +33,81 @@ from tsplab.oracle import (
     jumps_to_optimum,
 )
 
-from conftest import all_cycles, crossing_count_fractions
+from conftest import (
+    _cross_sign,
+    all_cycles,
+    crossing_count_fractions,
+    reference_held_karp,
+    reference_hull_order,
+)
+
+_COORD_MAX = 2**31 - 1
+# the slowest reference pricing a property example may ask for
+_REFERENCE_TOURS = 40_000
+
+
+def _keep_no_three_in_line(cands, n):
+    """The first n (x, y) candidates, in order, that are new and collinear
+    with no pair already kept."""
+    kept = []
+    for x, y in cands:
+        p = Point(0, x, y)
+        if p in kept or any(_cross_sign(a, b, p) == 0 for a, b in itertools.combinations(kept, 2)):
+            continue
+        kept.append(p)
+        if len(kept) == n:
+            break
+    return [(p.x, p.y) for p in kept]
+
+
+@st.composite
+def tie_heavy_grid(draw, max_n):
+    """Up to max_n points of a 4x4 to 8x8 grid, no three in line: many
+    equal distances, so many exactly tied tours."""
+    m = draw(st.integers(4, 8))
+    n = draw(st.sampled_from(range(max_n, 3, -1)))
+    order = draw(st.permutations(range(m * m)))
+    return _keep_no_three_in_line([divmod(c, m) for c in order], n)
+
+
+@st.composite
+def wide_points(draw, max_n):
+    """Points with coordinates up to +-(2^31 - 1): a tie-heavy grid
+    scaled and shifted to the edge of the range, or points drawn from the
+    whole range."""
+    if draw(st.booleans()):
+        base = draw(tie_heavy_grid(max_n))
+        scale = (_COORD_MAX // 7) >> draw(st.integers(0, 28))  # at least 1
+        slack = 2 * _COORD_MAX - 7 * scale
+        ox = -_COORD_MAX + draw(st.integers(0, slack))
+        oy = -_COORD_MAX + draw(st.integers(0, slack))
+        sign = draw(st.sampled_from([1, -1]))
+        return [(sign * (ox + scale * x), sign * (oy + scale * y)) for x, y in base]
+    coord = st.integers(-_COORD_MAX, _COORD_MAX)
+    cands = draw(st.lists(st.tuples(coord, coord), min_size=4, max_size=max_n))
+    kept = _keep_no_three_in_line(cands, max_n)
+    assume(len(kept) >= 4)
+    return kept
+
+
+@st.composite
+def inner_instance(draw):
+    """generate_with_inner with h = 3..12 and k = 0..5, k lowered until
+    the enumeration holds at most _REFERENCE_TOURS tours."""
+    h = draw(st.sampled_from(range(12, 2, -1)))
+    k = draw(st.sampled_from(range(5, -1, -1)))
+    while math.prod(range(h, h + k)) > _REFERENCE_TOURS:
+        k -= 1
+    m = 8 * h + draw(st.integers(0, 64))
+    return generate_with_inner(h, k, m, draw(st.integers(0, 2**32)))
+
+
+def _assert_hull_order_matches_reference(inst):
+    if interleaving_count(inst) > oracle._INTERLEAVING_BUDGET:
+        with pytest.raises(TooLargeError):
+            hull_order_optimum(inst)
+    else:
+        assert hull_order_optimum(inst) == reference_hull_order(inst)
 
 
 class TestBruteForce:
@@ -79,6 +159,95 @@ class TestHeldKarp:
         inst = generate_grid(19, 64, 2)
         with pytest.raises(TooLargeError):
             held_karp_optimum(inst)
+
+
+class TestAgainstFrozenReferences:
+    """The numpy oracles return the very OracleResult (value, canonical
+    tour, method) of the scalar loops frozen in conftest."""
+
+    @settings(max_examples=40)
+    @given(tie_heavy_grid(12))
+    def test_held_karp_tie_heavy_grids(self, coords):
+        inst = validate(coords)
+        assert held_karp_optimum(inst) == reference_held_karp(inst)
+
+    @settings(max_examples=40)
+    @given(tie_heavy_grid(10), st.sampled_from([1, 3, 4096]))
+    # exact ties whose float-summed lengths differ in the last bits, so
+    # a block keeping only its float minimum loses the canonical tour
+    @example([(2, 2), (3, 2), (0, 0), (2, 3), (3, 6), (6, 1), (1, 5)], 4096)
+    @example([(7, 7), (0, 0), (3, 7), (4, 5), (6, 2), (5, 6), (6, 4), (0, 4), (4, 2), (7, 1)], 4096)
+    @example([(0, 3), (5, 0), (0, 5), (5, 5), (4, 3), (3, 0), (4, 4), (3, 4)], 4096)
+    def test_hull_order_tie_heavy_grids(self, coords, block_rows):
+        with mock.patch.object(oracle, "_BLOCK_ROWS", block_rows):
+            _assert_hull_order_matches_reference(validate(coords))
+
+    @settings(max_examples=40)
+    @given(inner_instance(), st.sampled_from([2, 4096]))
+    def test_inner_instances(self, inst, block_rows):
+        with mock.patch.object(oracle, "_BLOCK_ROWS", block_rows):
+            _assert_hull_order_matches_reference(inst)
+        if inst.n <= 12:
+            assert held_karp_optimum(inst) == reference_held_karp(inst)
+
+    @settings(max_examples=40)
+    @given(wide_points(10))
+    def test_coordinates_at_the_32_bit_edge(self, coords):
+        inst = validate(coords)
+        assert held_karp_optimum(inst) == reference_held_karp(inst)
+        _assert_hull_order_matches_reference(inst)
+
+    def test_largest_benchmark_shape(self):
+        # (12, 5) spans eight blocks of rows at the default block size
+        inst = generate_with_inner(12, 5, 1024, 3)
+        assert hull_order_optimum(inst) == reference_hull_order(inst)
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 4096])
+    def test_only_near_optimal_tours_are_confirmed(self, monkeypatch, block_rows):
+        # the exact tour_length confirms go to tours within the float
+        # window of the global minimum, not to every block's best
+        inst = generate_with_inner(10, 3, 1024, 11)
+        opt = hull_order_optimum(inst).optimum_value
+        near = sum(
+            tour_length(inst, t) <= opt * (1 + 2e-9) for t in hull_order_tours(inst)
+        )
+        calls = []
+
+        def counting(instance, tour):
+            calls.append(tour)
+            return tour_length(instance, tour)
+
+        expected = reference_hull_order(inst)
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(oracle, "tour_length", counting)
+        assert hull_order_optimum(inst) == expected
+        assert 1 <= len(calls) <= near
+
+
+class TestOracleMemory:
+    def test_held_karp_n18_peak(self):
+        inst = generate_with_inner(15, 3, 1024, 5)
+        assert inst.n == 18
+        inst.distance_matrix  # built before the measurement
+        tracemalloc.start()
+        try:
+            res = held_karp_optimum(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+        assert res.optimum_value == hull_order_optimum(inst).optimum_value
+
+    def test_hull_order_budget_checked_before_any_array(self):
+        inst = generate_with_inner(5, 9, 512, 31)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeError):
+                hull_order_optimum(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestHullOrderTours:
