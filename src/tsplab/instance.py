@@ -143,8 +143,9 @@ def generate_grid(n: int, m: int, seed: int) -> Instance:
     """n distinct points uniform on the m x m grid, no three collinear.
 
     Candidates violating distinctness or collinearity are rejected and
-    redrawn one at a time. Deterministic given the seed.
-    """
+    redrawn one at a time. Deterministic given the seed. After m^2
+    rejections in a row, a scan of the free cells (no draws) gives up at
+    once if none is admissible."""
     if m < 3:
         raise ValueError(f"grid side must be >= 3, got {m}")
     if n < 3:
@@ -152,7 +153,7 @@ def generate_grid(n: int, m: int, seed: int) -> Instance:
     rng = Xoshiro256StarStar(seed)
     coords: list[tuple[int, int]] = []
     taken: set[tuple[int, int]] = set()
-    draws = 0
+    draws = rejected = 0
     while len(coords) < n:
         if draws >= RETRY_BUDGET:
             raise GenerationExhaustedError(
@@ -162,7 +163,16 @@ def generate_grid(n: int, m: int, seed: int) -> Instance:
         cand = (rng.randbelow(m), rng.randbelow(m))
         draws += 1
         if cand in taken or collinear_with_any(coords, cand):
+            rejected += 1
+            if rejected == m * m and all(
+                collinear_with_any(coords, (x, y)) for x in range(m) for y in range(m) if (x, y) not in taken
+            ):
+                raise GenerationExhaustedError(
+                    f"could not place {n} collinear-free points on a {m}x{m} grid: "
+                    f"no free cell is admissible after {len(coords)} points"
+                )
             continue
+        rejected = 0
         coords.append(cand)
         taken.add(cand)
     return validate(coords, grid_size=m)

@@ -22,11 +22,12 @@ from typing import Optional, Sequence
 
 from .instance import Instance
 from .rng import _INV_2_53, Xoshiro256StarStar
-from .tour import Tour, _crossing_change, _crossings0, is_intersection_free, is_two_opt_local_optimum, tour_length
+from .tour import Tour, _crossings0, _fsum_length, _segment_crossing, tour_length
+from .tour import is_intersection_free, is_two_opt_local_optimum
 
 _INV_E = math.exp(-1.0)
 # the incremental float length is re-derived from scratch this often to
-# bound its drift; the crossing count is an exact integer and needs none
+# bound its drift; the crossing witness is exact and needs none
 _REVALIDATE_EVERY = 1 << 16
 # relative slack when comparing a recomputed length against the optimum
 _OPT_REL_TOL = 1e-12
@@ -190,13 +191,20 @@ def _random_perm0(n: int, rng: Xoshiro256StarStar) -> list[int]:
     return perm
 
 
-def _fsum_length(d, n, perm) -> float:
-    prev = perm[-1]
-    terms = []
-    for cur in perm:
-        terms.append(d[prev * n + cur])
-        prev = cur
-    return math.fsum(terms)
+def _witness(xs, ys, perm, added, rescan: bool) -> Optional[tuple[int, int]]:
+    """Crossing witness of perm (see run_rls): the first (u, v) in added
+    that an edge of perm crosses, with the first such edge; else, with
+    rescan, perm's first crossing pair; else None."""
+    n = len(perm)
+    for u, v in added:
+        p = _segment_crossing(xs, ys, perm, u, v)
+        if p is not None:
+            return (1 << u | 1 << v, 1 << perm[p] | 1 << perm[p + 1 - n])
+    first = next(_crossings0(xs, ys, perm), None) if rescan else None
+    if first is None:
+        return None
+    p, q = first
+    return (1 << perm[p] | 1 << perm[p + 1 - n], 1 << perm[q] | 1 << perm[q + 1 - n])
 
 
 def run_rls(
@@ -213,6 +221,19 @@ def run_rls(
     value supplied the run stops once the tour matches it; otherwise it
     runs until the budget or until a full neighborhood scan (every n^2
     accepted steps) certifies a 2-opt local optimum.
+
+    Alpha/beta accounting reads a crossing witness: two tour edges that
+    properly cross, each keyed by its labels u, v as 2^u + 2^v (not by its
+    position, which inversions move), or None iff the tour is
+    crossing-free. An accepted inversion that swaps the edges ab and ce
+    for ac and be keeps it exact:
+
+    - no witness edge is ab or ce: both are still tour edges that cross;
+    - the tour was crossing-free: a new crossing involves ac or be, and
+      one pass over the cycle for each (_segment_crossing) decides;
+    - a witness edge was removed (also by the cycle-preserving (2, n) and
+      (1, n-1)): the same check, and if neither added edge is crossed, a
+      rescan that stops at the first crossing.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -224,21 +245,18 @@ def run_rls(
 
     pairs = _slice_table(n)
     npairs = len(pairs)
-    two64 = 1 << 64
-    limit = two64 - (two64 % npairs)
+    limit = (1 << 64) - (1 << 64) % npairs
     next_u64 = rng.next_u64
 
     cur_len = _fsum_length(d, n, perm)
-    cross = sum(1 for _ in _crossings0(xs, ys, perm))
-    has_cross = 1 if cross else 0
+    witness = _witness(xs, ys, perm, (), True)
+    has_cross = 0 if witness is None else 1
 
     opt_hi = None if optimum_value is None else optimum_value * (1.0 + _OPT_TRIGGER)
     opt_tol = None if optimum_value is None else optimum_value * _OPT_REL_TOL
     certify_every = n * n
 
-    gens = 0
-    alpha = 0
-    accepted = 0
+    gens = alpha = accepted = 0
     reached_optimum = False
     certified_local = False
     series: Optional[list[float]] = [] if record_series else None
@@ -246,8 +264,7 @@ def run_rls(
     revalidate_at = _REVALIDATE_EVERY
 
     def _confirm_optimum() -> bool:
-        length = _fsum_length(d, n, perm)
-        return abs(length - optimum_value) <= opt_tol
+        return abs(_fsum_length(d, n, perm) - optimum_value) <= opt_tol
 
     if opt_hi is not None and cur_len <= opt_hi and _confirm_optimum():
         reached_optimum = True
@@ -274,9 +291,10 @@ def run_rls(
                 e = perm[jmod]
                 delta = d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e]
                 if delta <= 0.0:
-                    cross += _crossing_change(xs, ys, perm, i0, j0, jmod)
-                    has_cross = 1 if cross else 0
                     perm[i0:j0] = perm[i0:j0][::-1]
+                    if witness is None or (1 << a | 1 << b) in witness or (1 << c | 1 << e) in witness:
+                        witness = _witness(xs, ys, perm, ((a, c), (b, e)), witness is not None)
+                    has_cross = 0 if witness is None else 1
                     cur_len += delta
                     accepted += 1
                     if opt_hi is not None:
@@ -296,20 +314,15 @@ def run_rls(
                     break
 
     final = tuple(v + 1 for v in perm)
-    final_length = tour_length(instance, final)
-    if certified_local:
-        local = True
-    else:
-        local = is_two_opt_local_optimum(instance, final)
     return Trajectory(
         generations=gens,
         reached_optimum=reached_optimum,
-        reached_local_optimum=local,
+        reached_local_optimum=certified_local or is_two_opt_local_optimum(instance, final),
         fitness_evals=1 + gens,
         alpha_steps=alpha,
         beta_steps=gens - alpha,
         final_tour=final,
-        final_length=final_length,
+        final_length=tour_length(instance, final),
         best_fitness_series=series,
     )
 
@@ -549,14 +562,9 @@ def mutation_statistics(n: int, samples: int, seed: int) -> dict:
         elif reps == 4:
             count_four += 1
 
-    branch_inversion = 0
-    for _ in range(samples):
-        kind, _moves = plan_mixed(n, rng)
-        if kind == "inversion":
-            branch_inversion += 1
+    branch_inversion = sum(plan_mixed(n, rng)[0] == "inversion" for _ in range(samples))
 
-    singles = count_one
-    expected = singles / npairs
+    expected = count_one / npairs
     chi_stat = math.fsum((c - expected) ** 2 / expected for c in pair_counts)
     df = npairs - 1
     p_value = float(chi2.sf(chi_stat, df))
@@ -577,5 +585,5 @@ def mutation_statistics(n: int, samples: int, seed: int) -> dict:
         "chi_square_stat": chi_stat,
         "chi_square_df": df,
         "chi_square_pvalue": p_value,
-        "single_inversion_samples": singles,
+        "single_inversion_samples": count_one,
     }

@@ -7,11 +7,14 @@ epsilon: tour_length sums edge lengths with math.fsum, so tours inducing
 the same cycle get the identical value regardless of rotation or
 reversal.
 
-The private kernels _crossings0 and _crossing_change take raw
-coordinates (Instance.coords) and a 0-based permutation, the search
-loops' own state. They stay private, as does the predicate alias:
-perfbench/tracer.py wraps each public function bound across modules,
-which would make every predicate call of a traced scan a span.
+The private kernels _fsum_length, _crossings0 (every crossing pair,
+lazily) and _segment_crossing (the first edge crossing one segment) take
+a 0-based permutation, the search loops' own state, and the flat distance
+matrix or the raw coordinates (Instance.coords); run_rls keeps its
+crossing witness with the last two. They stay private, as does the
+predicate alias: perfbench/tracer.py wraps each public function bound
+across modules, which would make every predicate call of a traced scan a
+span.
 """
 
 from __future__ import annotations
@@ -38,12 +41,14 @@ def tour_length(instance: Instance, tour: Sequence[int]) -> float:
     invariant under rotation and reversal of the permutation.
     """
     _check_tour(instance, tour)
-    d = instance.distance_matrix
-    n = instance.n
-    prev = tour[-1] - 1
+    return _fsum_length(instance.distance_matrix, instance.n, [v - 1 for v in tour])
+
+
+def _fsum_length(d, n, perm) -> float:
+    """tour_length of a 0-based permutation, d the flat distance matrix."""
+    prev = perm[-1]
     terms = []
-    for label in tour:
-        cur = label - 1
+    for cur in perm:
         terms.append(d[prev * n + cur])
         prev = cur
     return math.fsum(terms)
@@ -109,39 +114,20 @@ def _crossings0(xs, ys, perm) -> Iterator[tuple[int, int]]:
                 yield (a, b)
 
 
-def _crossing_change(xs, ys, perm, i0: int, j0: int, jmod: int) -> int:
-    """Change in the number of crossing edge pairs when the 0-based perm
-    reverses perm[i0:j0] (jmod = j0 % n; not the full reversal).
-
-    The move swaps edges ab and ce (a = perm[i0-1], b = perm[i0],
-    c = perm[j0-1], e = perm[jmod]) for ac and be and keeps the others:
-    one pass over those, four predicate calls per edge, counts the
-    crossings gained minus those lost. Cycle-preserving inversions give 0.
-    """
+def _segment_crossing(xs, ys, perm, u: int, v: int) -> Optional[int]:
+    """0-based position of the first edge of the cycle perm, in cycle
+    order (edge n-1 closes it), whose segment properly crosses the
+    segment between labels u and v; None if no edge does. One pass that
+    stops at the first crossing; edges sharing an endpoint with uv, and
+    uv itself if it is an edge, never cross it."""
     n = len(perm)
-    a = perm[i0 - 1]
-    b = perm[i0]
-    c = perm[j0 - 1]
-    e = perm[jmod]
-    ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
-    cx, cy, ex, ey = xs[c], ys[c], xs[e], ys[e]
-    change = _properly_cross(ax, ay, cx, cy, bx, by, ex, ey) - _properly_cross(ax, ay, bx, by, cx, cy, ex, ey)
-    # the removed edges' positions; i0 == 0 removes the closing edge
-    e1 = i0 - 1 if i0 else n - 1
-    e2 = j0 - 1
+    ux, uy, vx, vy = xs[u], ys[u], xs[v], ys[v]
     for p in range(n):
-        if p == e1 or p == e2:
-            continue
         s = perm[p]
         t = perm[p + 1 - n]
-        sx, sy, tx, ty = xs[s], ys[s], xs[t], ys[t]
-        change += (
-            _properly_cross(ax, ay, cx, cy, sx, sy, tx, ty)
-            + _properly_cross(bx, by, ex, ey, sx, sy, tx, ty)
-            - _properly_cross(ax, ay, bx, by, sx, sy, tx, ty)
-            - _properly_cross(cx, cy, ex, ey, sx, sy, tx, ty)
-        )
-    return change
+        if _properly_cross(ux, uy, vx, vy, xs[s], ys[s], xs[t], ys[t]):
+            return p
+    return None
 
 
 def _crossings(instance: Instance, tour: Sequence[int]) -> Iterator[tuple[int, int]]:
@@ -258,11 +244,7 @@ def canonical_form(tour: Sequence[int]) -> Tour:
 
     Two tours induce the same cycle iff their canonical forms are equal.
     """
-    n = len(tour)
-    lst = list(tour)
-    pos = lst.index(1)
-    fwd = tuple(lst[(pos + t) % n] for t in range(n))
-    rev_lst = lst[::-1]
-    pos = rev_lst.index(1)
-    bwd = tuple(rev_lst[(pos + t) % n] for t in range(n))
-    return min(fwd, bwd)
+    t = tuple(tour)
+    pos = t.index(1)
+    fwd = t[pos:] + t[:pos]
+    return min(fwd, fwd[:1] + fwd[:0:-1])

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import tsplab.instance
 from tsplab import (
     Point,
     convex_hull,
@@ -25,7 +26,35 @@ from tsplab.errors import (
     TooSmallError,
 )
 
+from tsplab.instance import RETRY_BUDGET
+from tsplab.rng import Xoshiro256StarStar
+
 from conftest import brute_hull
+
+
+def count_grid_work(monkeypatch, n, m, seed):
+    """generate_grid(n, m, seed) with its raw draws and collinearity checks
+    counted: (instance or the GenerationExhaustedError raised, draws, checks)."""
+    counts = {"draws": 0, "checks": 0}
+    check = tsplab.instance.collinear_with_any
+
+    class Counting(Xoshiro256StarStar):
+        def next_u64(self):
+            counts["draws"] += 1
+            return Xoshiro256StarStar.next_u64(self)
+
+    def counted_check(coords, cand):
+        counts["checks"] += 1
+        return check(coords, cand)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(tsplab.instance, "Xoshiro256StarStar", Counting)
+        mp.setattr(tsplab.instance, "collinear_with_any", counted_check)
+        try:
+            result = generate_grid(n, m, seed)
+        except GenerationExhaustedError as exc:
+            result = exc
+    return result, counts["draws"], counts["checks"]
 
 
 class TestValidate:
@@ -77,6 +106,31 @@ class TestGenerateGrid:
     def test_pigeonhole_exhaustion(self):
         with pytest.raises(GenerationExhaustedError):
             generate_grid(10, 3, 1)
+
+    @pytest.mark.parametrize("n,m,seed", [(10, 3, 1), (7, 3, 2), (10, 5, 1), (20, 8, 3)])
+    def test_full_grid_fails_far_below_the_budget(self, monkeypatch, n, m, seed):
+        # once no free cell is admissible, m^2 more rejected candidates
+        # (two draws each) and one scan end the run
+        result, draws, _ = count_grid_work(monkeypatch, n, m, seed)
+        assert isinstance(result, GenerationExhaustedError)
+        assert "no free cell is admissible" in str(result)
+        assert draws < RETRY_BUDGET // 1000
+
+    # instances whose generation scans the free cells, finds one admissible
+    # and draws on; coordinates as the generator gave them before the scan
+    @pytest.mark.parametrize(
+        "n,m,seed,coords",
+        [
+            (8, 5, 0, [(0, 2), (3, 2), (2, 3), (4, 3), (3, 4), (2, 0), (0, 4), (4, 0)]),
+            (9, 5, 15, [(2, 2), (1, 0), (4, 1), (3, 0), (0, 4), (2, 4), (1, 1), (0, 2), (4, 3)]),
+            (12, 7, 17, [(1, 3), (6, 4), (5, 1), (5, 2), (2, 2), (0, 3), (6, 5), (2, 1), (4, 6), (1, 6), (0, 0), (4, 5)]),
+        ],
+    )
+    def test_scan_with_an_admissible_cell_keeps_drawing(self, monkeypatch, n, m, seed, coords):
+        inst, draws, checks = count_grid_work(monkeypatch, n, m, seed)
+        assert [(p.x, p.y) for p in inst.points] == coords
+        # every candidate is checked at most once, so extra checks are a scan
+        assert checks > draws // 2
 
     def test_output_valid_and_angle_bounded(self):
         inst = generate_grid(20, 64, 7)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +11,7 @@ from tsplab import (
     MutationSpec,
     canonical_form,
     classify_state,
+    find_uncrossing_inversion,
     generate_convex,
     generate_grid,
     generate_with_inner,
@@ -29,7 +31,9 @@ from tsplab.oracle import enumerate_intersection_free, held_karp_optimum, hull_o
 from tsplab.rng import Xoshiro256StarStar
 from tsplab.search import _child_pricer, _ea_margin_unit, _pair_table, draw_inversion_pair, draw_jump_pair, plan_mixed, plan_two_opt
 
+import test_search_reference
 from conftest import ForcedRng, random_tour
+from test_search_reference import reference_rls
 
 
 class TestPoissonPlusOne:
@@ -399,6 +403,110 @@ class TestEAChildPricing:
         assert child == apply_moves(tour, moves)
         assert reps == len(moves[1])
         assert abs(est - tour_length(inst, child)) <= reps * _ea_margin_unit(inst.distance_matrix, n)
+
+
+def accepted_inversions(instance, steps, seed):
+    """(tour before, tour after) of each accepted inversion but the full
+    reversal in the first `steps` steps of run_rls(instance, _, seed),
+    replayed by the reference rule (draws as in reference_rls)."""
+    n = instance.n
+    d = instance.distance_matrix
+    rng = Xoshiro256StarStar(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    tour = tuple(v + 1 for v in perm)
+    pairs = _pair_table(n)
+    for _ in range(steps):
+        i, j = pairs[rng.randbelow(len(pairs))]
+        if (i, j) == (1, n):
+            tour = tour[::-1]
+            continue
+        a, b, c, e = (v - 1 for v in (tour[i - 2], tour[i - 1], tour[j - 1], tour[j % n]))
+        if d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e] <= 0.0:
+            after = apply_inversion(tour, i, j)
+            yield tour, after
+            tour = after
+
+
+def spy_witness_kernels(monkeypatch):
+    """Record each call of run_rls's crossing kernels as (name, tour)."""
+    calls = []
+    for name in ("_crossings0", "_segment_crossing"):
+        kernel = getattr(tsplab.search, name)
+
+        def spy(xs, ys, perm, *args, name=name, kernel=kernel):
+            calls.append((name, tuple(v + 1 for v in perm)))
+            return kernel(xs, ys, perm, *args)
+
+        monkeypatch.setattr(tsplab.search, name, spy)
+    return calls
+
+
+class TestRlsCrossingWitness:
+    """run_rls tracks only whether the tour has a crossing, by a witness
+    pair of crossing edges; its alpha/beta split must stay the reference
+    loop's through each way the witness is updated."""
+
+    @pytest.mark.parametrize(
+        "n,m,instance_seed,budget",
+        [(24, 64, 5, 3000), (32, 1024, 7, 4000), (40, 48, 9, 5000)],
+    )
+    def test_matches_reference_through_every_path(self, monkeypatch, n, m, instance_seed, budget):
+        inst = generate_grid(n, m, instance_seed)
+        paths = Counter()
+        for seed in (1, 2):
+            calls = spy_witness_kernels(monkeypatch)
+            traj = run_rls(inst, budget, seed)
+            monkeypatch.undo()
+            assert traj == reference_rls(inst, budget, seed)
+            assert calls.pop(0)[0] == "_crossings0"  # the start's scan
+            for before, after in accepted_inversions(inst, traj.generations, seed):
+                made = []
+                while calls and calls[0][1] == after:
+                    made.append(calls.pop(0)[0])
+                if is_intersection_free(inst, before):
+                    # only an added edge can cross: checked, no rescan
+                    assert made and set(made) == {"_segment_crossing"}
+                    paths["added edges on a crossing-free tour"] += 1
+                elif not made:
+                    paths["witness kept"] += 1
+                elif "_crossings0" in made:
+                    assert made[-1] == "_crossings0" and made.count("_crossings0") == 1
+                    paths["rescan after the witness was removed"] += 1
+            assert calls == []
+        assert paths["witness kept"] > paths["rescan after the witness was removed"] > 0
+        assert paths["added edges on a crossing-free tour"] > 0
+
+    # identity tours whose first crossing pair has an edge that the
+    # cycle-preserving inversion removes and re-adds (its float delta is 0)
+    @pytest.mark.parametrize(
+        "points,pair",
+        [
+            ([(5, 2), (4, 7), (3, 2), (6, 5), (1, 6), (1, 5)], (2, 6)),
+            ([(2, 2), (6, 0), (0, 1), (4, 4), (7, 0), (1, 7)], (1, 5)),
+        ],
+    )
+    def test_cycle_preserving_move_on_a_witness_edge(self, monkeypatch, points, pair):
+        inst = validate(points)
+        n = inst.n
+        tour = apply_inversion(tuple(range(1, n + 1)), *pair)
+        uncross = []
+        while (move := find_uncrossing_inversion(inst, tour)) is not None:
+            uncross.append(move)
+            tour = apply_inversion(tour, *move)
+        # a last full reversal, a beta step
+        moves = [pair] + uncross + [(1, n)]
+        monkeypatch.setattr(ScriptedRng, "script", identity_shuffle(n) + [inversion_draw(n, i, j) for i, j in moves])
+        monkeypatch.setattr(test_search_reference, "Xoshiro256StarStar", ScriptedRng)
+        slow = reference_rls(inst, len(moves), 0)
+        monkeypatch.setattr(tsplab.search, "Xoshiro256StarStar", ScriptedRng)
+        calls = spy_witness_kernels(monkeypatch)
+        fast = run_rls(inst, len(moves), 0)
+        assert fast == slow
+        assert (fast.alpha_steps, fast.beta_steps) == (1 + len(uncross), 1)
+        assert fast.final_tour == tour[::-1]
+        # the move was accepted and re-derived the witness
+        assert calls[1] == ("_segment_crossing", apply_inversion(tuple(range(1, n + 1)), *pair))
 
 
 class TestClassifyState:

@@ -28,12 +28,13 @@ from tsplab.errors import CollinearTripleError, DuplicatePointError
 from tsplab.geom import properly_cross, segments_properly_intersect
 from tsplab.oracle import brute_force_optimum, enumerate_intersection_free
 from tsplab.rng import Xoshiro256StarStar
-from tsplab.tour import _crossing_change
+from tsplab.tour import _segment_crossing
 
 from conftest import (
     crossing_count_fractions,
     crossing_pairs_fractions,
     cycle_edges,
+    frac_segments_cross,
     full_scan_local_optimum,
     random_tour,
     slow_tour_length,
@@ -211,13 +212,12 @@ class TestCrossings:
         assert is_intersection_free(inst, res.optimum_tour)
 
 
-class TestCrossingChange:
+class TestSegmentCrossing:
     @settings(max_examples=200)
     @given(st.sampled_from(["grid", "wide"]), st.data())
-    def test_matches_rational_recount(self, source, data):
-        # every inversion but the full reversal, so each example has moves
-        # with i0 == 0 and with j0 == n (jmod == 0), both of which remove
-        # the closing edge; the cycle-preserving (1, n-1) and (2, n) give 0
+    def test_first_crossing_edge_by_fractions(self, source, data):
+        # every segment between two labels: the tour's edges, chords, and
+        # chords sharing an endpoint with an edge
         if source == "grid":
             m = data.draw(st.integers(5, 8))
             inst = generate_grid(data.draw(st.integers(4, m)), m, data.draw(st.integers(0, 2**32 - 1)))
@@ -228,15 +228,25 @@ class TestCrossingChange:
             except (CollinearTripleError, DuplicatePointError):
                 assume(False)
         n = inst.n
+        pts = inst.points
         tour = tuple(data.draw(st.permutations(range(1, n + 1))))
         xs, ys = inst.coords
         perm = [v - 1 for v in tour]
-        before = crossing_count_fractions(inst, tour)
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                if (i, j) != (1, n):
-                    after = crossing_count_fractions(inst, apply_inversion(tour, i, j))
-                    assert _crossing_change(xs, ys, perm, i - 1, j, j % n) == after - before, (i, j)
+        for u, v in itertools.permutations(range(n), 2):
+            crossed = [
+                p
+                for p in range(n)
+                if frac_segments_cross(pts[u], pts[v], pts[perm[p]], pts[perm[(p + 1) % n]])
+            ]
+            assert _segment_crossing(xs, ys, perm, u, v) == (crossed[0] if crossed else None), (u, v)
+
+    def test_closing_edge_is_scanned(self, square):
+        # tour 2, 1, 3, 4 of the unit square: only its closing edge 4-2
+        # crosses the diagonal 1-3 (0-based labels 0 and 2)
+        xs, ys = square.coords
+        assert _segment_crossing(xs, ys, [1, 0, 2, 3], 0, 2) == 3
+        assert _segment_crossing(xs, ys, [1, 0, 2, 3], 1, 3) == 1
+        assert _segment_crossing(xs, ys, [0, 1, 2, 3], 0, 2) is None
 
 
 class TestFindUncrossing:
