@@ -50,12 +50,8 @@ from .search import (
     EAConfig,
     MutationSpec,
     Trajectory,
-    classify_state,
-    mixed_mutation,
-    poisson_plus_one,
     run_ea,
     run_rls,
-    two_opt_mutation,
 )
 from .tour import (
     Tour,

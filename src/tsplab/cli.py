@@ -79,7 +79,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("mutation-stats", help="empirical mutation distribution report")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help="point count, at least 3")
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_mutation_stats)

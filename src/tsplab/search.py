@@ -3,9 +3,11 @@
 Implements the single-tour hill climber (RLS) that accepts any inversion
 not increasing fitness, and the (mu+lambda) EA with elitist selection and
 either Poisson-strength inversion mutation or a mixed inversion/jump
-mutation. A run is a sequential Markov chain driven by one seeded
-generator; identical (instance, parameters, seed) reproduce the
-trajectory bit for bit.
+mutation. Both operators are defined once, by their draws, in
+_child_pricer; run_ea mutates through it and mutation_statistics samples
+it. A run is a sequential Markov chain driven by one seeded generator;
+identical (instance, parameters, seed) reproduce the trajectory bit for
+bit.
 
 Trajectory accounting: each executed step/generation is classified by
 the best-so-far tour before the step -- alpha if the tour has crossing
@@ -16,14 +18,15 @@ generations always equals alpha_steps + beta_steps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from .instance import Instance
 from .rng import _INV_2_53, Xoshiro256StarStar
 from .tour import Tour, _crossings0, _fsum_length, _segment_crossing, tour_length
-from .tour import is_intersection_free, is_two_opt_local_optimum
+from .tour import is_two_opt_local_optimum
 
 _INV_E = math.exp(-1.0)
 # the incremental float length is re-derived from scratch this often to
@@ -77,112 +80,14 @@ class Trajectory:
     best_fitness_series: Optional[list[float]] = None
 
 
-def poisson_plus_one(rng: Xoshiro256StarStar) -> int:
-    """1 + a Poisson(1) draw, by the multiplicative method: multiply
-    uniforms until the product drops below e^-1."""
-    s = 0
-    prod = rng.uniform()
-    while prod >= _INV_E:
-        s += 1
-        prod *= rng.uniform()
-    return s + 1
-
-
-_pair_tables: dict[int, tuple[tuple[int, int], ...]] = {}
-
-
-def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
-    """All unordered position pairs (i, j), 1 <= i < j <= n."""
-    table = _pair_tables.get(n)
-    if table is None:
-        table = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-        _pair_tables[n] = table
-    return table
-
-
+@functools.lru_cache(maxsize=1)
 def _slice_table(n: int) -> tuple[tuple[int, int, int], ...]:
-    """_pair_table(n) as 0-based slices (i - 1, j, j % n): inverting the
-    pair reverses lst[i - 1:j], between lst[i - 2] and lst[j % n]. Built
-    per run, not from the cached _pair_table: a cache would keep the
-    tables of every n a process has run."""
+    """Every position pair (i, j), 1 <= i < j <= n, in lexicographic order,
+    as the 0-based slice (i - 1, j, j % n): inverting the pair reverses
+    lst[i - 1:j], between lst[i - 2] and lst[j % n]. A uniform index into
+    it is a uniform inversion. Only the last n's table is kept, so a
+    process that runs many sizes holds one table, not one per size."""
     return tuple((i0, j, j % n) for i0 in range(n - 1) for j in range(i0 + 2, n + 1))
-
-
-def draw_inversion_pair(n: int, rng: Xoshiro256StarStar) -> tuple[int, int]:
-    """Uniform unordered pair out of the n(n-1)/2 with i < j."""
-    table = _pair_table(n)
-    return table[rng.randbelow(len(table))]
-
-
-def draw_jump_pair(n: int, rng: Xoshiro256StarStar) -> tuple[int, int]:
-    """Uniform ordered pair (i, j), i != j, out of n(n-1)."""
-    idx = rng.randbelow(n * (n - 1))
-    i = idx // (n - 1)
-    r = idx % (n - 1)
-    j = r if r < i else r + 1
-    return (i + 1, j + 1)
-
-
-def plan_two_opt(n: int, rng: Xoshiro256StarStar) -> list[tuple[int, int]]:
-    """The inversion pairs one two-opt mutation call will apply."""
-    reps = poisson_plus_one(rng)
-    return [draw_inversion_pair(n, rng) for _ in range(reps)]
-
-
-def plan_mixed(n: int, rng: Xoshiro256StarStar) -> tuple[str, list[tuple[int, int]]]:
-    """Branch and move list of one mixed mutation call.
-
-    Draws the branch variable first, then the strength, matching the
-    operator definition.
-    """
-    r = rng.uniform()
-    reps = poisson_plus_one(rng)
-    if r < 0.5:
-        return ("inversion", [draw_inversion_pair(n, rng) for _ in range(reps)])
-    return ("jump", [draw_jump_pair(n, rng) for _ in range(reps)])
-
-
-def _apply_inversions(lst: list[int], moves: list[tuple[int, int]]) -> None:
-    for i, j in moves:
-        lst[i - 1 : j] = lst[i - 1 : j][::-1]
-
-
-def _apply_jumps(lst: list[int], moves: list[tuple[int, int]]) -> None:
-    for i, j in moves:
-        v = lst.pop(i - 1)
-        lst.insert(j - 1, v)
-
-
-def two_opt_mutation(tour: Sequence[int], rng: Xoshiro256StarStar) -> Tour:
-    """Apply s+1 uniform random inversions, s ~ Poisson(1)."""
-    lst = list(tour)
-    _apply_inversions(lst, plan_two_opt(len(lst), rng))
-    return tuple(lst)
-
-
-def mixed_mutation(tour: Sequence[int], rng: Xoshiro256StarStar) -> Tour:
-    """With probability 1/2 apply s+1 random inversions, else s+1 random
-    jumps, s ~ Poisson(1)."""
-    lst = list(tour)
-    kind, moves = plan_mixed(len(lst), rng)
-    if kind == "inversion":
-        _apply_inversions(lst, moves)
-    else:
-        _apply_jumps(lst, moves)
-    return tuple(lst)
-
-
-def classify_state(instance: Instance, tour: Sequence[int], optimum_value: Optional[float] = None) -> str:
-    """'optimal' if the length matches a supplied optimum (recomputed,
-    relative slack 1e-12), else 'alpha' if the tour has crossing edges,
-    else 'beta'."""
-    if optimum_value is not None:
-        length = tour_length(instance, tour)
-        if abs(length - optimum_value) <= optimum_value * _OPT_REL_TOL:
-            return "optimal"
-    if is_intersection_free(instance, tour):
-        return "beta"
-    return "alpha"
 
 
 def _random_perm0(n: int, rng: Xoshiro256StarStar) -> list[int]:
@@ -363,14 +268,25 @@ def _ea_margin_unit(d, n: int) -> float:
 
 
 def _child_pricer(d, n: int, mixed: bool, next_u64):
-    """run_ea's mutation with its fitness estimate.
+    """run_ea's mutation with its fitness estimate: the one definition of
+    both mutation operators.
 
-    The returned price(tour, fitness) mutates a copy of the 0-based tour
-    with the draws of plan_two_opt / plan_mixed, inlined in their order
-    (mixed branch uniform, Poisson strength, pairs), and returns
-    (est, reps, child): child is the mutated list, reps its number of
-    moves, and est = fitness plus the float delta of each move (4 terms
-    per inversion, 6 per jump; the full reversal keeps the cycle and adds
+    The returned price(tour, fitness) mutates a copy of the 0-based tour.
+    Its draws, in this order, define the operator:
+
+    1. mixed only: a uniform r; the moves are inversions if r < 1/2, else
+       jumps (two_opt always inverts);
+    2. the strength 1 + Poisson(1): multiply uniforms until the product
+       drops below 1/e; the number of uniforms is the number of moves;
+    3. per move, a uniform index by rejection (no modulo bias): for an
+       inversion, into _slice_table(n); for a jump, into the ordered
+       0-based pairs (p, q), p != q, as p * (n - 1) + (q if q < p else
+       q - 1), which moves the element at position p to position q.
+
+    A uniform is (next_u64() >> 11) * 2^-53. price returns (est, reps,
+    child): child is the mutated list, reps its number of moves, and
+    est = fitness plus the float delta of each move (4 terms per
+    inversion, 6 per jump; the full reversal keeps the cycle and adds
     nothing). _ea_margin_unit bounds |est - fsum(child)|.
     """
     two64 = 1 << 64
@@ -531,38 +447,59 @@ def run_ea(
 
 
 def mutation_statistics(n: int, samples: int, seed: int) -> dict:
-    """Empirical mutation-draw statistics against their closed forms.
+    """Empirical statistics of run_ea's mutation against their closed forms.
 
-    Simulates the internal draws of `samples` two-opt mutations and
-    `samples` mixed mutations on n-point tours and reports the strength
-    distribution, the mixed branch frequency, and a chi-square uniformity
-    test over the pair chosen by single-inversion mutations.
+    Draws `samples` two-opt children and then `samples` mixed children
+    through _child_pricer, on one generator seeded with `seed`, each from
+    the identity tour of n points on a zero distance matrix. Reports the
+    strength distribution, the mixed branch frequency (read from the
+    first raw draw of each mixed call), and a chi-square uniformity test
+    over the pair chosen by single-inversion children: such a child
+    differs from the identity exactly from its first to its last
+    inverted position, so it names its pair.
     """
+    if n < 3:
+        raise ValueError(f"mutation statistics need n >= 3 points, got {n}")
     if samples < 10**5:
         raise ValueError("need at least 1e5 samples for stable statistics")
     from scipy.stats import chi2
 
     rng = Xoshiro256StarStar(seed)
-    npairs = n * (n - 1) // 2
-    table = _pair_table(n)
-    index = {pair: i for i, pair in enumerate(table)}
+    next_u64 = rng.next_u64
+    zero = [0.0] * (n * n)
+    identity = range(n)
+    index = {(i0, j0): k for k, (i0, j0, _) in enumerate(_slice_table(n))}
+    npairs = len(index)
 
     count_one = 0
     count_two = 0
     count_four = 0
     pair_counts = [0] * npairs
+    price = _child_pricer(zero, n, False, next_u64)
     for _ in range(samples):
-        moves = plan_two_opt(n, rng)
-        reps = len(moves)
+        _, reps, child = price(identity, 0.0)
         if reps == 1:
             count_one += 1
-            pair_counts[index[moves[0]]] += 1
+            moved = [k for k in identity if child[k] != k]
+            pair_counts[index[moved[0], moved[-1] + 1]] += 1
         elif reps == 2:
             count_two += 1
         elif reps == 4:
             count_four += 1
 
-    branch_inversion = sum(plan_mixed(n, rng)[0] == "inversion" for _ in range(samples))
+    draws: list[int] = []
+
+    def recording() -> int:
+        u = next_u64()
+        draws.append(u)
+        return u
+
+    price = _child_pricer(zero, n, True, recording)
+    branch_inversion = 0
+    for _ in range(samples):
+        price(identity, 0.0)
+        branch_inversion += (draws[0] >> 11) * _INV_2_53 < 0.5
+        draws.clear()
 
     expected = count_one / npairs
     chi_stat = math.fsum((c - expected) ** 2 / expected for c in pair_counts)

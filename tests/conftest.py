@@ -7,6 +7,7 @@ predicate, full cycle enumeration) so agreement is meaningful.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from tsplab import Instance, InstanceMetrics, Point, canonical_form, tour_length, validate
+from tsplab import Instance, InstanceMetrics, Point, apply_inversion, apply_jump, canonical_form, tour_length, validate
 from tsplab.errors import CollinearTripleError, TooSmallError
 from tsplab.geom import distance, gamma_of, min_uncross_gain_of
 from tsplab.oracle import OracleResult, _shortest, hull_order_tours
@@ -69,6 +70,42 @@ class ForcedRng:
         v = self.belows.pop(0)
         assert 0 <= v < bound, f"forced draw {v} out of range {bound}"
         return v
+
+
+@functools.cache
+def inversion_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Every position pair (i, j), 1 <= i < j <= n, in lexicographic
+    order: a uniform index into it is a uniform inversion."""
+    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+
+
+def reference_mutation(tour, rng, mixed: bool):
+    """One two-opt (or, with mixed, mixed) mutation of `tour`, drawn
+    through rng.uniform and rng.randbelow and applied with apply_inversion
+    and apply_jump: the frozen reference run_ea's `_child_pricer` must
+    reproduce draw for draw.
+
+    Mixed first draws a uniform r: inversions if r < 1/2, else jumps. The
+    strength s + 1, s ~ Poisson(1), is the number of uniforms multiplied
+    until the product drops below 1/e. Each move is then an unordered
+    pair, indexed into inversion_pairs(n), or an ordered pair (i, j),
+    i != j, indexed by (i - 1) * (n - 1) + (j - 1 if j < i else j - 2).
+    """
+    n = len(tour)
+    inversions = rng.uniform() < 0.5 if mixed else True
+    reps = 1
+    prod = rng.uniform()
+    while prod >= math.exp(-1.0):
+        reps += 1
+        prod *= rng.uniform()
+    pairs = inversion_pairs(n)
+    for _ in range(reps):
+        if inversions:
+            tour = apply_inversion(tour, *pairs[rng.randbelow(len(pairs))])
+        else:
+            i, r = divmod(rng.randbelow(n * (n - 1)), n - 1)
+            tour = apply_jump(tour, i + 1, r + 1 if r < i else r + 2)
+    return tour
 
 
 def brute_hull(points) -> set[int]:

@@ -381,17 +381,29 @@ class TestArbitraryText:
 
 
 class TestMutationStatsCmd:
+    # SHA-256 of the report, recorded when the statistics sampled a second,
+    # readable copy of the operator; sampling run_ea's pricer must keep it
+    REPORT_SHA256 = "df9410e87ffb069435c552b664a97a841ff65ac84a684b39d9382110a23b687b"
+
     def test_report_and_determinism(self):
         args = ("mutation-stats", "--n", "6", "--samples", "100000", "--seed", "7")
         r1 = cli(*args)
         assert r1.returncode == 0
         assert "p_one_inversion=" in r1.stdout
         assert "chi_square_stat=" in r1.stdout
+        assert hashlib.sha256(r1.stdout.encode()).hexdigest() == self.REPORT_SHA256
         assert cli(*args).stdout == r1.stdout
 
     def test_sample_floor_enforced(self):
         r = cli("mutation-stats", "--n", "6", "--samples", "999")
         assert r.returncode == 1
+
+    @pytest.mark.parametrize("n", ["0", "1", "2"])
+    def test_too_few_points_rejected(self, n):
+        r = cli("mutation-stats", "--n", n, "--samples", "100000")
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == f"error: mutation statistics need n >= 3 points, got {n}\n"
 
 
 class TestUsage:

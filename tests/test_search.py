@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -10,7 +11,6 @@ from tsplab import (
     EAConfig,
     MutationSpec,
     canonical_form,
-    classify_state,
     find_uncrossing_inversion,
     generate_convex,
     generate_grid,
@@ -18,121 +18,124 @@ from tsplab import (
     is_intersection_free,
     apply_inversion,
     apply_jump,
-    mixed_mutation,
-    poisson_plus_one,
     run_ea,
     run_rls,
     tour_length,
-    two_opt_mutation,
     validate,
 )
 from tsplab.errors import CollinearTripleError, DuplicatePointError
-from tsplab.oracle import enumerate_intersection_free, held_karp_optimum, hull_order_optimum
+from tsplab.oracle import held_karp_optimum, hull_order_optimum
 from tsplab.rng import Xoshiro256StarStar
-from tsplab.search import _child_pricer, _ea_margin_unit, _pair_table, draw_inversion_pair, draw_jump_pair, plan_mixed, plan_two_opt
+from tsplab.search import _child_pricer, _ea_margin_unit
 
 import test_search_reference
-from conftest import ForcedRng, random_tour
+from conftest import ForcedRng, inversion_pairs, reference_mutation
 from test_search_reference import reference_rls
 
 
 class TestPoissonPlusOne:
+    """run_ea's strength: 1 + Poisson(1) moves per child."""
+
     def test_point_probabilities(self):
-        rng = Xoshiro256StarStar(71)
         samples = 200000
-        counts = {}
-        total = 0
-        for _ in range(samples):
-            v = poisson_plus_one(rng)
-            counts[v] = counts.get(v, 0) + 1
-            total += v
+        children = pricer_children(6, "two_opt", samples, Xoshiro256StarStar(71).next_u64)
+        counts = Counter(reps for reps, _ in children)
         # P[1] = P[2] = 1/e, P[4] = 1/(6e); wide bounds at this sample size
         assert counts[1] / samples == pytest.approx(math.exp(-1), abs=0.01)
         assert counts[2] / samples == pytest.approx(math.exp(-1), abs=0.01)
         assert counts[4] / samples == pytest.approx(1 / (6 * math.e), abs=0.01)
-        assert total / samples == pytest.approx(2.0, abs=0.02)
+        assert sum(r * c for r, c in counts.items()) / samples == pytest.approx(2.0, abs=0.02)
 
     def test_always_at_least_one(self):
-        rng = Xoshiro256StarStar(73)
-        assert all(poisson_plus_one(rng) >= 1 for _ in range(10000))
+        for kind in ("two_opt", "mixed"):
+            children = pricer_children(6, kind, 10000, Xoshiro256StarStar(73).next_u64)
+            assert all(reps >= 1 for reps, _ in children)
 
 
 class TestPairDraws:
+    """One move's pair, decoded by the pricer, is uniform: each child of
+    the identity comes up as often as the pairs apply_inversion or
+    apply_jump map to it."""
+
     def test_inversion_pair_uniformity(self):
         n = 6
         npairs = n * (n - 1) // 2
-        rng = Xoshiro256StarStar(77)
         samples = 150000
-        counts = {}
-        for _ in range(samples):
-            p = draw_inversion_pair(n, rng)
-            counts[p] = counts.get(p, 0) + 1
-        assert len(counts) == npairs
+        counts = Counter(child for _, child in one_move_children(n, "two_opt", samples, 77))
+        assert set(counts) == {apply_inversion(range(1, n + 1), i, j) for i, j in inversion_pairs(n)}
         expected = samples / npairs
         sigma = math.sqrt(samples * (1 / npairs) * (1 - 1 / npairs))
-        for pair, c in counts.items():
-            assert 1 <= pair[0] < pair[1] <= n
-            assert abs(c - expected) < 4.5 * sigma, pair
+        for child, c in counts.items():
+            assert abs(c - expected) < 4.5 * sigma, child
 
     def test_jump_pair_uniformity(self):
         n = 5
-        rng = Xoshiro256StarStar(79)
         samples = 100000
-        counts = {}
-        for _ in range(samples):
-            p = draw_jump_pair(n, rng)
-            counts[p] = counts.get(p, 0) + 1
-        assert len(counts) == n * (n - 1)
-        expected = samples / (n * (n - 1))
-        assert all(abs(c - expected) < 6 * math.sqrt(expected) for c in counts.values())
-        assert all(i != j and 1 <= i <= n and 1 <= j <= n for (i, j) in counts)
+        counts = Counter(child for _, child in one_move_children(n, "mixed", samples, 79, branch="jump"))
+        # neighbours swap by either of two jumps
+        start = range(1, n + 1)
+        ways = Counter(apply_jump(start, i, j) for i in start for j in start if i != j)
+        assert set(counts) == set(ways)
+        for child, c in counts.items():
+            expected = samples * ways[child] / (n * (n - 1))
+            assert abs(c - expected) < 6 * math.sqrt(expected), child
 
 
 class TestTwoOptMutation:
     def test_forced_single_inversion(self):
         # uniform 0.1 < 1/e forces s = 0; pair index 5 is (2, 4) for n=5
         rng = ForcedRng(uniforms=[0.1], belows=[5])
-        assert two_opt_mutation((1, 2, 3, 4, 5), rng) == (1, 4, 3, 2, 5)
+        assert reference_mutation((1, 2, 3, 4, 5), rng, False) == (1, 4, 3, 2, 5)
 
     def test_closure_under_mutation(self):
-        rng = Xoshiro256StarStar(83)
-        t = tuple(range(1, 11))
+        next_u64 = Xoshiro256StarStar(83).next_u64
+        price = _child_pricer([0.0] * 100, 10, False, next_u64)
+        t = list(range(10))
         for _ in range(200000):
-            t = two_opt_mutation(t, rng)
+            t = price(t, 0.0)[2]
             if len(t) != 10:
                 pytest.fail("length changed")
-        assert sorted(t) == list(range(1, 11))
+        assert sorted(t) == list(range(10))
 
     def test_single_inversion_fraction(self):
-        rng = Xoshiro256StarStar(87)
         samples = 200000
-        ones = sum(1 for _ in range(samples) if len(plan_two_opt(6, rng)) == 1)
+        children = pricer_children(6, "two_opt", samples, Xoshiro256StarStar(87).next_u64)
+        ones = sum(1 for reps, _ in children if reps == 1)
         assert ones / samples == pytest.approx(math.exp(-1), abs=0.01)
 
 
 class TestMixedMutation:
     def test_branch_frequency(self):
-        rng = Xoshiro256StarStar(89)
+        # a one-move child follows its branch uniform: an inversion of the
+        # identity below 1/2, a jump from 1/2 on
+        n = 6
         samples = 200000
-        inv = sum(1 for _ in range(samples) if plan_mixed(6, rng)[0] == "inversion")
+        start = range(1, n + 1)
+        inverted = {apply_inversion(start, i, j) for i, j in inversion_pairs(n)}
+        jumped = {apply_jump(start, i, j) for i in start for j in start if i != j}
+        inv = 0
+        for r, child in one_move_children(n, "mixed", samples, 89):
+            assert child in (inverted if r < 0.5 else jumped)
+            inv += r < 0.5
         assert inv / samples == pytest.approx(0.5, abs=0.01)
 
     def test_forced_jump(self):
         # r = 0.7 >= 1/2 takes the jump branch; uniform 0.1 forces s = 0;
         # ordered-pair index 6 decodes to (2, 4) for n = 5
         rng = ForcedRng(uniforms=[0.7, 0.1], belows=[6])
-        assert mixed_mutation((1, 2, 3, 4, 5), rng) == (1, 3, 4, 2, 5)
+        assert reference_mutation((1, 2, 3, 4, 5), rng, True) == (1, 3, 4, 2, 5)
 
     def test_forced_inversion_branch(self):
         rng = ForcedRng(uniforms=[0.2, 0.1], belows=[5])
-        assert mixed_mutation((1, 2, 3, 4, 5), rng) == (1, 4, 3, 2, 5)
+        assert reference_mutation((1, 2, 3, 4, 5), rng, True) == (1, 4, 3, 2, 5)
 
     def test_closure(self):
-        rng = Xoshiro256StarStar(93)
-        t = tuple(range(1, 11))
+        next_u64 = Xoshiro256StarStar(93).next_u64
+        price = _child_pricer([0.0] * 100, 10, True, next_u64)
+        t = list(range(10))
         for _ in range(100000):
-            t = mixed_mutation(t, rng)
-        assert sorted(t) == list(range(1, 11))
+            t = price(t, 0.0)[2]
+        assert sorted(t) == list(range(10))
 
 
 class TestRunRLS:
@@ -264,7 +267,7 @@ def strength(reps):
 
 
 def inversion_draw(n, i, j):
-    return _pair_table(n).index((i, j))
+    return inversion_pairs(n).index((i, j))
 
 
 def jump_draw(n, i, j):
@@ -278,6 +281,36 @@ def child_draws(n, kind, moves):
     out += strength(len(pairs))
     draw = inversion_draw if branch == "inversion" else jump_draw
     return out + [draw(n, i, j) for i, j in pairs]
+
+
+def pricer_children(n, kind, samples, next_u64):
+    """(reps, child) of `samples` _child_pricer calls on the identity tour
+    of n points and a zero distance matrix, child 1-based."""
+    price = _child_pricer([0.0] * (n * n), n, kind == "mixed", next_u64)
+    for _ in range(samples):
+        _, reps, child = price(range(n), 0.0)
+        yield reps, tuple(v + 1 for v in child)
+
+
+def one_move_children(n, kind, samples, seed, branch=None):
+    """(r, child) of `samples` one-move children of the identity tour:
+    pricer_children on xoshiro256** raw draws seeded with `seed`, with each
+    child's strength draw forced to one move. For mixed, r is the branch
+    uniform, drawn from the stream or, if `branch` is given, forced to it;
+    for two_opt, r is None."""
+    raw = iter(Xoshiro256StarStar(seed).next_u64, None)
+    stream = iter(())
+    children = pricer_children(n, kind, samples, lambda: next(stream))
+    for _ in range(samples):
+        if kind == "two_opt":
+            head = []
+        elif branch is None:
+            head = [next(raw)]
+        else:
+            head = [uniform_draw(0.25 if branch == "inversion" else 0.75)]
+        stream = itertools.chain(head, strength(1), raw)
+        _, child = next(children)
+        yield (head[0] >> 11) * 2.0**-53 if head else None, child
 
 
 def apply_moves(tour, moves):
@@ -369,7 +402,7 @@ class TestEAChildPricing:
         n = inst.n
         parent = tuple(range(1, n + 1))
         tied = apply_inversion(parent, 1, n - 1)
-        worse = max(_pair_table(n), key=lambda p: tour_length(inst, apply_inversion(tied, *p)))
+        worse = max(inversion_pairs(n), key=lambda p: tour_length(inst, apply_inversion(tied, *p)))
         est, _, _ = price_child(inst, "two_opt", ("inversion", [worse]), tied)
         assert est > tour_length(inst, parent) + _ea_margin_unit(inst.distance_matrix, n)  # priced out
         script = identity_shuffle(n) * 2
@@ -415,7 +448,7 @@ def accepted_inversions(instance, steps, seed):
     perm = list(range(n))
     rng.shuffle(perm)
     tour = tuple(v + 1 for v in perm)
-    pairs = _pair_table(n)
+    pairs = inversion_pairs(n)
     for _ in range(steps):
         i, j = pairs[rng.randbelow(len(pairs))]
         if (i, j) == (1, n):
@@ -507,24 +540,6 @@ class TestRlsCrossingWitness:
         assert fast.final_tour == tour[::-1]
         # the move was accepted and re-derived the witness
         assert calls[1] == ("_segment_crossing", apply_inversion(tuple(range(1, n + 1)), *pair))
-
-
-class TestClassifyState:
-    def test_optimal(self):
-        inst = generate_convex(6, 64, 3)
-        res = hull_order_optimum(inst)
-        assert classify_state(inst, res.optimum_tour, res.optimum_value) == "optimal"
-
-    def test_alpha(self, square):
-        assert classify_state(square, (1, 3, 2, 4)) == "alpha"
-
-    def test_beta_from_enumeration(self):
-        inst = generate_with_inner(6, 1, 256, 15)
-        res = hull_order_optimum(inst)
-        tours = enumerate_intersection_free(inst)
-        non_optimal = [t for t in tours if tour_length(inst, t) > res.optimum_value]
-        assert non_optimal, "expected a crossing-free non-optimal tour"
-        assert classify_state(inst, non_optimal[0], res.optimum_value) == "beta"
 
 
 class TestMutationSpecValidation:

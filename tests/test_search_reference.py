@@ -2,7 +2,9 @@
 recomputing everything from scratch each step, must reproduce the
 optimized runners' trajectories exactly (same draws, same accounting,
 same stopping step). This pins the incremental fitness and crossing
-bookkeeping to ground truth.
+bookkeeping to ground truth. The EA reference mutates with conftest's
+frozen reference_mutation, so run_ea's operator (_child_pricer) is held
+to an independent copy of the draw order.
 """
 
 import itertools
@@ -20,16 +22,16 @@ from tsplab import (
     generate_grid,
     generate_with_inner,
     is_two_opt_local_optimum,
-    mixed_mutation,
     run_ea,
     run_rls,
     tour_length,
-    two_opt_mutation,
     validate,
 )
 from tsplab.oracle import held_karp_optimum, hull_order_optimum
 from tsplab.rng import Xoshiro256StarStar
-from tsplab.search import Trajectory, _pair_table
+from tsplab.search import Trajectory
+
+from conftest import inversion_pairs, reference_mutation
 
 
 def reference_rls(instance, budget, seed, optimum_value=None):
@@ -39,7 +41,7 @@ def reference_rls(instance, budget, seed, optimum_value=None):
     perm = list(range(n))
     rng.shuffle(perm)
     tour = tuple(v + 1 for v in perm)
-    pairs = _pair_table(n)
+    pairs = inversion_pairs(n)
     rel = None if optimum_value is None else optimum_value * 1e-12
 
     def optimal(t):
@@ -94,7 +96,7 @@ def reference_rls(instance, budget, seed, optimum_value=None):
 def reference_ea(instance, config, optimum_value=None):
     n = instance.n
     rng = Xoshiro256StarStar(config.seed)
-    mutate = two_opt_mutation if config.mutation.kind == "two_opt" else mixed_mutation
+    mixed = config.mutation.kind == "mixed"
     pop = []
     for idx in range(config.mu):
         perm = list(range(n))
@@ -119,7 +121,7 @@ def reference_ea(instance, config, optimum_value=None):
         offspring = []
         for _ in range(config.lam):
             parent = pop[rng.randbelow(config.mu)]
-            child = mutate(parent[3], rng)
+            child = reference_mutation(parent[3], rng, mixed)
             offspring.append((tour_length(instance, child), 0, next_idx, child))
             next_idx += 1
         merged = sorted(pop + offspring, key=lambda ind: ind[:3])
