@@ -13,12 +13,17 @@ Trajectory accounting: each executed step/generation is classified by
 the best-so-far tour before the step -- alpha if the tour has crossing
 edges, beta if it is crossing-free but not optimal. The run stops as
 soon as the best-so-far tour matches a supplied optimum value, so
-generations always equals alpha_steps + beta_steps.
+generations always equals alpha_steps + beta_steps. Neither loop counts
+crossings: each keeps a crossing witness (see _witness) and updates it
+from the edges that changed, by one rule (_update_witness). run_rls
+diffs its tour before and after an accepted inversion; run_ea diffs each
+new best tour against the last one it classified, whatever parent the
+new best came from, and a new best that is the same cycle costs no
+geometry.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -80,14 +85,24 @@ class Trajectory:
     best_fitness_series: Optional[list[float]] = None
 
 
-@functools.lru_cache(maxsize=1)
+_SLICES: dict[int, tuple[tuple[int, int, int], ...]] = {}
+
+
 def _slice_table(n: int) -> tuple[tuple[int, int, int], ...]:
     """Every position pair (i, j), 1 <= i < j <= n, in lexicographic order,
     as the 0-based slice (i - 1, j, j % n): inverting the pair reverses
     lst[i - 1:j], between lst[i - 2] and lst[j % n]. A uniform index into
-    it is a uniform inversion. Only the last n's table is kept, so a
-    process that runs many sizes holds one table, not one per size."""
-    return tuple((i0, j, j % n) for i0 in range(n - 1) for j in range(i0 + 2, n + 1))
+    it is a uniform inversion.
+
+    Only the last n's table is kept, so a process that runs many sizes
+    holds one table, not one per size. The old table is dropped before
+    the new one is built: functools.lru_cache(maxsize=1) evicts only after
+    the call returns, so both tables would be alive at the peak."""
+    table = _SLICES.get(n)
+    if table is None:
+        _SLICES.clear()
+        table = _SLICES[n] = tuple((i0, j, j % n) for i0 in range(n - 1) for j in range(i0 + 2, n + 1))
+    return table
 
 
 def _random_perm0(n: int, rng: Xoshiro256StarStar) -> list[int]:
@@ -97,9 +112,32 @@ def _random_perm0(n: int, rng: Xoshiro256StarStar) -> list[int]:
 
 
 def _witness(xs, ys, perm, added, rescan: bool) -> Optional[tuple[int, int]]:
-    """Crossing witness of perm (see run_rls): the first (u, v) in added
-    that an edge of perm crosses, with the first such edge; else, with
-    rescan, perm's first crossing pair; else None."""
+    """Crossing witness of perm: the first (u, v) in added that an edge of
+    perm crosses, with the first such edge; else, with rescan, perm's
+    first crossing pair; else None.
+
+    A witness is two edges of a tour that properly cross, each keyed by
+    its labels u, v as 2^u + 2^v (not by its position, which moves), or
+    None iff the tour is crossing-free. Let T be a tour with a known
+    witness and perm any tour T' on the same points, with the edges in
+    added gained and some edges of T lost. Whether two segments cross
+    depends on their end points only, so:
+
+    - two edges of T' that are also edges of T cross in T' iff they
+      crossed in T;
+    - hence, if T was crossing-free, every crossing of T' involves an
+      added edge, and one pass over the cycle per added edge
+      (_segment_crossing) decides: call with rescan False;
+    - if both edges of T's witness are edges of T', they still cross and
+      stay a witness (_update_witness keeps it without a call);
+    - if a witness edge was lost and no added edge is crossed, a crossing
+      of T' can only be between two kept edges: call with rescan True,
+      which stops at the first crossing.
+
+    Nothing requires T' to be one move from T, so the rule holds for any
+    edge diff: run_rls's inversions (two edges out, two in) and run_ea's
+    new best tours, which may descend from any parent.
+    """
     n = len(perm)
     for u, v in added:
         p = _segment_crossing(xs, ys, perm, u, v)
@@ -110,6 +148,22 @@ def _witness(xs, ys, perm, added, rescan: bool) -> Optional[tuple[int, int]]:
         return None
     p, q = first
     return (1 << perm[p] | 1 << perm[p + 1 - n], 1 << perm[q] | 1 << perm[q + 1 - n])
+
+
+def _update_witness(xs, ys, perm, witness, removed, added) -> Optional[tuple[int, int]]:
+    """perm's crossing witness, given the witness of a tour that perm
+    differs from by losing the edges keyed in removed and gaining the
+    label pairs in added (see _witness for the argument): the old witness
+    if neither of its edges was removed, else _witness, rescanning only
+    when there was a witness."""
+    if witness is not None and witness[0] not in removed and witness[1] not in removed:
+        return witness
+    return _witness(xs, ys, perm, added, witness is not None)
+
+
+def _edge_keys(perm) -> set[int]:
+    """The keys 2^u + 2^v of the cycle perm's edges."""
+    return {1 << u | 1 << v for u, v in zip(perm, perm[1:] + perm[:1])}
 
 
 def run_rls(
@@ -127,18 +181,16 @@ def run_rls(
     runs until the budget or until a full neighborhood scan (every n^2
     accepted steps) certifies a 2-opt local optimum.
 
-    Alpha/beta accounting reads a crossing witness: two tour edges that
-    properly cross, each keyed by its labels u, v as 2^u + 2^v (not by its
-    position, which inversions move), or None iff the tour is
-    crossing-free. An accepted inversion that swaps the edges ab and ce
-    for ac and be keeps it exact:
+    Alpha/beta accounting reads a crossing witness (see _witness). An
+    accepted inversion that swaps the edges ab and ce for ac and be keeps
+    it exact through _update_witness:
 
     - no witness edge is ab or ce: both are still tour edges that cross;
     - the tour was crossing-free: a new crossing involves ac or be, and
       one pass over the cycle for each (_segment_crossing) decides;
     - a witness edge was removed (also by the cycle-preserving (2, n) and
-      (1, n-1)): the same check, and if neither added edge is crossed, a
-      rescan that stops at the first crossing.
+      (1, n-1), which re-add it): the same check, and if neither added
+      edge is crossed, a rescan that stops at the first crossing.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -197,8 +249,9 @@ def run_rls(
                 delta = d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e]
                 if delta <= 0.0:
                     perm[i0:j0] = perm[i0:j0][::-1]
-                    if witness is None or (1 << a | 1 << b) in witness or (1 << c | 1 << e) in witness:
-                        witness = _witness(xs, ys, perm, ((a, c), (b, e)), witness is not None)
+                    witness = _update_witness(
+                        xs, ys, perm, witness, (1 << a | 1 << b, 1 << c | 1 << e), ((a, c), (b, e))
+                    )
                     has_cross = 0 if witness is None else 1
                     cur_len += delta
                     accepted += 1
@@ -364,6 +417,14 @@ def run_ea(
     an exact length; every other child gets the exact fsum and the exact
     sort, so the trajectory is the one full evaluation of every child
     gives.
+
+    Alpha/beta accounting keeps a crossing witness (see _witness) for the
+    last best tour it classified, with that tour's edge keys. A new best
+    tuple gets its keys in O(n): equal keys are the same cycle (a tied
+    child of a cycle-preserving move, which ties prefer) and keep the
+    phase with no geometry; otherwise _update_witness gets the diff --
+    the classified tour's edges the new best lacks, and the new best's
+    edges it lacked.
     """
     n = instance.n
     mu = config.mu
@@ -388,15 +449,16 @@ def run_ea(
 
     opt_tol = None if optimum_value is None else optimum_value * _OPT_REL_TOL
 
-    gens = 0
-    alpha = 0
-    beta = 0
+    gens = alpha = 0
     reached_optimum = False
     series: Optional[list[float]] = [] if record_series else None
     stride = max(1, budget // 4096) if record_series else 0
 
-    cls_tour: Optional[Tour] = None
-    cls_alpha = 0
+    # the last classified best tour, its edge keys and its witness
+    cls_tour = pop[0][3]
+    cls_keys = _edge_keys(cls_tour)
+    witness = _witness(xs, ys, cls_tour, (), True)
+    has_cross = 0 if witness is None else 1
 
     while True:
         best = pop[0]
@@ -407,9 +469,13 @@ def run_ea(
             break
         if best[3] is not cls_tour:
             cls_tour = best[3]
-            cls_alpha = 0 if next(_crossings0(xs, ys, cls_tour), None) is None else 1
-        alpha += cls_alpha
-        beta += 1 - cls_alpha
+            keys = _edge_keys(cls_tour)
+            if keys != cls_keys:
+                added = [(k.bit_length() - 1, (k & -k).bit_length() - 1) for k in keys - cls_keys]
+                witness = _update_witness(xs, ys, cls_tour, witness, cls_keys - keys, added)
+                has_cross = 0 if witness is None else 1
+                cls_keys = keys
+        alpha += has_cross
         gens += 1
         if series is not None and gens % stride == 0:
             series.append(best[0])
@@ -439,7 +505,7 @@ def run_ea(
         reached_local_optimum=None,
         fitness_evals=mu + lam * gens,
         alpha_steps=alpha,
-        beta_steps=beta,
+        beta_steps=gens - alpha,
         final_tour=tuple(v + 1 for v in best[3]),
         final_length=best[0],
         best_fitness_series=series,

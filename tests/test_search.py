@@ -18,6 +18,7 @@ from tsplab import (
     is_intersection_free,
     apply_inversion,
     apply_jump,
+    crossing_pairs,
     run_ea,
     run_rls,
     tour_length,
@@ -29,8 +30,8 @@ from tsplab.rng import Xoshiro256StarStar
 from tsplab.search import _child_pricer, _ea_margin_unit
 
 import test_search_reference
-from conftest import ForcedRng, inversion_pairs, reference_mutation
-from test_search_reference import reference_rls
+from conftest import ForcedRng, cycle_edges, inversion_pairs, reference_mutation
+from test_search_reference import reference_ea, reference_rls
 
 
 class TestPoissonPlusOne:
@@ -462,7 +463,7 @@ def accepted_inversions(instance, steps, seed):
 
 
 def spy_witness_kernels(monkeypatch):
-    """Record each call of run_rls's crossing kernels as (name, tour)."""
+    """Record each call of the search loops' crossing kernels as (name, tour)."""
     calls = []
     for name in ("_crossings0", "_segment_crossing"):
         kernel = getattr(tsplab.search, name)
@@ -540,6 +541,86 @@ class TestRlsCrossingWitness:
         assert fast.final_tour == tour[::-1]
         # the move was accepted and re-derived the witness
         assert calls[1] == ("_segment_crossing", apply_inversion(tuple(range(1, n + 1)), *pair))
+
+
+def compressed(tours):
+    """tours with runs of equal consecutive tours merged into one."""
+    return [t for k, t in enumerate(tours) if k == 0 or t != tours[k - 1]]
+
+
+class TestEaCrossingWitness:
+    """run_ea classifies each new best tour by its edge diff against the
+    last tour it classified; its alpha/beta split must stay the reference
+    loop's through each way the witness is updated. mu > 1, so a new best
+    need not descend from the old one."""
+
+    @pytest.mark.parametrize(
+        "n,m,instance_seed,mu,lam,kind,budget",
+        [(12, 8, 1, 3, 4, "two_opt", 1500), (14, 16, 2, 3, 4, "mixed", 1500), (20, 32, 4, 3, 5, "mixed", 2000)],
+    )
+    def test_matches_reference_through_every_path(self, monkeypatch, n, m, instance_seed, mu, lam, kind, budget):
+        inst = generate_grid(n, m, instance_seed)
+        paths = Counter()
+        for seed in (1, 2):
+            cfg = EAConfig(mu=mu, lam=lam, mutation=MutationSpec(kind), max_generations=budget, seed=seed)
+
+            # the reference classifies the best tour of every generation
+            bests = []
+
+            def record_best(instance, tour):
+                bests.append(tour)
+                return crossing_pairs(instance, tour)
+
+            monkeypatch.setattr(test_search_reference, "crossing_pairs", record_best)
+            slow = reference_ea(inst, cfg)
+            monkeypatch.undo()
+            # run_ea takes the edge keys of each best tuple it classifies
+            # once; the kernel calls that follow belong to that tour
+            calls = spy_witness_kernels(monkeypatch)
+            edge_keys = tsplab.search._edge_keys
+
+            def record_classified(perm):
+                calls.append(("new best", tuple(v + 1 for v in perm)))
+                return edge_keys(perm)
+
+            monkeypatch.setattr(tsplab.search, "_edge_keys", record_classified)
+            fast = run_ea(inst, cfg)
+            monkeypatch.undo()
+            assert fast == slow
+            assert calls[:2] == [("new best", bests[0]), ("_crossings0", bests[0])]  # the start's scan
+            classified = []
+            for name, tour in calls:
+                if name == "new best":
+                    classified.append((tour, []))
+                else:
+                    assert tour == classified[-1][0]
+                    classified[-1][1].append(name)
+            assert compressed([t for t, _ in classified]) == compressed(bests)
+            for (before, _), (after, made) in zip(classified, classified[1:]):
+                added = len(cycle_edges(after) - cycle_edges(before))
+                if added == 0:
+                    assert made == []
+                    if before != after:
+                        paths["same cycle"] += 1
+                elif is_intersection_free(inst, before):
+                    # only an added edge can cross: checked, no rescan
+                    checked = made.count("_segment_crossing")
+                    assert made == ["_segment_crossing"] * checked and 1 <= checked <= added
+                    assert checked == added or not is_intersection_free(inst, after)
+                    paths["added edges on a crossing-free tour"] += 1
+                elif not made:
+                    paths["witness kept"] += 1
+                elif "_crossings0" in made:
+                    assert made == ["_segment_crossing"] * added + ["_crossings0"]
+                    paths["rescan after the witness was removed"] += 1
+                else:
+                    assert set(made) == {"_segment_crossing"} and not is_intersection_free(inst, after)
+        assert set(paths) >= {
+            "same cycle",
+            "witness kept",
+            "added edges on a crossing-free tour",
+            "rescan after the witness was removed",
+        }
 
 
 class TestMutationSpecValidation:

@@ -177,6 +177,16 @@ def test_ea_matches_reference(mu, lam, kind):
         assert fast == slow
 
 
+def test_ea_matches_reference_on_a_tie_heavy_grid():
+    # a 7 x 7 grid makes equal edge lengths, hence different cycles of
+    # equal fitness, common; with mu > 1 the best can move between them
+    inst = generate_grid(11, 7, 217)
+    hk = held_karp_optimum(inst).optimum_value
+    for seed, kind, opt in itertools.product((7, 8, 9), ("two_opt", "mixed"), (hk, None)):
+        cfg = EAConfig(mu=3, lam=4, mutation=MutationSpec(kind), max_generations=800, seed=seed)
+        assert run_ea(inst, cfg, optimum_value=opt) == reference_ea(inst, cfg, optimum_value=opt)
+
+
 def test_ea_matches_reference_without_optimum():
     inst = generate_convex(7, 128, 215)
     cfg = EAConfig(mu=2, lam=3, mutation=MutationSpec("mixed"), max_generations=800, seed=6)
