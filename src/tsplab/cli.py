@@ -61,9 +61,9 @@ def build_parser() -> _Parser:
     p.add_argument("--algorithm", required=True, choices=["rls", "ea"])
     p.add_argument("--budget", type=int, required=True, help="max steps/generations")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mu", type=int, default=1)
-    p.add_argument("--lambda", dest="lam", type=int, default=1)
-    p.add_argument("--mutation", choices=["two_opt", "mixed"], default="two_opt")
+    p.add_argument("--mu", type=int, help="EA parent count (default 1)")
+    p.add_argument("--lambda", dest="lam", type=int, help="EA offspring count (default 1)")
+    p.add_argument("--mutation", choices=["two_opt", "mixed"], help="EA mutation (default two_opt)")
     p.add_argument("--optimum", type=float, default=None, help="known optimum value")
     p.add_argument("--no-oracle", action="store_true", help="skip automatic oracle lookup")
     p.set_defaults(func=cmd_solve)
@@ -87,7 +87,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _reject_flags(args, flags: dict[str, str], where: str) -> None:
+    """Usage error naming the first of the flags (dest -> flag) that is
+    given although it does not apply to `where`."""
+    for dest, flag in flags.items():
+        if getattr(args, dest) is not None:
+            raise _UsageError(f"{flag} does not apply to {where}")
+
+
 def cmd_generate(args) -> int:
+    inapplicable = {"n": "--n"} if args.family == "inner" else {"h": "--h", "k": "--k"}
+    _reject_flags(args, inapplicable, f"family {args.family!r}")
     if args.family == "inner":
         if args.h is None or args.k is None:
             raise _UsageError("family 'inner' needs --h and --k")
@@ -107,7 +117,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    for flag, value in (("--budget", args.budget), ("--mu", args.mu), ("--lambda", args.lam)):
+    if args.algorithm == "rls":
+        _reject_flags(args, {"mu": "--mu", "lam": "--lambda", "mutation": "--mutation"}, "algorithm 'rls'")
+    mu = 1 if args.mu is None else args.mu
+    lam = 1 if args.lam is None else args.lam
+    for flag, value in (("--budget", args.budget), ("--mu", mu), ("--lambda", lam)):
         if value < 1:
             raise _UsageError(f"{flag} must be >= 1, got {value}")
     inst = read_instance(args.instance)
@@ -120,7 +134,7 @@ def cmd_solve(args) -> int:
         optimum = None if res is None else res.optimum_value
     instance_id = args.instance
     record = run_single(
-        inst, instance_id, args.algorithm, args.mu, args.lam, args.mutation,
+        inst, instance_id, args.algorithm, mu, lam, args.mutation or "two_opt",
         args.budget, args.seed, optimum,
     )
     sys.stdout.write(format_csv([record]))

@@ -139,42 +139,47 @@ def validate(points: Sequence, grid_size: int = 0) -> Instance:
     return Instance(tuple(pts), grid_size, hull)
 
 
-def generate_grid(n: int, m: int, seed: int) -> Instance:
-    """n distinct points uniform on the m x m grid, no three collinear.
+def _place_points(coords: list, count: int, m: int, rng: Xoshiro256StarStar, admissible, what: str) -> None:
+    """Append uniform draws on the m x m grid to coords until it holds
+    count points, rejecting taken cells and those not admissible(cand).
 
-    Candidates violating distinctness or collinearity are rejected and
-    redrawn one at a time. Deterministic given the seed. After m^2
-    rejections in a row, a scan of the free cells (no draws) gives up at
-    once if none is admissible."""
-    if m < 3:
-        raise ValueError(f"grid side must be >= 3, got {m}")
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    rng = Xoshiro256StarStar(seed)
-    coords: list[tuple[int, int]] = []
-    taken: set[tuple[int, int]] = set()
+    Gives up after RETRY_BUDGET draws, or at once when, after m^2
+    rejections in a row, a scan of the free cells (no draws) finds none
+    admissible."""
+    taken = set(coords)
     draws = rejected = 0
-    while len(coords) < n:
+    while len(coords) < count:
         if draws >= RETRY_BUDGET:
-            raise GenerationExhaustedError(
-                f"could not place {n} collinear-free points on a {m}x{m} grid "
-                f"within {RETRY_BUDGET} draws"
-            )
+            raise GenerationExhaustedError(f"could not place {what} within {RETRY_BUDGET} draws")
         cand = (rng.randbelow(m), rng.randbelow(m))
         draws += 1
-        if cand in taken or collinear_with_any(coords, cand):
+        if cand in taken or not admissible(cand):
             rejected += 1
-            if rejected == m * m and all(
-                collinear_with_any(coords, (x, y)) for x in range(m) for y in range(m) if (x, y) not in taken
+            if rejected == m * m and not any(
+                admissible((x, y)) for x in range(m) for y in range(m) if (x, y) not in taken
             ):
                 raise GenerationExhaustedError(
-                    f"could not place {n} collinear-free points on a {m}x{m} grid: "
-                    f"no free cell is admissible after {len(coords)} points"
+                    f"could not place {what}: no free cell is admissible after {len(coords)} points"
                 )
             continue
         rejected = 0
         coords.append(cand)
         taken.add(cand)
+
+
+def generate_grid(n: int, m: int, seed: int) -> Instance:
+    """n distinct points uniform on the m x m grid, no three collinear.
+
+    Candidates violating distinctness or collinearity are rejected and
+    redrawn one at a time, by _place_points. Deterministic given the
+    seed."""
+    if m < 3:
+        raise ValueError(f"grid side must be >= 3, got {m}")
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    coords: list[tuple[int, int]] = []
+    what = f"{n} collinear-free points on a {m}x{m} grid"
+    _place_points(coords, n, m, Xoshiro256StarStar(seed), lambda c: not collinear_with_any(coords, c), what)
     return validate(coords, grid_size=m)
 
 
@@ -260,9 +265,9 @@ def generate_with_inner(h: int, k: int, m: int, seed: int) -> Instance:
     """Instance with exactly h hull vertices and k strictly interior points.
 
     The hull part follows the convex generator; interior candidates are
-    rejection-sampled against containment, distinctness, and collinearity
-    with all previously placed points. Interior points cannot change the
-    hull, so the hull count stays exactly h.
+    rejection-sampled by _place_points against containment, distinctness,
+    and collinearity with all previously placed points. Interior points
+    cannot change the hull, so the hull count stays exactly h.
     """
     if h < 3:
         raise ValueError(f"need h >= 3 hull points, got {h}")
@@ -273,23 +278,11 @@ def generate_with_inner(h: int, k: int, m: int, seed: int) -> Instance:
     rng = Xoshiro256StarStar(seed)
     coords = _convex_coords(h, m, rng)
     hull_pts = [Point(i + 1, x, y) for i, (x, y) in enumerate(coords)]
-    taken = set(coords)
-    draws = 0
-    while len(coords) < h + k:
-        if draws >= RETRY_BUDGET:
-            raise GenerationExhaustedError(
-                f"could not place {k} interior points within {RETRY_BUDGET} draws"
-            )
-        cand = (rng.randbelow(m), rng.randbelow(m))
-        draws += 1
-        if cand in taken:
-            continue
-        if not point_strictly_inside(hull_pts, Point(0, cand[0], cand[1])):
-            continue
-        if collinear_with_any(coords, cand):
-            continue
-        coords.append(cand)
-        taken.add(cand)
+
+    def admissible(cand: tuple[int, int]) -> bool:
+        return point_strictly_inside(hull_pts, Point(0, *cand)) and not collinear_with_any(coords, cand)
+
+    _place_points(coords, h + k, m, rng, admissible, f"{k} interior points")
     return validate(coords, grid_size=m)
 
 

@@ -1,15 +1,18 @@
 """Exact ground truth at desk scale.
 
-Three independent routes to the optimal tour (full cycle enumeration,
-bitmask dynamic programming, and enumeration of hull-ordered
-interleavings) plus exhaustive enumeration of crossing-free tours. All
-final values come from the one shared tour_length routine, so equality
-checks across oracles are exact.
+Three routes to the optimal tour (full cycle enumeration, bitmask
+dynamic programming, and enumeration of hull-ordered interleavings)
+plus exhaustive enumeration of crossing-free tours. All final values
+come from the one shared tour_length routine, so equality checks across
+oracles are exact. Brute force (labels 4..n inserted into the cycle
+(1, 2, 3)) and hull order (inner labels inserted into the hull) build
+different sets through one insertion builder and block pricer, so brute
+force's independence comes from the tests' pure-Python reference_brute
+and from Held-Karp in criterion 1.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -25,7 +28,7 @@ _HELD_KARP_MAX_N = 18
 _INTERLEAVING_BUDGET = 10**6
 # a float-summed length within this factor of a minimum may tie it exactly
 _NEAR_TIE = 1.0 + 1e-9
-# rows of interleavings priced at once for the last inner point
+# rows of partial cycles priced at once for the last inserted label
 _BLOCK_ROWS = 4096
 
 
@@ -36,48 +39,10 @@ class OracleResult:
     method: str
 
 
-_perm_cache: dict[int, np.ndarray] = {}
-
-
 def _dist_array(instance: Instance) -> np.ndarray:
     """The distance matrix as an (n, n) float64 array, 0-based."""
     n = instance.n
     return np.array(instance.distance_matrix).reshape(n, n)
-
-
-def _perm_array(f: int) -> np.ndarray:
-    """All permutations of range(f) as an int8 array, cached."""
-    arr = _perm_cache.get(f)
-    if arr is None:
-        arr = np.array(list(itertools.permutations(range(f))), dtype=np.int8)
-        _perm_cache[f] = arr
-    return arr
-
-
-def _evaluate_blocks(instance: Instance) -> Iterator[np.ndarray]:
-    """Yield blocks of candidate optimal tours (0-based label rows).
-
-    Scans every distinct cycle: label 1 is fixed first and reflections
-    are quotiented by requiring the second label to sort below the last.
-    Each yielded block holds the rows within relative 1e-9 of the block
-    minimum; the caller re-evaluates them exactly.
-    """
-    n = instance.n
-    f = n - 1
-    dist = _dist_array(instance)
-
-    rest = np.arange(1, n, dtype=np.int8)
-    # one block per second label; the largest cannot sort below the last
-    for choice in range(f - 1):
-        others = np.delete(rest, choice)
-        sub = others[_perm_array(f - 1)]
-        head = np.full((sub.shape[0], 1), rest[choice], dtype=np.int8)
-        block = np.hstack([head, sub])
-        block = block[block[:, 0] < block[:, -1]]
-        full = np.hstack([np.zeros((block.shape[0], 1), dtype=np.int8), block])
-        lengths = dist[full[:, :-1], full[:, 1:]].sum(axis=1) + dist[full[:, -1], full[:, 0]]
-        keep = lengths <= lengths.min() * _NEAR_TIE
-        yield full[keep]
 
 
 def _shortest(instance: Instance, tours: Iterable[Tour], method: str) -> OracleResult:
@@ -98,12 +63,11 @@ def _shortest(instance: Instance, tours: Iterable[Tour], method: str) -> OracleR
 
 
 def brute_force_optimum(instance: Instance) -> OracleResult:
-    """Exhaustive scan over all (n-1)!/2 distinct cycles (n <= 11)."""
+    """Exhaustive scan over all (n-1)!/2 distinct cycles (n <= 11), by insertion into (1, 2, 3)."""
     n = instance.n
     if n > _BRUTE_MAX_N:
         raise TooLargeError(f"brute force accepts n <= {_BRUTE_MAX_N}, got {n}")
-    rows = (tuple(int(v) + 1 for v in row) for block in _evaluate_blocks(instance) for row in block)
-    return _shortest(instance, rows, "brute")
+    return _insertion_optimum(instance, (1, 2, 3), range(4, n + 1), "brute")
 
 
 def held_karp_optimum(instance: Instance) -> OracleResult:
@@ -195,17 +159,22 @@ def _insertion_costs(rows: np.ndarray, p: int, dist: np.ndarray) -> np.ndarray:
     return dist[rows, p] + dist[p, after] - dist[rows, after]
 
 
-def hull_order_optimum(instance: Instance) -> OracleResult:
-    """Minimum-length tour among hull-ordered interleavings.
+def _check_hull_order_budget(instance: Instance) -> None:
+    """TooLargeError, before anything is built, if C(n, k) * k! is over budget."""
+    count = interleaving_count(instance)
+    if count > _INTERLEAVING_BUDGET:
+        raise TooLargeError(f"hull-order enumeration budget exceeded: C(n,k)*k! = {count}")
 
-    Crossing-free tours keep hull order, and the optimum is crossing
-    free, so this superset always contains it. Budget-limited by
-    C(n, k) * k! <= 1e6, checked before anything is built.
 
-    The interleavings of all inner points but the last are built as
+def _insertion_optimum(instance: Instance, base: Sequence[int], inserted: Iterable[int], method: str) -> OracleResult:
+    """Minimum-length tour among the cycles built from the 1-based base
+    cycle by inserting the labels in order, each after any element of
+    the growing cycle (each such cycle arises exactly once).
+
+    The cycles with all labels but the last inserted are built as
     0-based label rows, in hull_order_tours' order, each with a float
-    length: the hull cycle's sum plus one insertion cost
-    d[a,p] + d[p,b] - d[a,b] per inner point. The last point's
+    length: the base cycle's sum plus one insertion cost
+    d[a,p] + d[p,b] - d[a,b] per inserted label. The last label's
     insertions are priced as a rows x positions matrix, _BLOCK_ROWS rows
     at a time, keeping the entries within _NEAR_TIE of the block's
     minimum and then of the minimum over all blocks. Only those tours
@@ -214,25 +183,22 @@ def hull_order_optimum(instance: Instance) -> OracleResult:
 
     Why no exactly minimal tour is dropped: every edge of a tour of
     length L is at most L/2, and each partial tour is no longer than the
-    full one up to rounding, so each of the h-1 additions of the hull sum
-    and the three operations per insertion is off by at most 2^-53 L. The
-    float length is within about (n + 3k) 2^-53 relative of the exact sum
-    of the tour's distances, and two tours whose fsum lengths are equal
-    differ in that sum by at most one unit in the last place. For any n
-    the budget admits that is far inside 1e-9, so a tour with the
-    minimal fsum length lies within _NEAR_TIE of every minimum it is
-    filtered against.
+    full one up to rounding, so each of the b-1 additions summing a base
+    cycle of b labels and the three operations per insertion is off by
+    at most 2^-53 L. The float length is within about (b + 3(n-b)) 2^-53
+    relative of the exact sum of the tour's distances, and two tours
+    whose fsum lengths are equal differ in that sum by at most one unit
+    in the last place. For any n the budgets admit that is far inside
+    1e-9, so a tour with the minimal fsum length lies within _NEAR_TIE
+    of every minimum it is filtered against.
     """
-    count = interleaving_count(instance)
-    if count > _INTERLEAVING_BUDGET:
-        raise TooLargeError(f"hull-order enumeration budget exceeded: C(n,k)*k! = {count}")
-    inner = [v - 1 for v in instance.inner_labels]
-    if not inner:
-        return _shortest(instance, [instance.hull], "hull_order")
+    inserted = [v - 1 for v in inserted]
+    if not inserted:
+        return _shortest(instance, [tuple(base)], method)
     dist = _dist_array(instance)
-    rows = (np.array([instance.hull]) - 1).astype(np.min_scalar_type(instance.n - 1))
+    rows = (np.array([base]) - 1).astype(np.min_scalar_type(instance.n - 1))
     lengths = dist[rows, np.roll(rows, -1, axis=1)].sum(axis=1)
-    for p in inner[:-1]:
+    for p in inserted[:-1]:
         width = rows.shape[1]
         # the row for an insertion after column cut: row[:cut+1] + [p] + row[cut+1:]
         slot = np.arange(width + 1)
@@ -241,7 +207,7 @@ def hull_order_optimum(instance: Instance) -> OracleResult:
         ext = np.hstack([rows, np.full((len(rows), 1), p, dtype=rows.dtype)])
         lengths = (lengths[:, None] + _insertion_costs(rows, p, dist)).reshape(-1)
         rows = ext[:, gather].reshape(-1, width + 1)
-    p = inner[-1]
+    p = inserted[-1]
     kept_rows, kept_cols, kept_lengths = [], [], []
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start : start + _BLOCK_ROWS]
@@ -259,7 +225,18 @@ def hull_order_optimum(instance: Instance) -> OracleResult:
         seq = [v + 1 for v in rows[i].tolist()]
         seq.insert(col + 1, p + 1)
         survivors.append(tuple(seq))
-    return _shortest(instance, survivors, "hull_order")
+    return _shortest(instance, survivors, method)
+
+
+def hull_order_optimum(instance: Instance) -> OracleResult:
+    """Minimum-length tour among hull-ordered interleavings.
+
+    Crossing-free tours keep hull order, and the optimum is crossing
+    free, so this superset always contains it. Budget-limited by
+    C(n, k) * k! <= 1e6, checked before anything is built.
+    """
+    _check_hull_order_budget(instance)
+    return _insertion_optimum(instance, instance.hull, instance.inner_labels, "hull_order")
 
 
 def enumerate_intersection_free(instance: Instance) -> list[Tour]:
@@ -268,10 +245,7 @@ def enumerate_intersection_free(instance: Instance) -> list[Tour]:
     Candidates are the hull-ordered interleavings (every crossing-free
     tour is one); each is filtered by the exact crossing scan.
     """
-    if interleaving_count(instance) > _INTERLEAVING_BUDGET:
-        raise TooLargeError(
-            f"enumeration budget exceeded: C(n,k)*k! = {interleaving_count(instance)}"
-        )
+    _check_hull_order_budget(instance)
     found = set()
     for t in hull_order_tours(instance):
         if is_intersection_free(instance, t):

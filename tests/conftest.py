@@ -355,6 +355,13 @@ def reference_held_karp(instance: Instance) -> OracleResult:
     return OracleResult(tour_length(instance, t), canonical_form(t), "held_karp")
 
 
+def reference_brute(instance: Instance) -> OracleResult:
+    """The shortest of all (n-1)!/2 distinct cycles, priced one by one with
+    tour_length in pure Python: the frozen reference the insertion-built
+    `brute_force_optimum` must match, independent of its block pricer."""
+    return _shortest(instance, all_cycles(instance.n), "brute")
+
+
 def reference_hull_order(instance: Instance) -> OracleResult:
     """The shortest hull-ordered interleaving by pricing every tour
     `hull_order_tours` yields with tour_length: the frozen reference the

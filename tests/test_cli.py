@@ -58,6 +58,26 @@ class TestGenerate:
         r = cli("generate", "--family", "inner", "--m", "256", "--out", str(tmp_path / "x.tsp"))
         assert r.returncode == 1
 
+    @pytest.mark.parametrize(
+        "flag, args",
+        [
+            ("--n", ("--family", "inner", "--h", "6", "--k", "2", "--n", "40")),
+            ("--h", ("--family", "grid", "--n", "8", "--h", "6")),
+            ("--k", ("--family", "convex", "--n", "8", "--k", "2")),
+        ],
+    )
+    def test_inapplicable_flag_rejected(self, tmp_path, monkeypatch, capsys, flag, args):
+        def must_not_run(*_):
+            raise AssertionError("ran before the flags were checked")
+
+        monkeypatch.setattr(tsplab.cli, "make_instance", must_not_run)
+        out = tmp_path / "x.tsp"
+        assert tsplab.cli.main(["generate", *args, "--m", "256", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert f"{flag} does not apply to family" in err
+        assert not out.exists()
+
     def test_deterministic_stdout(self, tmp_path):
         args = ("generate", "--family", "grid", "--n", "8", "--m", "64", "--seed", "5", "--out", str(tmp_path / "g.tsp"))
         assert cli(*args).stdout == cli(*args).stdout
@@ -123,6 +143,27 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ")
         assert f"{flag} must be >= 1" in err
+
+
+    @pytest.mark.parametrize(
+        "flag, args", [("--mu", ("--mu", "4")), ("--lambda", ("--lambda", "2")), ("--mutation", ("--mutation", "mixed"))]
+    )
+    def test_ea_flags_rejected_for_rls(self, square_file, monkeypatch, capsys, flag, args):
+        def must_not_run(*_):
+            raise AssertionError("ran before the flags were checked")
+
+        monkeypatch.setattr(tsplab.cli, "read_instance", must_not_run)
+        argv = ["solve", str(square_file), "--algorithm", "rls", "--budget", "10", *args]
+        assert tsplab.cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert f"{flag} does not apply to algorithm 'rls'" in err
+
+    def test_ea_defaults_when_flags_absent(self, square_file):
+        r = cli("solve", str(square_file), "--algorithm", "ea", "--budget", "50", "--seed", "4")
+        assert r.returncode == 0
+        rec = dict(zip(CSV_COLUMNS, r.stdout.strip().splitlines()[1].split(",")))
+        assert (rec["mu"], rec["lambda"], rec["mutation"]) == ("1", "1", "two_opt")
 
 
 class TestOracleCmd:

@@ -32,9 +32,9 @@ from tsplab.rng import Xoshiro256StarStar
 from conftest import brute_hull
 
 
-def count_grid_work(monkeypatch, n, m, seed):
-    """generate_grid(n, m, seed) with its raw draws and collinearity checks
-    counted: (instance or the GenerationExhaustedError raised, draws, checks)."""
+def count_generator_work(monkeypatch, gen, *args):
+    """gen(*args) with its raw draws and collinearity checks counted:
+    (instance or the GenerationExhaustedError raised, draws, checks)."""
     counts = {"draws": 0, "checks": 0}
     check = tsplab.instance.collinear_with_any
 
@@ -51,7 +51,7 @@ def count_grid_work(monkeypatch, n, m, seed):
         mp.setattr(tsplab.instance, "Xoshiro256StarStar", Counting)
         mp.setattr(tsplab.instance, "collinear_with_any", counted_check)
         try:
-            result = generate_grid(n, m, seed)
+            result = gen(*args)
         except GenerationExhaustedError as exc:
             result = exc
     return result, counts["draws"], counts["checks"]
@@ -111,7 +111,7 @@ class TestGenerateGrid:
     def test_full_grid_fails_far_below_the_budget(self, monkeypatch, n, m, seed):
         # once no free cell is admissible, m^2 more rejected candidates
         # (two draws each) and one scan end the run
-        result, draws, _ = count_grid_work(monkeypatch, n, m, seed)
+        result, draws, _ = count_generator_work(monkeypatch, generate_grid, n, m, seed)
         assert isinstance(result, GenerationExhaustedError)
         assert "no free cell is admissible" in str(result)
         assert draws < RETRY_BUDGET // 1000
@@ -127,7 +127,7 @@ class TestGenerateGrid:
         ],
     )
     def test_scan_with_an_admissible_cell_keeps_drawing(self, monkeypatch, n, m, seed, coords):
-        inst, draws, checks = count_grid_work(monkeypatch, n, m, seed)
+        inst, draws, checks = count_generator_work(monkeypatch, generate_grid, n, m, seed)
         assert [(p.x, p.y) for p in inst.points] == coords
         # every candidate is checked at most once, so extra checks are a scan
         assert checks > draws // 2
@@ -195,6 +195,15 @@ class TestGenerateWithInner:
     def test_hull_matches_half_plane_oracle(self):
         inst = generate_with_inner(6, 3, 256, 21)
         assert set(inst.hull) == brute_hull(inst.points)
+
+    @pytest.mark.parametrize("h,k,m,seed", [(3, 30, 24, 1), (4, 40, 32, 1)])
+    def test_full_interior_fails_far_below_the_budget(self, monkeypatch, h, k, m, seed):
+        # the interior fills after about 500 and 1300 candidates (two raw
+        # draws each); m^2 more rejected candidates and one scan end the run
+        result, draws, _ = count_generator_work(monkeypatch, generate_with_inner, h, k, m, seed)
+        assert isinstance(result, GenerationExhaustedError)
+        assert "no free cell is admissible" in str(result)
+        assert draws < RETRY_BUDGET // 100
 
 
 class TestPinnedOutput:

@@ -37,6 +37,7 @@ from conftest import (
     _cross_sign,
     all_cycles,
     crossing_count_fractions,
+    reference_brute,
     reference_held_karp,
     reference_hull_order,
 )
@@ -183,6 +184,23 @@ class TestAgainstFrozenReferences:
             _assert_hull_order_matches_reference(validate(coords))
 
     @settings(max_examples=40)
+    @given(tie_heavy_grid(8), st.sampled_from([1, 3, 4096]))
+    # the pinned ties of test_hull_order_tie_heavy_grids
+    @example([(2, 2), (3, 2), (0, 0), (2, 3), (3, 6), (6, 1), (1, 5)], 4096)
+    @example([(7, 7), (0, 0), (3, 7), (4, 5), (6, 2), (5, 6), (6, 4), (0, 4), (4, 2), (7, 1)], 4096)
+    @example([(0, 3), (5, 0), (0, 5), (5, 5), (4, 3), (3, 0), (4, 4), (3, 4)], 4096)
+    def test_brute_tie_heavy_grids(self, coords, block_rows):
+        inst = validate(coords)
+        with mock.patch.object(oracle, "_BLOCK_ROWS", block_rows):
+            assert brute_force_optimum(inst) == reference_brute(inst)
+
+    @settings(max_examples=40)
+    @given(wide_points(8))
+    def test_brute_at_the_32_bit_edge(self, coords):
+        inst = validate(coords)
+        assert brute_force_optimum(inst) == reference_brute(inst)
+
+    @settings(max_examples=40)
     @given(inner_instance(), st.sampled_from([2, 4096]))
     def test_inner_instances(self, inst, block_rows):
         with mock.patch.object(oracle, "_BLOCK_ROWS", block_rows):
@@ -237,6 +255,18 @@ class TestOracleMemory:
             tracemalloc.stop()
         assert peak < 40 * 2**20
         assert res.optimum_value == hull_order_optimum(inst).optimum_value
+
+    def test_brute_force_n11_peak(self):
+        inst = generate_grid(11, 64, 3)
+        inst.distance_matrix  # built before the measurement
+        tracemalloc.start()
+        try:
+            res = brute_force_optimum(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert res.optimum_value == held_karp_optimum(inst).optimum_value
 
     def test_hull_order_budget_checked_before_any_array(self):
         inst = generate_with_inner(5, 9, 512, 31)
