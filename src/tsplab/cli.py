@@ -8,16 +8,11 @@ infeasibility.
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 
-from .errors import (
-    CollinearTripleError,
-    DuplicatePointError,
-    GenerationExhaustedError,
-    ParseError,
-    TooLargeError,
-    TooSmallError,
-)
+from .errors import TsplabError
 from .experiment import (
     format_csv,
     make_instance,
@@ -124,6 +119,8 @@ def cmd_solve(args) -> int:
     for flag, value in (("--budget", args.budget), ("--mu", mu), ("--lambda", lam)):
         if value < 1:
             raise _UsageError(f"{flag} must be >= 1, got {value}")
+    if args.optimum is not None and not (math.isfinite(args.optimum) and args.optimum > 0):
+        raise _UsageError(f"--optimum must be finite and > 0, got {args.optimum}")
     inst = read_instance(args.instance)
     if args.optimum is not None:
         optimum = args.optimum
@@ -157,6 +154,12 @@ def cmd_oracle(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = parse_config(args.config)
+    # checked now: write_csv opens out only after every run
+    out_dir = os.path.dirname(cfg.out) or "."
+    if os.path.isdir(cfg.out):
+        raise TsplabError(f"out = {cfg.out} is a directory")
+    if not os.path.isdir(out_dir):
+        raise TsplabError(f"out = {cfg.out}: directory {out_dir} does not exist")
     records, summary = run_experiment(cfg)
     write_csv(records, cfg.out)
     print(f"wrote {len(records)} runs to {cfg.out}")
@@ -165,8 +168,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_mutation_stats(args) -> int:
-    stats = mutation_statistics(args.n, args.samples, args.seed)
-    e = stats
+    e = mutation_statistics(args.n, args.samples, args.seed)
     print(f"n={e['n']} samples={e['samples']} seed={e['seed']}")
     for name in ("p_one_inversion", "p_two_inversions", "p_four_inversions", "mixed_inversion_branch"):
         target = e[f"{name}_target"]
@@ -187,15 +189,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, TooSmallError, DuplicatePointError, CollinearTripleError, ValueError) as exc:
+    except (TsplabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (GenerationExhaustedError, TooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 1)
 
 
 def run() -> None:

@@ -2,7 +2,12 @@
 
 
 class TsplabError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    exit_code is the CLI's exit status for the error: 1 for bad input,
+    2 for generation or oracle infeasibility."""
+
+    exit_code = 1
 
 
 class TooSmallError(TsplabError):
@@ -28,9 +33,13 @@ class CollinearTripleError(TsplabError):
 class GenerationExhaustedError(TsplabError):
     """Rejection sampling hit its retry budget; parameters too dense."""
 
+    exit_code = 2
+
 
 class TooLargeError(TsplabError):
     """Instance exceeds an exact oracle's size budget."""
+
+    exit_code = 2
 
 
 class ParseError(TsplabError):

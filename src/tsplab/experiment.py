@@ -1,10 +1,13 @@
 """Batch experiment harness: config parsing, run records, CSV, summaries.
 
-Experiments are deterministic functions of the config file: instance
-seeds derive from base_seed and the cell index, run i inside a cell uses
-seed base_seed + i (so sweeps over mutation kinds are seed-paired), and
-rows are emitted in (cell, run) order. Rerunning a config reproduces the
-CSV byte for byte.
+Experiments are deterministic functions of the config file. The sizes
+are the n values, or the (h, k) pairs h-major; size i (1-based) gets one
+instance with seed base_seed + 100003 i, shared by every mutation kind.
+Every instance and its optimum are built before the first run, so a size
+that cannot be built fails before any search. Rows then come in (size,
+mutation, run) order, and run r uses seed base_seed + r, so sweeps over
+mutation kinds are seed-paired. Rerunning a config reproduces the CSV
+byte for byte.
 """
 
 from __future__ import annotations
@@ -241,38 +244,25 @@ def run_single(
     )
 
 
-def _cells(cfg: ExperimentConfig):
-    if cfg.family == "inner":
-        for h in cfg.h_values:
-            for k in cfg.k_values:
-                for mut in cfg.mutations:
-                    yield {"h": h, "k": k}, mut
-    else:
-        for n in cfg.n_values:
-            for mut in cfg.mutations:
-                yield {"n": n}, mut
-
-
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[RunRecord], str]:
     """All runs of a config, in deterministic order, plus the summary text."""
-    records: list[RunRecord] = []
-    instances: dict[tuple, tuple[str, Instance, Optional[float]]] = {}
-    for cell_index, (params, mutation) in enumerate(_cells(cfg)):
-        inst_key = tuple(sorted(params.items()))
-        if inst_key not in instances:
-            # one instance per parameter cell, shared across mutation kinds
-            iseed = cfg.base_seed + _INSTANCE_SEED_STRIDE * (len(instances) + 1)
-            instance_id, inst = make_instance(cfg.family, params, cfg.m, iseed)
-            res = strongest_oracle(inst)
-            instances[inst_key] = (instance_id, inst, None if res is None else res.optimum_value)
-        instance_id, inst, optimum = instances[inst_key]
-        for run_index in range(cfg.runs):
-            seed = cfg.base_seed + run_index
-            records.append(
-                run_single(
-                    inst, instance_id, cfg.algorithm, cfg.mu, cfg.lam, mutation, cfg.budget, seed, optimum
-                )
-            )
+    if cfg.family == "inner":
+        sizes = [{"h": h, "k": k} for h in cfg.h_values for k in cfg.k_values]
+    else:
+        sizes = [{"n": n} for n in cfg.n_values]
+    built = []
+    for i, params in enumerate(sizes, start=1):
+        instance_id, inst = make_instance(cfg.family, params, cfg.m, cfg.base_seed + _INSTANCE_SEED_STRIDE * i)
+        res = strongest_oracle(inst)
+        built.append((instance_id, inst, None if res is None else res.optimum_value))
+    records = [
+        run_single(
+            inst, instance_id, cfg.algorithm, cfg.mu, cfg.lam, mutation, cfg.budget, cfg.base_seed + r, optimum
+        )
+        for instance_id, inst, optimum in built
+        for mutation in cfg.mutations
+        for r in range(cfg.runs)
+    ]
     return records, format_summary(records)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import cached_property
 from typing import Sequence
 
 from .errors import (
@@ -38,18 +39,12 @@ class Instance:
     generator, not directly.
     """
 
-    __slots__ = ("points", "grid_size", "hull", "inner_labels", "_metrics", "_dist", "_xs", "_ys")
-
     def __init__(self, points: tuple[Point, ...], grid_size: int, hull: tuple[int, ...]):
         self.points = points
         self.grid_size = grid_size
         self.hull = hull
         hull_set = set(hull)
         self.inner_labels = tuple(p.id for p in points if p.id not in hull_set)
-        self._metrics = None
-        self._dist = None
-        self._xs = None
-        self._ys = None
 
     @property
     def n(self) -> int:
@@ -59,33 +54,26 @@ class Instance:
     def inner_count(self) -> int:
         return len(self.inner_labels)
 
-    @property
+    @cached_property
     def metrics(self):
-        if self._metrics is None:
-            self._metrics = instance_metrics(self.points)
-        return self._metrics
+        return instance_metrics(self.points)
 
-    @property
+    @cached_property
     def distance_matrix(self) -> tuple[float, ...]:
         """Flat row-major n*n matrix indexed by 0-based labels."""
-        if self._dist is None:
-            n = len(self.points)
-            d = [0.0] * (n * n)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    v = distance(self.points[i], self.points[j])
-                    d[i * n + j] = v
-                    d[j * n + i] = v
-            self._dist = tuple(d)
-        return self._dist
+        n = len(self.points)
+        d = [0.0] * (n * n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                v = distance(self.points[i], self.points[j])
+                d[i * n + j] = v
+                d[j * n + i] = v
+        return tuple(d)
 
-    @property
+    @cached_property
     def coords(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(xs, ys) indexed by 0-based label."""
-        if self._xs is None:
-            self._xs = tuple(p.x for p in self.points)
-            self._ys = tuple(p.y for p in self.points)
-        return self._xs, self._ys
+        return tuple(p.x for p in self.points), tuple(p.y for p in self.points)
 
     def point(self, label: int) -> Point:
         return self.points[label - 1]

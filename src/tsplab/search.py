@@ -105,6 +105,11 @@ def _slice_table(n: int) -> tuple[tuple[int, int, int], ...]:
     return table
 
 
+def _check_optimum(optimum_value: Optional[float]) -> None:
+    if optimum_value is not None and not (math.isfinite(optimum_value) and optimum_value > 0):
+        raise ValueError(f"optimum_value must be finite and > 0, got {optimum_value!r}")
+
+
 def _random_perm0(n: int, rng: Xoshiro256StarStar) -> list[int]:
     perm = list(range(n))
     rng.shuffle(perm)
@@ -194,6 +199,7 @@ def run_rls(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    _check_optimum(optimum_value)
     n = instance.n
     rng = Xoshiro256StarStar(seed)
     perm = _random_perm0(n, rng)
@@ -426,6 +432,7 @@ def run_ea(
     the classified tour's edges the new best lacks, and the new best's
     edges it lacked.
     """
+    _check_optimum(optimum_value)
     n = instance.n
     mu = config.mu
     lam = config.lam

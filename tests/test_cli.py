@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsplab.cli
+import tsplab.experiment
 from tsplab import read_instance, read_tour
-from tsplab.errors import ParseError, TsplabError
+from tsplab.errors import GenerationExhaustedError, ParseError, TsplabError
 from tsplab.experiment import CSV_COLUMNS, parse_config, run_experiment, write_csv
 
 from conftest import SRC_DIR, cli_env
@@ -144,7 +145,17 @@ class TestSolve:
         assert err.startswith("usage error: ")
         assert f"{flag} must be >= 1" in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])
+    def test_bad_optimum_rejected_before_any_work(self, square_file, monkeypatch, capsys, value):
+        def must_not_run(*_):
+            raise AssertionError("ran before the flags were checked")
 
+        monkeypatch.setattr(tsplab.cli, "read_instance", must_not_run)
+        argv = ["solve", str(square_file), "--algorithm", "rls", "--budget", "10", f"--optimum={value}"]
+        assert tsplab.cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert "--optimum must be finite and > 0" in err
     @pytest.mark.parametrize(
         "flag, args", [("--mu", ("--mu", "4")), ("--lambda", ("--lambda", "2")), ("--mutation", ("--mutation", "mixed"))]
     )
@@ -254,6 +265,68 @@ out = {out}
         assert r.returncode == 1
         assert "line 2" in r.stderr
 
+    @pytest.mark.parametrize(
+        "out, message",
+        [("nodir/runs.csv", "directory {d}/nodir does not exist"), ("", "{d}/ is a directory")],
+        ids=["missing_directory", "directory"],
+    )
+    def test_unwritable_out_rejected_before_any_instance(self, tmp_path, monkeypatch, capsys, out, message):
+        def must_not_run(*_):
+            raise AssertionError("built an instance before out was checked")
+
+        monkeypatch.setattr(tsplab.experiment, "make_instance", must_not_run)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIG.format(out=f"{tmp_path}/{out}"), encoding="utf-8")
+        assert tsplab.cli.main(["experiment", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: out = {tmp_path}/{out}")
+        assert message.format(d=tmp_path) in err
+
+    def test_existing_out_untouched_when_a_size_fails(self, tmp_path, monkeypatch):
+        def exhausted(*_):
+            raise GenerationExhaustedError("no room")
+
+        monkeypatch.setattr(tsplab.experiment, "make_instance", exhausted)
+        cfg = tmp_path / "exp.cfg"
+        out = tmp_path / "runs.csv"
+        out.write_text("earlier results\n", encoding="utf-8")
+        cfg.write_text(self.CONFIG.format(out=out), encoding="utf-8")
+        assert tsplab.cli.main(["experiment", str(cfg)]) == 2
+        assert out.read_text(encoding="utf-8") == "earlier results\n"
+
+
+class TestTwoPhases:
+    """run_experiment builds every instance and its optimum before the first run."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name in ("make_instance", "strongest_oracle", "run_single"):
+            def spy(*args, _name=name, _real=getattr(tsplab.experiment, name)):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(tsplab.experiment, name, spy)
+        return calls
+
+    def test_every_size_built_before_the_first_run(self, tmp_path, calls):
+        cfg = tmp_path / "inner.cfg"
+        cfg.write_text(TestCsvContract.CONFIGS["inner"] + f"out = {tmp_path / 'o.csv'}\n", encoding="utf-8")
+        records, _ = run_experiment(parse_config(cfg))
+        assert len(records) == 4 * 2 * 2  # (h, k) pairs x mutations x runs
+        assert calls == ["make_instance", "strongest_oracle"] * 4 + ["run_single"] * len(records)
+
+    def test_unplaceable_size_fails_before_any_run(self, tmp_path, calls):
+        cfg = tmp_path / "full.cfg"
+        cfg.write_text(
+            "family = grid\nn = 12, 40\nm = 16\nalgorithm = rls\nbudget = 1000000\nruns = 5\n"
+            f"base_seed = 1\nout = {tmp_path / 'o.csv'}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(GenerationExhaustedError, match="no free cell is admissible"):
+            run_experiment(parse_config(cfg))
+        assert calls == ["make_instance", "strongest_oracle", "make_instance"]
+
 
 class TestCsvContract:
     """The run CSV's bytes, pinned across commits.
@@ -261,7 +334,9 @@ class TestCsvContract:
     RLS without an optimum leaves mu, lambda, mutation and optimum_length
     empty; the (2+3) EA with a Held-Karp optimum leaves
     reached_local_optimum empty. Together the two files hold every cell
-    type: strings, ints, floats, true, false and empty.
+    type: strings, ints, floats, true, false and empty. The inner file
+    pins the instance seeds over several (h, k) sizes, h-major, and the
+    (size, mutation, run) row order.
     """
 
     CONFIGS = {
@@ -270,13 +345,18 @@ class TestCsvContract:
             "family = grid\nn = 8\nm = 64\nalgorithm = ea\nmu = 2\nlambda = 3\nmutation = two_opt,mixed\n"
             "budget = 2000\nruns = 2\nbase_seed = 5\n"
         ),
+        "inner": (
+            "family = inner\nh = 6,7\nk = 1,2\nm = 64\nalgorithm = ea\nmutation = two_opt,mixed\n"
+            "budget = 2000\nruns = 2\nbase_seed = 5\n"
+        ),
     }
     SHA256 = {
         "rls": "ca9af9f7a78f6e33b8e83dd40eb212f25dc2e4810e950dcd71451d7981e78ccb",
         "ea": "82ed1c6aba38d580fe56d00abf736756391c88b32131e8a2b28e12e8c75bb73c",
+        "inner": "81a05f8626897137e52f565b85d01a154a4270ff83956e950fbc27e7ead91ba0",
     }
 
-    @pytest.mark.parametrize("name", ["rls", "ea"])
+    @pytest.mark.parametrize("name", ["rls", "ea", "inner"])
     def test_pinned_bytes(self, tmp_path, name):
         cfg = tmp_path / f"{name}.cfg"
         out = tmp_path / f"{name}.csv"

@@ -190,6 +190,12 @@ class TestRunRLS:
         assert traj.reached_optimum
         assert abs(traj.final_length - opt) <= opt * 1e-12
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -5.0])
+    def test_optimum_must_be_finite_and_positive(self, square, bad):
+        # abs(x - inf) <= inf * 1e-12 holds for every x: inf would count as reached at once
+        with pytest.raises(ValueError, match="optimum_value must be finite and > 0"):
+            run_rls(square, 100, seed=1, optimum_value=bad)
+
 
 class TestRunEA:
     def test_square_one_plus_one(self, square):
@@ -236,6 +242,12 @@ class TestRunEA:
             cfg = EAConfig(mu=1, lam=1, mutation=MutationSpec("two_opt"), max_generations=3000, seed=seed)
             traj = run_ea(inst, cfg, optimum_value=opt)
             assert traj.final_length >= opt * (1 - 1e-12)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -5.0])
+    def test_optimum_must_be_finite_and_positive(self, square, bad):
+        cfg = EAConfig(mu=1, lam=1, max_generations=100, seed=1)
+        with pytest.raises(ValueError, match="optimum_value must be finite and > 0"):
+            run_ea(square, cfg, optimum_value=bad)
 
 
 class ScriptedRng(Xoshiro256StarStar):
