@@ -13,15 +13,8 @@ import os
 import sys
 
 from .errors import TsplabError
-from .experiment import (
-    format_csv,
-    make_instance,
-    parse_config,
-    run_experiment,
-    run_single,
-    strongest_oracle,
-    write_csv,
-)
+from .experiment import FAMILY_SIZE_KEYS, SIZE_KEYS, format_csv, make_instance, parse_config, run_experiment
+from .experiment import run_single, strongest_oracle, write_csv
 from .instance import read_instance, write_instance, write_tour
 from .oracle import brute_force_optimum, held_karp_optimum, hull_order_optimum
 from .search import mutation_statistics
@@ -42,10 +35,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate an instance file")
-    p.add_argument("--family", required=True, choices=["grid", "convex", "inner"])
-    p.add_argument("--n", type=int, help="point count (grid, convex)")
-    p.add_argument("--h", type=int, help="hull point count (inner)")
-    p.add_argument("--k", type=int, help="interior point count (inner)")
+    p.add_argument("--family", required=True, choices=list(FAMILY_SIZE_KEYS))
+    for key, what in (("n", "point count"), ("h", "hull point count"), ("k", "interior point count")):
+        families = ", ".join(f for f, keys in FAMILY_SIZE_KEYS.items() if key in keys)
+        p.add_argument(f"--{key}", type=int, help=f"{what} ({families})")
     p.add_argument("--m", type=int, required=True, help="grid side length")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="instance file to write")
@@ -91,16 +84,11 @@ def _reject_flags(args, flags: dict[str, str], where: str) -> None:
 
 
 def cmd_generate(args) -> int:
-    inapplicable = {"n": "--n"} if args.family == "inner" else {"h": "--h", "k": "--k"}
-    _reject_flags(args, inapplicable, f"family {args.family!r}")
-    if args.family == "inner":
-        if args.h is None or args.k is None:
-            raise _UsageError("family 'inner' needs --h and --k")
-        params = {"h": args.h, "k": args.k}
-    else:
-        if args.n is None:
-            raise _UsageError(f"family {args.family!r} needs --n")
-        params = {"n": args.n}
+    keys = FAMILY_SIZE_KEYS[args.family]
+    _reject_flags(args, {key: f"--{key}" for key in SIZE_KEYS if key not in keys}, f"family {args.family!r}")
+    params = {key: getattr(args, key) for key in keys}
+    if None in params.values():
+        raise _UsageError(f"family {args.family!r} needs " + " and ".join(f"--{key}" for key in keys))
     _, inst = make_instance(args.family, params, args.m, args.seed)
     write_instance(inst, args.out)
     metrics = inst.metrics

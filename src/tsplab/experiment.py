@@ -1,8 +1,12 @@
 """Batch experiment harness: config parsing, run records, CSV, summaries.
 
+FAMILY_SIZE_KEYS is the one list of the instance families and their size
+keys; config parsing, size sweeps, instance ids and `tsplab generate` read it.
+
 Experiments are deterministic functions of the config file. The sizes
-are the n values, or the (h, k) pairs h-major; size i (1-based) gets one
-instance with seed base_seed + 100003 i, shared by every mutation kind.
+are the product of the family's size lists in key order ((h, k) h-major);
+size i (1-based) gets one instance with seed base_seed + 100003 i, shared
+by every mutation kind.
 Every instance and its optimum are built before the first run, so a size
 that cannot be built fails before any search. Rows then come in (size,
 mutation, run) order, and run r uses seed base_seed + r, so sweeps over
@@ -12,20 +16,25 @@ byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import statistics
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Optional
 
-from .errors import ParseError
+from .errors import ParseError, TooLargeError
 from .instance import Instance, generate_convex, generate_grid, generate_with_inner, parse_int
-from .oracle import _INTERLEAVING_BUDGET, OracleResult, held_karp_optimum, hull_order_optimum, interleaving_count
+from .oracle import OracleResult, held_karp_optimum, hull_order_optimum
 from .search import EAConfig, MutationSpec, run_ea, run_rls
 
 # instance seeds sit far away from run seeds (base_seed + run index)
 _INSTANCE_SEED_STRIDE = 100003
 
 _HELD_KARP_AUTO_MAX_N = 16
+
+# each family's size keys, in the order its generator takes them
+FAMILY_SIZE_KEYS = {"grid": ("n",), "convex": ("n",), "inner": ("h", "k")}
+SIZE_KEYS = tuple(dict.fromkeys(key for keys in FAMILY_SIZE_KEYS.values() for key in keys))
 
 
 @dataclass
@@ -71,7 +80,7 @@ CSV_COLUMNS = ["lambda" if f.name == "lam" else f.name for f in fields(RunRecord
 
 @dataclass
 class ExperimentConfig:
-    family: str  # grid | convex | inner
+    family: str  # a FAMILY_SIZE_KEYS key
     m: int
     algorithm: str  # rls | ea
     budget: int
@@ -83,11 +92,11 @@ class ExperimentConfig:
     k_values: list[int]
     mu: int = 1
     lam: int = 1
-    mutations: Optional[list[str]] = None
+    mutations: Optional[list[str]] = None  # None: two_opt for ea, no mutation for rls
 
 
 _INT_KEYS = {"m", "budget", "runs", "base_seed", "mu", "lambda"}
-_LIST_KEYS = {"n", "h", "k", "mutation"}
+_LIST_KEYS = {*SIZE_KEYS, "mutation"}
 _STR_KEYS = {"family", "algorithm", "out"}
 
 
@@ -140,28 +149,20 @@ def parse_config(path) -> ExperimentConfig:
         return values[key]
 
     family = need("family")
-    if family not in ("grid", "convex", "inner"):
-        raise ParseError(f"family must be grid, convex, or inner, got {family!r}")
+    if family not in FAMILY_SIZE_KEYS:
+        *head, last = FAMILY_SIZE_KEYS
+        raise ParseError(f"family must be {', '.join(head)}, or {last}, got {family!r}")
     algorithm = need("algorithm")
     if algorithm not in ("rls", "ea"):
         raise ParseError(f"algorithm must be rls or ea, got {algorithm!r}")
-    inapplicable = {"grid": ("h", "k"), "convex": ("h", "k"), "inner": ("n",)}[family]
-    for key in inapplicable:
-        if key in values:
+    for key in SIZE_KEYS:
+        if key in values and key not in FAMILY_SIZE_KEYS[family]:
             raise ParseError(f"line {line_of[key]}: {key!r} does not apply to family {family!r}")
     if algorithm == "rls":
         for key in ("mutation", "mu", "lambda"):
             if key in values:
                 raise ParseError(f"line {line_of[key]}: {key!r} does not apply to algorithm 'rls'")
-    if family == "inner":
-        h_values = need("h")
-        k_values = need("k")
-        n_values = []
-    else:
-        n_values = need("n")
-        h_values = []
-        k_values = []
-    mutations = values.get("mutation", ["two_opt"]) if algorithm == "ea" else [""]
+    size_lists = {f"{key}_values": need(key) if key in FAMILY_SIZE_KEYS[family] else [] for key in SIZE_KEYS}
     return ExperimentConfig(
         family=family,
         m=need("m"),
@@ -170,12 +171,10 @@ def parse_config(path) -> ExperimentConfig:
         runs=need("runs"),
         base_seed=need("base_seed"),
         out=need("out"),
-        n_values=n_values,
-        h_values=h_values,
-        k_values=k_values,
+        **size_lists,
         mu=values.get("mu", 1),
         lam=values.get("lambda", 1),
-        mutations=mutations,
+        mutations=values.get("mutation"),
     )
 
 
@@ -183,20 +182,18 @@ def strongest_oracle(instance: Instance) -> Optional[OracleResult]:
     """Best exact optimum the oracles can afford, or None."""
     if instance.n <= _HELD_KARP_AUTO_MAX_N:
         return held_karp_optimum(instance)
-    if interleaving_count(instance) <= _INTERLEAVING_BUDGET:
+    try:
         return hull_order_optimum(instance)
-    return None
+    except TooLargeError:
+        return None
 
 
 def make_instance(family: str, params: dict, m: int, seed: int) -> tuple[str, Instance]:
-    if family == "grid":
-        inst = generate_grid(params["n"], m, seed)
-        return f"grid-n{params['n']}-m{m}-s{seed}", inst
-    if family == "convex":
-        inst = generate_convex(params["n"], m, seed)
-        return f"convex-n{params['n']}-m{m}-s{seed}", inst
-    inst = generate_with_inner(params["h"], params["k"], m, seed)
-    return f"inner-h{params['h']}-k{params['k']}-m{m}-s{seed}", inst
+    # looked up per call, so that a generator rebound in this module after import is the one called
+    generate = {"grid": generate_grid, "convex": generate_convex, "inner": generate_with_inner}[family]
+    keys = FAMILY_SIZE_KEYS[family]
+    inst = generate(*(params[key] for key in keys), m, seed)
+    return family + "".join(f"-{key}{params[key]}" for key in keys) + f"-m{m}-s{seed}", inst
 
 
 def run_single(
@@ -246,10 +243,10 @@ def run_single(
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[RunRecord], str]:
     """All runs of a config, in deterministic order, plus the summary text."""
-    if cfg.family == "inner":
-        sizes = [{"h": h, "k": k} for h in cfg.h_values for k in cfg.k_values]
-    else:
-        sizes = [{"n": n} for n in cfg.n_values]
+    keys = FAMILY_SIZE_KEYS[cfg.family]
+    sizes = [dict(zip(keys, v)) for v in itertools.product(*(getattr(cfg, f"{key}_values") for key in keys))]
+    default_mutations = ["two_opt"] if cfg.algorithm == "ea" else [""]
+    mutations = default_mutations if cfg.mutations is None else cfg.mutations
     built = []
     for i, params in enumerate(sizes, start=1):
         instance_id, inst = make_instance(cfg.family, params, cfg.m, cfg.base_seed + _INSTANCE_SEED_STRIDE * i)
@@ -260,7 +257,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[RunRecord], str]:
             inst, instance_id, cfg.algorithm, cfg.mu, cfg.lam, mutation, cfg.budget, cfg.base_seed + r, optimum
         )
         for instance_id, inst, optimum in built
-        for mutation in cfg.mutations
+        for mutation in mutations
         for r in range(cfg.runs)
     ]
     return records, format_summary(records)

@@ -13,7 +13,8 @@ Trajectory accounting: each executed step/generation is classified by
 the best-so-far tour before the step -- alpha if the tour has crossing
 edges, beta if it is crossing-free but not optimal. The run stops as
 soon as the best-so-far tour matches a supplied optimum value, so
-generations always equals alpha_steps + beta_steps. Neither loop counts
+generations always equals alpha_steps + beta_steps; a tour shorter than
+that value raises ValueError where it is compared. Neither loop counts
 crossings: each keeps a crossing witness (see _witness) and updates it
 from the edges that changed, by one rule (_update_witness). run_rls
 diffs its tour before and after an accepted inversion; run_ea diffs each
@@ -108,6 +109,10 @@ def _slice_table(n: int) -> tuple[tuple[int, int, int], ...]:
 def _check_optimum(optimum_value: Optional[float]) -> None:
     if optimum_value is not None and not (math.isfinite(optimum_value) and optimum_value > 0):
         raise ValueError(f"optimum_value must be finite and > 0, got {optimum_value!r}")
+
+
+def _below_optimum(optimum_value: float, length: float) -> ValueError:
+    return ValueError(f"optimum_value {optimum_value!r} is above a tour of length {length!r}")
 
 
 def _random_perm0(n: int, rng: Xoshiro256StarStar) -> list[int]:
@@ -227,7 +232,10 @@ def run_rls(
     revalidate_at = _REVALIDATE_EVERY
 
     def _confirm_optimum() -> bool:
-        return abs(_fsum_length(d, n, perm) - optimum_value) <= opt_tol
+        length = _fsum_length(d, n, perm)
+        if length - optimum_value < -opt_tol:
+            raise _below_optimum(optimum_value, length)
+        return length - optimum_value <= opt_tol
 
     if opt_hi is not None and cur_len <= opt_hi and _confirm_optimum():
         reached_optimum = True
@@ -469,7 +477,9 @@ def run_ea(
 
     while True:
         best = pop[0]
-        if opt_tol is not None and abs(best[0] - optimum_value) <= opt_tol:
+        if opt_tol is not None and best[0] - optimum_value <= opt_tol:
+            if best[0] - optimum_value < -opt_tol:
+                raise _below_optimum(optimum_value, best[0])
             reached_optimum = True
             break
         if gens >= budget:

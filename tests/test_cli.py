@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import subprocess
 import sys
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 
 import tsplab.cli
 import tsplab.experiment
-from tsplab import read_instance, read_tour
+from tsplab import generate_with_inner, read_instance, read_tour
 from tsplab.errors import GenerationExhaustedError, ParseError, TsplabError
-from tsplab.experiment import CSV_COLUMNS, parse_config, run_experiment, write_csv
+from tsplab.experiment import CSV_COLUMNS, make_instance, parse_config, run_experiment, strongest_oracle, write_csv
 
 from conftest import SRC_DIR, cli_env
 
@@ -58,6 +59,21 @@ class TestGenerate:
     def test_missing_params_exit_code(self, tmp_path):
         r = cli("generate", "--family", "inner", "--m", "256", "--out", str(tmp_path / "x.tsp"))
         assert r.returncode == 1
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--family", "grid"), "family 'grid' needs --n"),
+            (("--family", "convex"), "family 'convex' needs --n"),
+            (("--family", "inner", "--h", "6"), "family 'inner' needs --h and --k"),
+            (("--family", "inner", "--k", "2"), "family 'inner' needs --h and --k"),
+        ],
+    )
+    def test_missing_size_flag_message(self, tmp_path, capsys, args, message):
+        out = tmp_path / "x.tsp"
+        assert tsplab.cli.main(["generate", *args, "--m", "256", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, args",
@@ -120,6 +136,19 @@ class TestSolve:
         rec2 = dict(zip(CSV_COLUMNS, r2.stdout.strip().splitlines()[1].split(",")))
         assert rec2["optimum_length"] == ""
         assert rec2["reached_optimum"] == "false"
+
+    @pytest.mark.parametrize("algorithm", ["ea", "rls"])
+    def test_optimum_above_a_tour_rejected(self, tmp_path, capsys, algorithm):
+        # the grid's optimum is 134.9922578862372
+        path = tmp_path / "g.tsp"
+        generate = ["generate", "--family", "grid", "--n", "8", "--m", "64", "--seed", "1", "--out", str(path)]
+        assert tsplab.cli.main(generate) == 0
+        capsys.readouterr()
+        args = [str(path), "--algorithm", algorithm, "--budget", "2000", "--seed", "3", "--optimum", "142.5"]
+        assert tsplab.cli.main(["solve", *args]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: optimum_value 142.5 is above a tour of length ")
 
     def test_missing_file(self):
         r = cli("solve", "nope.tsp", "--algorithm", "rls", "--budget", "10")
@@ -328,6 +357,35 @@ class TestTwoPhases:
         assert calls == ["make_instance", "strongest_oracle", "make_instance"]
 
 
+class TestExperimentParts:
+    def test_make_instance_calls_the_generator_bound_at_call_time(self, monkeypatch):
+        calls = []
+
+        def spy(*args, _real=tsplab.experiment.generate_convex):
+            calls.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(tsplab.experiment, "generate_convex", spy)
+        instance_id, inst = make_instance("convex", {"n": 8}, 128, 5)
+        assert calls == [(8, 128, 5)]
+        assert (instance_id, inst.n) == ("convex-n8-m128-s5", 8)
+
+    @pytest.mark.parametrize("name, mutation", [("rls", ""), ("ea", "two_opt")])
+    def test_direct_config_without_mutations_runs_the_default(self, tmp_path, name, mutation):
+        cfg = tmp_path / f"{name}.cfg"
+        text = TestCsvContract.CONFIGS[name].replace("two_opt,mixed", "two_opt")
+        cfg.write_text(text + f"out = {tmp_path / 'o.csv'}\n", encoding="utf-8")
+        parsed = parse_config(cfg)
+        records = run_experiment(dataclasses.replace(parsed, mutations=None))[0]
+        assert records == run_experiment(parsed)[0]
+        assert len(records) == len(parsed.n_values) * parsed.runs
+        assert {r.mutation for r in records} == {mutation}
+
+    def test_no_oracle_above_the_hull_order_budget(self):
+        inst = generate_with_inner(14, 6, 256, 1)  # n = 20; C(20, 6) * 6! = 27,907,200 interleavings
+        assert strongest_oracle(inst) is None
+
+
 class TestCsvContract:
     """The run CSV's bytes, pinned across commits.
 
@@ -336,7 +394,7 @@ class TestCsvContract:
     reached_local_optimum empty. Together the two files hold every cell
     type: strings, ints, floats, true, false and empty. The inner file
     pins the instance seeds over several (h, k) sizes, h-major, and the
-    (size, mutation, run) row order.
+    (size, mutation, run) row order. The convex file pins convex ids.
     """
 
     CONFIGS = {
@@ -349,14 +407,16 @@ class TestCsvContract:
             "family = inner\nh = 6,7\nk = 1,2\nm = 64\nalgorithm = ea\nmutation = two_opt,mixed\n"
             "budget = 2000\nruns = 2\nbase_seed = 5\n"
         ),
+        "convex": "family = convex\nn = 8,10\nm = 128\nalgorithm = rls\nbudget = 2000\nruns = 2\nbase_seed = 5\n",
     }
     SHA256 = {
         "rls": "ca9af9f7a78f6e33b8e83dd40eb212f25dc2e4810e950dcd71451d7981e78ccb",
         "ea": "82ed1c6aba38d580fe56d00abf736756391c88b32131e8a2b28e12e8c75bb73c",
         "inner": "81a05f8626897137e52f565b85d01a154a4270ff83956e950fbc27e7ead91ba0",
+        "convex": "5980a72b9d8057176464c5e1b5e600c7b5f0bd0bbc0e1efa8cc87ddc9225fe8f",
     }
 
-    @pytest.mark.parametrize("name", ["rls", "ea", "inner"])
+    @pytest.mark.parametrize("name", ["rls", "ea", "inner", "convex"])
     def test_pinned_bytes(self, tmp_path, name):
         cfg = tmp_path / f"{name}.cfg"
         out = tmp_path / f"{name}.csv"

@@ -190,6 +190,14 @@ class TestRunRLS:
         assert traj.reached_optimum
         assert abs(traj.final_length - opt) <= opt * 1e-12
 
+    def test_optimum_above_a_found_tour_raises(self, square):
+        # every tour of the unit square is shorter than 5.0, the start included
+        with pytest.raises(ValueError, match=r"optimum_value 5\.0 is above a tour of length 4\.8284271247461"):
+            run_rls(square, 100, seed=1, optimum_value=5.0)
+        inst = generate_grid(8, 64, 1)  # optimum 134.9922578862372
+        with pytest.raises(ValueError, match=r"optimum_value 142\.5 is above a tour of length 142\.382120125503"):
+            run_rls(inst, 2000, seed=3, optimum_value=142.5)
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -5.0])
     def test_optimum_must_be_finite_and_positive(self, square, bad):
         # abs(x - inf) <= inf * 1e-12 holds for every x: inf would count as reached at once
@@ -242,6 +250,15 @@ class TestRunEA:
             cfg = EAConfig(mu=1, lam=1, mutation=MutationSpec("two_opt"), max_generations=3000, seed=seed)
             traj = run_ea(inst, cfg, optimum_value=opt)
             assert traj.final_length >= opt * (1 - 1e-12)
+
+    def test_optimum_above_a_found_tour_raises(self, square):
+        cfg = EAConfig(mu=1, lam=1, max_generations=100, seed=1)
+        with pytest.raises(ValueError, match=r"optimum_value 5\.0 is above a tour of length"):
+            run_ea(square, cfg, optimum_value=5.0)
+        inst = generate_grid(8, 64, 1)  # optimum 134.9922578862372
+        cfg = EAConfig(mu=1, lam=1, mutation=MutationSpec("two_opt"), max_generations=2000, seed=3)
+        with pytest.raises(ValueError, match=r"optimum_value 142\.5 is above a tour of length 142\.382120125503"):
+            run_ea(inst, cfg, optimum_value=142.5)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -5.0])
     def test_optimum_must_be_finite_and_positive(self, square, bad):
