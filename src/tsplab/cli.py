@@ -83,12 +83,22 @@ def _reject_flags(args, flags: dict[str, str], where: str) -> None:
             raise _UsageError(f"{flag} does not apply to {where}")
 
 
+def _check_out(path: str, name: str) -> None:
+    """Reject an output path that is a directory or in a missing one; called before any work."""
+    out_dir = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise TsplabError(f"{name} = {path} is a directory")
+    if not os.path.isdir(out_dir):
+        raise TsplabError(f"{name} = {path}: directory {out_dir} does not exist")
+
+
 def cmd_generate(args) -> int:
     keys = FAMILY_SIZE_KEYS[args.family]
     _reject_flags(args, {key: f"--{key}" for key in SIZE_KEYS if key not in keys}, f"family {args.family!r}")
     params = {key: getattr(args, key) for key in keys}
     if None in params.values():
         raise _UsageError(f"family {args.family!r} needs " + " and ".join(f"--{key}" for key in keys))
+    _check_out(args.out, "--out")
     _, inst = make_instance(args.family, params, args.m, args.seed)
     write_instance(inst, args.out)
     metrics = inst.metrics
@@ -127,6 +137,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.tour_out:
+        _check_out(args.tour_out, "--tour-out")
     inst = read_instance(args.instance)
     fn = {
         "brute": brute_force_optimum,
@@ -142,12 +154,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = parse_config(args.config)
-    # checked now: write_csv opens out only after every run
-    out_dir = os.path.dirname(cfg.out) or "."
-    if os.path.isdir(cfg.out):
-        raise TsplabError(f"out = {cfg.out} is a directory")
-    if not os.path.isdir(out_dir):
-        raise TsplabError(f"out = {cfg.out}: directory {out_dir} does not exist")
+    _check_out(cfg.out, "out")
     records, summary = run_experiment(cfg)
     write_csv(records, cfg.out)
     print(f"wrote {len(records)} runs to {cfg.out}")

@@ -16,6 +16,8 @@ byte for byte.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import statistics
 from dataclasses import dataclass, fields
@@ -264,9 +266,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[RunRecord], str]:
 
 
 def format_csv(records: list[RunRecord]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join(r.row()) for r in records)
-    return "\n".join(lines) + "\n"
+    """Header and one row per record, a cell quoted where it needs it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(r.row() for r in records)
+    return buf.getvalue()
 
 
 def write_csv(records: list[RunRecord], path) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import NamedTuple, Sequence
 
-from .errors import CollinearTripleError, DuplicatePointError, TooSmallError
+from .errors import TooSmallError
 
 
 class Point(NamedTuple):
@@ -180,30 +180,19 @@ def _exact_angle_key(u: tuple[int, int], w: tuple[int, int]) -> int:
     return hu - hw if hu != hw else (cross < 0) - (cross > 0)
 
 
-def instance_metrics(points: Sequence[Point]) -> InstanceMetrics:
-    """Compute d_min, d_max, the minimum angle, and derived factors.
+def instance_metrics(points: Sequence[Point], distances: Sequence[float]) -> InstanceMetrics:
+    """d_min, d_max, the minimum angle, and derived factors of a validated
+    point set (three or more distinct points, no three collinear) and its
+    flat row-major distance matrix, from which d_min and d_max are read.
 
     Each vertex sorts its directions to the other points by angle (an
     atan2 pre-sort, then an exact integer sort, so floats never decide
     the order) and measures only circular neighbours: any other pair
     spans two gaps or more, so the minimum is the same. O(n^2 log n).
-    Raises DuplicatePointError, or CollinearTripleError naming j, i, k
-    for the first_collinear_triple (i, j, k).
     """
     n = len(points)
-    if n < 3:
-        raise TooSmallError("metrics need at least 3 points")
-    d_min = math.inf
-    d_max = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = distance(points[i], points[j])
-            if d < d_min:
-                if d == 0.0:
-                    raise DuplicatePointError(points[i].id, points[j].id)
-                d_min = d
-            if d > d_max:
-                d_max = d
+    d_min = min(min(distances[i * n + i + 1 : (i + 1) * n]) for i in range(n - 1))
+    d_max = max(distances)
     epsilon = math.inf
     atan2 = math.atan2
     for v, pv in enumerate(points):
@@ -212,11 +201,7 @@ def instance_metrics(points: Sequence[Point]) -> InstanceMetrics:
         dirs.sort(key=_exact_angle_key)
         ux, uy = dirs[-1]
         for wx, wy in dirs:
-            cross = ux * wy - uy * wx
-            if cross == 0:
-                i, j, k = first_collinear_triple([(p.x, p.y) for p in points])
-                raise CollinearTripleError(points[j].id, points[i].id, points[k].id)
-            theta = atan2(abs(cross), ux * wx + uy * wy)
+            theta = atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
             if theta < epsilon:
                 epsilon = theta
             ux, uy = wx, wy

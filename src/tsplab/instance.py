@@ -56,7 +56,7 @@ class Instance:
 
     @cached_property
     def metrics(self):
-        return instance_metrics(self.points)
+        return instance_metrics(self.points, self.distance_matrix)
 
     @cached_property
     def distance_matrix(self) -> tuple[float, ...]:

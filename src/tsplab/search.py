@@ -34,7 +34,7 @@ from .rng import _INV_2_53, Xoshiro256StarStar
 from .tour import Tour, _crossings0, _fsum_length, _segment_crossing, tour_length
 from .tour import is_two_opt_local_optimum
 
-_INV_E = math.exp(-1.0)
+_INV_E = float.fromhex("0x1.78b56362cef38p-2")  # 1/e correctly rounded, with no libm call
 # the incremental float length is re-derived from scratch this often to
 # bound its drift; the crossing witness is exact and needs none
 _REVALIDATE_EVERY = 1 << 16
@@ -511,9 +511,10 @@ def run_ea(
             if est <= worst + reps * unit:
                 offspring.append((_fsum_length(d, n, lst), 0, next_idx, tuple(lst)))
             next_idx += 1
-        merged = pop + offspring
-        merged.sort()
-        pop = [(f, 1, idx, t) for f, _, idx, t in merged[:mu]]
+        if offspring:
+            pop = [(f, 1, idx, t) for f, _, idx, t in sorted(pop + offspring)[:mu]]
+        else:
+            pop.sort()  # no child to merge; still puts tied survivors back in creation order
 
     best = pop[0]
     return Trajectory(

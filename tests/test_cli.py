@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import subprocess
 import sys
 
@@ -117,6 +119,16 @@ class TestSolve:
         assert rec["final_length"] == "4.0"
         assert rec["algorithm"] == "rls"
         assert int(rec["fitness_evals"]) == 1 + int(rec["generations"])
+
+    def test_comma_in_instance_id_is_quoted(self, tmp_path):
+        gen = cli("generate", "--family", "grid", "--n", "6", "--m", "32", "--seed", "1", "--out", "a,b.tsp", cwd=tmp_path)
+        assert gen.returncode == 0
+        r = cli("solve", "a,b.tsp", "--algorithm", "rls", "--budget", "100", "--seed", "1", cwd=tmp_path)
+        assert r.returncode == 0
+        header, row = csv.reader(io.StringIO(r.stdout))
+        assert header == list(CSV_COLUMNS)
+        assert len(row) == 19
+        assert row[0] == "a,b.tsp"
 
     def test_ea_accounting(self, square_file):
         r = cli(
@@ -322,6 +334,46 @@ out = {out}
         cfg.write_text(self.CONFIG.format(out=out), encoding="utf-8")
         assert tsplab.cli.main(["experiment", str(cfg)]) == 2
         assert out.read_text(encoding="utf-8") == "earlier results\n"
+
+
+class TestOutputPathCheckedFirst:
+    """A command that writes a file rejects a path it cannot write
+    before it reads or builds anything, and prints nothing."""
+
+    @pytest.fixture(params=["missing_directory", "directory"])
+    def bad_out(self, request, tmp_path):
+        return str(tmp_path / "nodir" / "x.out") if request.param == "missing_directory" else str(tmp_path)
+
+    def rejects(self, monkeypatch, capsys, spied, argv, name, bad_out):
+        for module, attr in spied:
+            def must_not_run(*_, attr=attr, **__):
+                raise AssertionError(f"{attr} called before the output path was checked")
+
+            monkeypatch.setattr(module, attr, must_not_run)
+        assert tsplab.cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {name} = {bad_out}")
+
+    def test_generate(self, monkeypatch, capsys, bad_out):
+        argv = ["generate", "--family", "grid", "--n", "6", "--m", "32", "--out", bad_out]
+        self.rejects(monkeypatch, capsys, [(tsplab.cli, "make_instance")], argv, "--out", bad_out)
+
+    def test_oracle(self, monkeypatch, capsys, tmp_path, bad_out):
+        path = tmp_path / "g.tsp"
+        path.write_text("4 2\n0 0\n1 0\n1 1\n0 1\n", encoding="utf-8")
+        argv = ["oracle", str(path), "--method", "held_karp", "--tour-out", bad_out]
+        spied = [
+            (tsplab.cli, attr)
+            for attr in ("read_instance", "brute_force_optimum", "held_karp_optimum", "hull_order_optimum")
+        ]
+        self.rejects(monkeypatch, capsys, spied, argv, "--tour-out", bad_out)
+
+    def test_experiment(self, monkeypatch, capsys, tmp_path, bad_out):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TestExperimentCmd.CONFIG.format(out=bad_out), encoding="utf-8")
+        spied = [(tsplab.cli, "run_experiment"), (tsplab.experiment, "make_instance")]
+        self.rejects(monkeypatch, capsys, spied, ["experiment", str(cfg)], "out", bad_out)
 
 
 class TestTwoPhases:

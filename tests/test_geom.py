@@ -9,13 +9,15 @@ from tsplab import (
     Point,
     convex_hull,
     gamma_of,
+    generate_convex,
     generate_grid,
+    generate_with_inner,
     grid_angle_lower_bound,
-    instance_metrics,
     orient,
     segments_properly_intersect,
+    validate,
 )
-from tsplab.errors import CollinearTripleError, DuplicatePointError, TooSmallError
+from tsplab.errors import CollinearTripleError, TooSmallError
 from tsplab.geom import first_collinear_triple, properly_cross
 from tsplab.rng import Xoshiro256StarStar
 
@@ -137,7 +139,7 @@ class TestConvexHull:
 class TestInstanceMetrics:
     def test_triangle_epsilon_matches_per_triple_oracle(self):
         pts = [P(0, 0, 1), P(2, 0, 2), P(1, 2, 3)]
-        m = instance_metrics(pts)
+        m = validate(pts).metrics
         # independent per-triple angle computation via acos of the dot product
         angles = []
         for u, v, w in itertools.permutations(pts, 3):
@@ -151,7 +153,7 @@ class TestInstanceMetrics:
 
     def test_unit_square(self):
         pts = [P(0, 0, 1), P(1, 0, 2), P(1, 1, 3), P(0, 1, 4)]
-        m = instance_metrics(pts)
+        m = validate(pts).metrics
         assert m.d_min == 1.0
         assert m.d_max == math.sqrt(2.0)
         assert m.epsilon == pytest.approx(math.pi / 4, abs=1e-15)
@@ -164,15 +166,6 @@ class TestInstanceMetrics:
         for seed in range(5):
             inst = generate_grid(8, 32, 3000 + seed)
             assert inst.metrics.min_uncross_gain > 0.0
-
-    def test_collinear_triple_rejected(self):
-        with pytest.raises(CollinearTripleError):
-            instance_metrics([P(0, 0, 1), P(1, 1, 2), P(2, 2, 3), P(0, 2, 4)])
-
-    def test_duplicate_point_rejected(self):
-        with pytest.raises(DuplicatePointError) as err:
-            instance_metrics([P(0, 0, 1), P(3, 1, 2), P(0, 0, 3), P(1, 3, 4)])
-        assert err.value.labels == (1, 3)
 
 
 _MAX_COORD = 2**31 - 1
@@ -246,7 +239,7 @@ class TestAgainstTripleScans:
         coords = [(0, 0), (597592487, 543017063), (229206983, 208274544), (826799470, 751291607), (-79, -8)]
         assert len({math.atan2(y, x) for x, y in coords[1:4]}) == 1
         pts = [P(x, y, i + 1) for i, (x, y) in enumerate(coords)]
-        assert instance_metrics(pts) == triple_scan_metrics(pts)
+        assert validate(pts).metrics == triple_scan_metrics(pts)
 
     @settings(max_examples=400)
     @given(_coord_sets)
@@ -255,12 +248,31 @@ class TestAgainstTripleScans:
         try:
             expected = triple_scan_metrics(pts)
         except CollinearTripleError as exc:
+            # validate names the lexicographically first triple in label order
             with pytest.raises(CollinearTripleError) as err:
-                instance_metrics(pts)
-            assert err.value.labels == exc.labels
+                validate(pts)
+            assert err.value.labels == tuple(sorted(exc.labels))
         else:
             # dataclass equality compares all five fields with ==
-            assert instance_metrics(pts) == expected
+            assert validate(pts).metrics == expected
+
+    @pytest.mark.parametrize("n", [3, 8, 20, 40])
+    @pytest.mark.parametrize(
+        "generate",
+        [
+            lambda n, seed: generate_grid(n, 64, seed),
+            lambda n, seed: generate_convex(n, 8 * n, seed),
+            lambda n, seed: generate_with_inner(n - n // 4, n // 4, 256, seed),
+        ],
+        ids=["grid", "convex", "inner"],
+    )
+    def test_generated_instances_bit_identical(self, generate, n):
+        # generators return validated instances; their metrics read
+        # d_min and d_max from the distance matrix, the oracle measures
+        # every pair itself
+        for seed in range(3):
+            inst = generate(n, 7000 + seed)
+            assert inst.metrics == triple_scan_metrics(inst.points)
 
 
 class TestGridAngleBound:

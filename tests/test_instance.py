@@ -344,6 +344,22 @@ class TestTourFiles:
         assert read_tour(path) == (3, 1, 4, 2)
 
 
+class TestMetrics:
+    def test_calls_the_instance_metrics_bound_at_call_time(self, monkeypatch):
+        # the benchmark times metrics by rebinding tsplab.instance.instance_metrics
+        inst = generate_grid(6, 32, 1)
+        calls = []
+
+        def spy(points, distances):
+            calls.append((points, distances))
+            return "spied"
+
+        monkeypatch.setattr(tsplab.instance, "instance_metrics", spy)
+        assert inst.metrics == "spied"
+        assert len(calls) == 1
+        assert calls[0][0] is inst.points and calls[0][1] is inst.distance_matrix
+
+
 class TestDistanceMatrix:
     def test_symmetric_and_exact(self):
         inst = generate_grid(8, 32, 5)

@@ -27,7 +27,7 @@ from tsplab import (
 from tsplab.errors import CollinearTripleError, DuplicatePointError
 from tsplab.oracle import held_karp_optimum, hull_order_optimum
 from tsplab.rng import Xoshiro256StarStar
-from tsplab.search import _child_pricer, _ea_margin_unit
+from tsplab.search import _INV_E, _child_pricer, _ea_margin_unit
 
 import test_search_reference
 from conftest import ForcedRng, cycle_edges, inversion_pairs, reference_mutation
@@ -46,6 +46,12 @@ class TestPoissonPlusOne:
         assert counts[2] / samples == pytest.approx(math.exp(-1), abs=0.01)
         assert counts[4] / samples == pytest.approx(1 / (6 * math.e), abs=0.01)
         assert sum(r * c for r, c in counts.items()) / samples == pytest.approx(2.0, abs=0.02)
+
+    def test_threshold_is_inverse_e_correctly_rounded(self):
+        # the Poisson threshold is a literal, so no libm's exp decides a draw
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workprec(200):
+            assert abs(mpmath.mpf(_INV_E) - mpmath.exp(-1)) < mpmath.mpf(math.ulp(_INV_E)) / 2
 
     def test_always_at_least_one(self):
         for kind in ("two_opt", "mixed"):
