@@ -27,23 +27,39 @@ uint64 lanes, holds in row b what a block needs of bit b:
 `_BLOCK` = 508 makes the table 256 rows of 512 words, 1 MiB. A block
 costs one gather-and-reduce over the rows of the set bits (about 128)
 and one `tolist`, a small part of what 508 big-int steps cost, and
-numpy is imported by the package anyway.
+numpy is imported by the package anyway. A generator's first block is
+computed in two pieces, words 0-255 and then the rest, each from its own
+column range of the same rows: a generator that makes at most 256 draws
+(an instance generator, a short run) reads half the rows' bytes, and a
+longer one pays one more gather-and-reduce call, but no more bytes.
 
 Each generator's blocks come from a generator function that holds only
 the four state words, never the `Xoshiro256StarStar` object: a reference
 back to it would make a cycle, and every dropped generator would keep
 its block alive until a full garbage collection. An instance draws
 through the C-level `__next__` of `itertools.chain.from_iterable` over
-its blocks. `next_u64` is a class-level descriptor that hands out that
-`__next__` on an instance, so `rng.next_u64()` runs no Python frame, and
-that stays callable on the class, so `Xoshiro256StarStar.next_u64(self)`
-works in a subclass that overrides the method (a draw-counting wrapper,
-say). `randbelow`, `uniform` and `shuffle` draw through
-`self.next_u64`, so such an override sees every draw.
+one list iterator per block. `next_u64` is a class-level descriptor that
+hands out that `__next__` on an instance, so `rng.next_u64()` runs no
+Python frame, and that stays callable on the class, so
+`Xoshiro256StarStar.next_u64(self)` works in a subclass that overrides
+the method (a draw-counting wrapper, say). `randbelow`, `uniform`,
+`shuffle` and `skip` draw through `self.next_u64`, so such an override
+sees every draw.
+
+Peeking. `peek(k)` returns the next k words, as a uint64 array, without
+consuming them. A `_Source` keeps the block the draw chain reads, with
+its list iterator, whose length hint says how many of its words are
+left; `peek` reads those, and computes the blocks after it ahead, which
+the chain then takes in turn. A draw still costs one C-level call and
+nothing more. A caller can price words in numpy, then consume exactly
+the ones it used through `skip`. `peek` bypasses `next_u64`, so an
+override of `next_u64` may observe draws but must not alter them: `peek`
+would still show the unaltered words.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
@@ -55,6 +71,9 @@ _TWO64 = 1 << 64
 _INV_2_53 = 2.0 ** -53
 
 _BLOCK = 508
+# a generator's first block is computed in two pieces, of this many words
+# and of the rest
+_FIRST_PIECE = 256
 # state words as little-endian uint64, so that their bytes unpack to bit
 # b = 64 * word + bit on every platform
 _U64 = np.dtype("<u8")
@@ -86,19 +105,67 @@ def _table() -> np.ndarray:
     return table
 
 
+def _scramble(x: np.ndarray) -> np.ndarray:
+    """The outputs whose word 1 is x (x is updated in place)."""
+    x *= np.uint64(5)
+    x = _rotl(x, 7)
+    x *= np.uint64(9)
+    return x
+
+
+def _set_bits(state: np.ndarray) -> np.ndarray:
+    """Row mask of the set bits of the four words `state`."""
+    return np.unpackbits(state.view(np.uint8), bitorder="little").view(bool)
+
+
 def _blocks(state: np.ndarray):
-    """Successive output blocks (lists of ints) from the four words `state`."""
+    """Successive output blocks from the four words `state`, as uint64
+    arrays; the first block in two pieces (see the module docstring)."""
     table = _table()
-    five, nine = np.uint64(5), np.uint64(9)
+    bits = _set_bits(state)
+    yield _scramble(np.bitwise_xor.reduce(table[bits, :_FIRST_PIECE], axis=0))
+    words = np.bitwise_xor.reduce(table[bits, _FIRST_PIECE:], axis=0)
     while True:
-        bits = np.unpackbits(state.view(np.uint8), bitorder="little").view(bool)
-        words = np.bitwise_xor.reduce(table[bits], axis=0)
-        state = words[_BLOCK:]
-        x = words[:_BLOCK]
-        x *= five
-        x = _rotl(x, 7)
-        x *= nine
-        yield x.tolist()
+        state = words[-4:]
+        yield _scramble(words[:-4])
+        words = np.bitwise_xor.reduce(table[_set_bits(state)], axis=0)
+
+
+class _Source:
+    """A generator's blocks, for its draw chain and for `peek`.
+
+    `feed` gives the chain one list iterator per block, taking the blocks
+    `peek` computed ahead first; `now` and `now_words` are the block the
+    chain reads and its list iterator, whose length hint is the number
+    of its words not yet drawn. It holds no reference to the generator
+    object (see the module docstring)."""
+
+    __slots__ = ("blocks", "ahead", "now", "now_words")
+
+    def __init__(self, state: np.ndarray):
+        self.blocks = _blocks(state)
+        self.ahead: collections.deque = collections.deque()
+        self.now = None
+        self.now_words = iter(())
+
+    def feed(self):
+        ahead, blocks = self.ahead, self.blocks
+        while True:
+            self.now = block = ahead.popleft() if ahead else next(blocks)
+            self.now_words = words = iter(block.tolist())
+            yield words
+
+    def peek(self, k: int) -> np.ndarray:
+        left = operator.length_hint(self.now_words)
+        parts = [self.now[len(self.now) - left:]] if left else []
+        have, i = left, 0
+        while have < k:
+            if i == len(self.ahead):
+                self.ahead.append(next(self.blocks))
+            parts.append(self.ahead[i])
+            have += len(self.ahead[i])
+            i += 1
+        return np.concatenate(parts)[:k] if parts else np.empty(0, dtype=_U64)
 
 
 class _Draw(property):
@@ -111,7 +178,7 @@ class _Draw(property):
 class Xoshiro256StarStar:
     """xoshiro256** with SplitMix64 seed expansion."""
 
-    __slots__ = ("_next",)
+    __slots__ = ("_next", "_source")
 
     def __init__(self, seed: int):
         state = seed & _MASK64
@@ -141,10 +208,18 @@ class Xoshiro256StarStar:
         return rng
 
     def _start(self, words: list[int]) -> None:
-        blocks = _blocks(np.array(words, dtype=_U64))
-        self._next = itertools.chain.from_iterable(blocks).__next__
+        self._source = _Source(np.array(words, dtype=_U64))
+        self._next = itertools.chain.from_iterable(self._source.feed()).__next__
 
     next_u64 = _Draw(operator.attrgetter("_next"), doc="Next raw 64-bit output.")
+
+    def peek(self, k: int) -> np.ndarray:
+        """The next k raw outputs as a uint64 array, without consuming them."""
+        return self._source.peek(k)
+
+    def skip(self, m: int) -> None:
+        """Consume the next m raw outputs, each through `self.next_u64`."""
+        collections.deque(itertools.islice(iter(self.next_u64, None), m), 0)
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection (no modulo bias).

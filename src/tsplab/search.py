@@ -7,7 +7,9 @@ mutation. Both operators are defined once, by their draws, in
 _child_pricer; run_ea mutates through it and mutation_statistics samples
 it. A run is a sequential Markov chain driven by one seeded generator;
 identical (instance, parameters, seed) reproduce the trajectory bit for
-bit.
+bit. run_rls prices long stretches of rejected steps in numpy batches
+from words it peeks from the generator (_stretch_scanner), on the same
+trajectory.
 
 Trajectory accounting: each executed step/generation is classified by
 the best-so-far tour before the step -- alpha if the tour has crossing
@@ -25,9 +27,12 @@ geometry.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from .instance import Instance
 from .rng import _INV_2_53, Xoshiro256StarStar
@@ -38,6 +43,11 @@ _INV_E = float.fromhex("0x1.78b56362cef38p-2")  # 1/e correctly rounded, with no
 # the incremental float length is re-derived from scratch this often to
 # bound its drift; the crossing witness is exact and needs none
 _REVALIDATE_EVERY = 1 << 16
+# run_rls prices its steps in numpy batches once the cycle has stood this
+# many steps, at most _BATCH_MAX words a batch (which bounds the batch's
+# temporaries to a few hundred KiB)
+_BATCH_AFTER = 64
+_BATCH_MAX = 2048
 # relative slack when comparing a recomputed length against the optimum
 _OPT_REL_TOL = 1e-12
 # wider trigger band for the cheap incremental comparison; full
@@ -104,6 +114,85 @@ def _slice_table(n: int) -> tuple[tuple[int, int, int], ...]:
         _SLICES.clear()
         table = _SLICES[n] = tuple((i0, j, j % n) for i0 in range(n - 1) for j in range(i0 + 2, n + 1))
     return table
+
+
+@functools.lru_cache(maxsize=1)
+def _position_table(n: int) -> np.ndarray:
+    """_slice_table(n) as tour positions, for numpy: column t holds, for
+    the t-th pair, the positions i0 - 1 and j0 - 1 of the end points a
+    and c of the two removed edges; b and e follow them on the cycle.
+    i0 - 1 is -1 for i0 = 0, which numpy reads as the last position, as
+    Python does. At two int16 per pair (127 KiB at n = 256) it is small
+    enough for lru_cache to hold the old table while it builds the new."""
+    dtype = np.int16 if n < 1 << 15 else np.int32
+    table = np.stack((
+        np.repeat(np.arange(-1, n - 2, dtype=dtype), np.arange(n - 1, 0, -1)),
+        np.concatenate([np.arange(i0 + 1, n, dtype=dtype) for i0 in range(n - 1)]),
+    ))
+    table.flags.writeable = False
+    return table
+
+
+def _exact_from_coords(xs, ys) -> bool:
+    """Whether sqrt(dx*dx + dy*dy) in float64 gives every distance_matrix
+    entry bit for bit: when the squared span of the points is at most
+    2^53, every intermediate is an integer that float64 holds exactly,
+    and np.sqrt rounds correctly, as math.sqrt does."""
+    return (max(xs) - min(xs)) ** 2 + (max(ys) - min(ys)) ** 2 <= 1 << 53
+
+
+def _stretch_scanner(instance: Instance):
+    """run_rls's batch kernel, for an instance with _exact_from_coords.
+
+    scan(perm, words) prices the steps that the raw 64-bit words (a uint64
+    array) make on the 0-based tour perm, as run_rls does: a word >= the
+    rejection limit is sampled away and is no step; any other picks the
+    inversion words % npairs, priced by the same 4-term delta in the same
+    order, ((d_ac + d_be) - d_ab) - d_ce, with distances computed from
+    the coordinates. It returns (steps, used): the number of steps before
+    the first with delta <= 0.0 (the full reversal always has one), or
+    all of them, and the number of words those steps use.
+    """
+    xs, ys = instance.coords
+    n = instance.n
+    positions = _position_table(n)
+    npairs = positions.shape[1]
+    limit = (1 << 64) - (1 << 64) % npairs
+    coords = np.array((xs, ys), dtype=float)
+    key = ends = None
+
+    def scan(perm, words):
+        nonlocal key, ends
+        if perm != key:
+            key = perm[:]
+            # rows, per tour position: x and x of the successor, y and y of
+            # the successor, the length of the edge to the successor
+            ends = np.empty((5, n))
+            ends[:4] = coords[:, np.array((perm, perm[1:] + perm[:1]))].reshape(4, n)
+            diff = ends[0:4:2] - ends[1:4:2]
+            diff *= diff
+            np.sqrt(diff[0] + diff[1], out=ends[4])
+        kept = None
+        if words.max() >= limit:  # each word with probability < npairs / 2^64
+            kept = np.flatnonzero(words < limit)
+            words = words[kept]
+        a, c = positions.take(words % npairs, axis=1)
+        # rows x, y of a, b and of c, e; then d_ab and d_ce
+        at_a = ends.take(a, axis=1)
+        at_c = ends.take(c, axis=1)
+        diff = at_a[:4] - at_c[:4]
+        diff *= diff
+        added = np.sqrt(diff[:2] + diff[2:])
+        delta = added[0] + added[1]
+        delta -= at_a[4]
+        delta -= at_c[4]
+        hits = np.flatnonzero(delta <= 0.0)
+        steps = int(hits[0]) if len(hits) else len(delta)
+        if kept is None:
+            return steps, steps
+        return steps, int(kept[steps - 1]) + 1 if steps else 0
+
+    return scan
 
 
 def _check_optimum(optimum_value: Optional[float]) -> None:
@@ -191,6 +280,29 @@ def run_rls(
     runs until the budget or until a full neighborhood scan (every n^2
     accepted steps) certifies a 2-opt local optimum.
 
+    Rejected stretches are priced in numpy batches. Once the cycle has
+    stood for _BATCH_AFTER steps (the full reversal and the cycle-
+    preserving (2, n) and (1, n-1) keep it), every scalar step is
+    followed by a batch of k steps priced by _stretch_scanner, with k
+    the number of steps the cycle has stood, at most _BATCH_MAX, and
+    never past the budget or the step before the next revalidation. The
+    batch's words are peeked; it ends before its first step that would
+    be accepted, and the rng skips exactly the words of the rejected
+    steps before that one, which the next scalar step then takes. This
+    is the same trajectory, bit for bit:
+
+    - the tour and cur_len do not change over rejected steps, so the
+      alpha count, the series samples and the step count of the batch
+      follow in closed form;
+    - a batch computes the scalar delta's terms exactly (see
+      _stretch_scanner), and numpy's float64 add and subtract round as
+      Python's do; the order of the terms is the same, so every delta,
+      and every accept decision, is the scalar one;
+    - revalidation and the optimum and local-optimum checks happen only
+      in scalar steps, at the same steps as before;
+    - the words consumed, through next_u64, are the ones the scalar loop
+      draws, so a draw-counting override counts the same draws.
+
     Alpha/beta accounting reads a crossing witness (see _witness). An
     accepted inversion that swaps the edges ab and ce for ac and be keeps
     it exact through _update_witness:
@@ -230,6 +342,14 @@ def run_rls(
     series: Optional[list[float]] = [] if record_series else None
     stride = max(1, budget // 1024) if record_series else 0
     revalidate_at = _REVALIDATE_EVERY
+    scan = None  # built at the first batch
+    # batches start `after` steps into a stretch; never, past the budget,
+    # where the scanner could not be exact
+    after = _BATCH_AFTER if _exact_from_coords(xs, ys) else budget
+    # the step at which the current stretch reaches `after` steps; a step
+    # at or past check_at looks at revalidation and batching
+    batch_at = after
+    check_at = min(revalidate_at, batch_at)
 
     def _confirm_optimum() -> bool:
         length = _fsum_length(d, n, perm)
@@ -269,6 +389,9 @@ def run_rls(
                     has_cross = 0 if witness is None else 1
                     cur_len += delta
                     accepted += 1
+                    if j0 - i0 < n - 1:  # not (2, n) or (1, n-1): a new cycle
+                        batch_at = gens + after
+                        check_at = min(revalidate_at, batch_at)
                     if opt_hi is not None:
                         if cur_len <= opt_hi and _confirm_optimum():
                             reached_optimum = True
@@ -278,12 +401,25 @@ def run_rls(
                             certified_local = True
                             break
 
-            if gens >= revalidate_at:
-                revalidate_at += _REVALIDATE_EVERY
-                cur_len = _fsum_length(d, n, perm)
-                if opt_hi is not None and cur_len <= opt_hi and _confirm_optimum():
-                    reached_optimum = True
-                    break
+            if gens >= check_at:
+                if gens >= revalidate_at:
+                    revalidate_at += _REVALIDATE_EVERY
+                    cur_len = _fsum_length(d, n, perm)
+                    if opt_hi is not None and cur_len <= opt_hi and _confirm_optimum():
+                        reached_optimum = True
+                        break
+                if gens >= batch_at:
+                    k = min(gens + _BATCH_AFTER - batch_at, _BATCH_MAX, budget - gens, revalidate_at - 1 - gens)
+                    if k > 0:
+                        if scan is None:
+                            scan = _stretch_scanner(instance)
+                        steps, used = scan(perm, rng.peek(k))
+                        rng.skip(used)
+                        alpha += has_cross * steps
+                        if series is not None:
+                            series.extend([cur_len] * ((gens + steps) // stride - gens // stride))
+                        gens += steps
+                check_at = min(revalidate_at, batch_at)
 
     final = tuple(v + 1 for v in perm)
     return Trajectory(

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import weakref
 
+import numpy as np
 import pytest
 import test_search_reference
 from conftest import cli_env, scalar_xoshiro_stream, splitmix64_state
@@ -14,7 +15,7 @@ from test_search_reference import reference_ea, reference_rls
 import tsplab.search
 from tsplab import EAConfig, MutationSpec, generate_grid, generate_with_inner, run_ea, run_rls
 from tsplab.oracle import held_karp_optimum
-from tsplab.rng import _BLOCK, Xoshiro256StarStar
+from tsplab.rng import _BLOCK, _FIRST_PIECE, Xoshiro256StarStar
 
 
 def test_known_state_outputs():
@@ -77,6 +78,10 @@ def take(stream, count):
     return list(itertools.islice(stream, count))
 
 
+# the stream positions where a fresh generator starts a new block or piece
+BOUNDARIES = [_FIRST_PIECE, _BLOCK, 2 * _BLOCK, 3 * _BLOCK]
+
+
 def words_of(state: int) -> list[int]:
     """The 256-bit `state` as four words; bit b is bit b % 64 of word b // 64."""
     return [(state >> (64 * w)) & ((1 << 64) - 1) for w in range(4)]
@@ -110,11 +115,15 @@ class TestBlockStream:
         assert [rng.next_u64() for _ in range(count)] == take(scalar_xoshiro_stream(*words), count)
 
     def test_randbelow_one_consumes_nothing_at_block_boundary(self):
-        rng = Xoshiro256StarStar(7)
-        expected = take(scalar_xoshiro_stream(*splitmix64_state(7)), _BLOCK + 1)
-        assert [rng.next_u64() for _ in range(_BLOCK)] == expected[:_BLOCK]
-        assert rng.randbelow(1) == 0
-        assert rng.next_u64() == expected[_BLOCK]
+        for boundary in BOUNDARIES:
+            rng = Xoshiro256StarStar(7)
+            expected = take(scalar_xoshiro_stream(*splitmix64_state(7)), boundary + 1)
+            assert [rng.next_u64() for _ in range(boundary)] == expected[:boundary]
+            assert rng.randbelow(1) == 0
+            assert rng.next_u64() == expected[boundary]
+
+    def test_first_block_comes_in_two_pieces(self):
+        assert BOUNDARIES[:2] == [256, _BLOCK]
 
     @pytest.mark.parametrize(
         "words", [(0, 0, 0, 0), (2**64, 0, 0, 0), (1, -1, 0, 0)], ids=["zero", "too-large", "negative"]
@@ -174,6 +183,17 @@ class TestOverrideContract:
         assert fast == slow == run_rls(inst, 1500, seed)
         assert fast_draws == slow_draws >= fast.generations + inst.n - 1
 
+    def test_rls_draw_count_on_a_batched_run(self, monkeypatch):
+        inst = generate_grid(64, 1024, 305)
+        (fast, fast_draws), priced = test_search_reference.batched_steps(
+            monkeypatch, lambda: self.counted(monkeypatch, tsplab.search, lambda: run_rls(inst, 25000, 6))
+        )
+        slow, slow_draws = self.counted(
+            monkeypatch, test_search_reference, lambda: reference_rls(inst, 25000, 6)
+        )
+        assert fast == slow and priced > 12500
+        assert fast_draws == slow_draws >= fast.generations + inst.n - 1
+
     @pytest.mark.parametrize("mu,lam,kind", [(1, 1, "two_opt"), (1, 1, "mixed"), (4, 8, "mixed")])
     @pytest.mark.parametrize("seed", [4, 5])
     def test_ea_draw_count(self, monkeypatch, mu, lam, kind, seed):
@@ -188,6 +208,42 @@ class TestOverrideContract:
         assert fast_draws == slow_draws > fast.generations * lam
 
 
+class TestPeekAndSkip:
+    @pytest.mark.parametrize("consumed", [0, 1, 63, 64, 255, 256, 507, 508, 900])
+    @pytest.mark.parametrize("count", [0, 1, 65, 700])
+    def test_peek_is_the_next_words_and_consumes_nothing(self, consumed, count):
+        expected = take(scalar_xoshiro_stream(*splitmix64_state(11)), consumed + count + 1)
+        rng = Xoshiro256StarStar(11)
+        for _ in range(consumed):
+            rng.next_u64()
+        words = rng.peek(count)
+        assert words.dtype == np.uint64 and words.shape == (count,)
+        assert words.tolist() == expected[consumed:consumed + count]
+        assert rng.peek(count).tolist() == words.tolist()
+        assert [rng.next_u64() for _ in range(count + 1)] == expected[consumed:]
+
+    @pytest.mark.parametrize("consumed,count", [(0, 0), (0, 64), (10, 500), (60, 1000)])
+    def test_skip_consumes_exactly(self, consumed, count):
+        expected = take(scalar_xoshiro_stream(*splitmix64_state(13)), consumed + count + 2)
+        rng = Xoshiro256StarStar(13)
+        rng.skip(consumed)
+        rng.peek(count + 1)
+        rng.skip(count)
+        assert [rng.next_u64(), rng.next_u64()] == expected[consumed + count:]
+
+    def test_counting_override_counts_what_skip_consumes(self):
+        counter = [0]
+        rng = counting_class(counter)(17)
+        plain = Xoshiro256StarStar(17)
+        assert rng.peek(300).tolist() == plain.peek(300).tolist()
+        assert counter == [0]
+        rng.skip(250)
+        assert counter == [250]
+        plain.skip(250)
+        assert rng.next_u64() == plain.next_u64()
+        assert counter == [251]
+
+
 class TestMemory:
     def test_dropped_generator_freed_without_gc(self):
         # a block generator holding the Xoshiro256StarStar object would
@@ -199,6 +255,21 @@ class TestMemory:
         try:
             rng = Weak(5)
             rng.next_u64()
+            ref = weakref.ref(rng)
+            del rng
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_peeked_generator_freed_without_gc(self):
+        class Weak(Xoshiro256StarStar):
+            pass
+
+        gc.disable()
+        try:
+            rng = Weak(5)
+            rng.peek(700)
+            rng.skip(100)
             ref = weakref.ref(rng)
             del rng
             assert ref() is None

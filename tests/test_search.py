@@ -2,6 +2,7 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,7 @@ from tsplab import (
 from tsplab.errors import CollinearTripleError, DuplicatePointError
 from tsplab.oracle import held_karp_optimum, hull_order_optimum
 from tsplab.rng import Xoshiro256StarStar
-from tsplab.search import _INV_E, _child_pricer, _ea_margin_unit
+from tsplab.search import _INV_E, _child_pricer, _ea_margin_unit, _exact_from_coords, _stretch_scanner
 
 import test_search_reference
 from conftest import ForcedRng, cycle_edges, inversion_pairs, reference_mutation
@@ -472,6 +473,112 @@ class TestEAChildPricing:
         assert child == apply_moves(tour, moves)
         assert reps == len(moves[1])
         assert abs(est - tour_length(inst, child)) <= reps * _ea_margin_unit(inst.distance_matrix, n)
+
+
+def scalar_accepts(instance, perm, i, j):
+    """run_rls's scalar rule for the inversion (i, j) of the 0-based perm."""
+    n = instance.n
+    if (i, j) == (1, n):
+        return True
+    d = instance.distance_matrix
+    a, b, c, e = perm[i - 2], perm[i - 1], perm[j - 1], perm[j % n]
+    return d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e] <= 0.0
+
+
+def words(*values):
+    return np.array(values, dtype=np.uint64)
+
+
+def rejection_limit(n):
+    return 2**64 - 2**64 % (n * (n - 1) // 2)
+
+
+class TestStretchScanner:
+    """run_rls's batch kernel on synthetic words: it prices each step as
+    the scalar loop does and stops where the scalar loop would accept."""
+
+    def local_optimum(self, inst, seed):
+        return [v - 1 for v in run_rls(inst, 3000, seed).final_tour]
+
+    def test_words_over_the_limit_are_no_steps(self):
+        inst = generate_grid(10, 64, 5)
+        n = inst.n
+        perm = self.local_optimum(inst, 1)
+        rejected = [t for t, (i, j) in enumerate(inversion_pairs(n)) if not scalar_accepts(inst, perm, i, j)]
+        r, s = rejected[:2]
+        rev = inversion_draw(n, 1, n)
+        limit = rejection_limit(n)
+        scan = _stretch_scanner(inst)
+        # (steps, words they use): a sampled-away word is part of the
+        # step after it, so words after the last rejected step are not used
+        assert scan(perm, words(limit, r, limit + 1, s, 2**64 - 1, rev, r)) == (2, 4)
+        assert scan(perm, words(r, limit, s, limit)) == (2, 3)
+        assert scan(perm, words(limit, 2**64 - 1)) == (0, 0)
+        assert scan(perm, words(limit, rev)) == (0, 0)
+        # a word picks its pair modulo the pair count
+        npairs = n * (n - 1) // 2
+        assert scan(perm, words(r + 7 * npairs, rev + 5 * npairs, s)) == (1, 1)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_full_reversal_always_hits(self, seed):
+        inst = generate_grid(12, 32, seed)
+        n = inst.n
+        rev = inversion_draw(n, 1, n)
+        scan = _stretch_scanner(inst)
+        shuffled = list(range(n))
+        Xoshiro256StarStar(seed).shuffle(shuffled)
+        for perm in (self.local_optimum(inst, seed), list(range(n)), shuffled):
+            assert scan(perm, words(rev)) == (0, 0)
+
+    def test_exact_zero_delta_is_accepted(self):
+        # a, b, c, e at the corners of a unit square: inverting (2, 4) of
+        # (a, b, x, c, e) swaps ab, ce for ac, be, all of length 1
+        inst = validate([(0, 0), (1, 0), (0, 1), (1, 1), (3, 7)])
+        perm = [0, 1, 4, 2, 3]
+        d = inst.distance_matrix
+        assert d[0 * 5 + 2] + d[1 * 5 + 3] - d[0 * 5 + 1] - d[2 * 5 + 3] == 0.0
+        scan = _stretch_scanner(inst)
+        zero = inversion_draw(5, 2, 4)
+        rejected = [t for t, (i, j) in enumerate(inversion_pairs(5)) if not scalar_accepts(inst, perm, i, j)]
+        assert scan(perm, words(zero)) == (0, 0)
+        assert scan(perm, words(*rejected, zero, *rejected)) == (len(rejected), len(rejected))
+
+    @pytest.mark.parametrize("instance_seed", [1, 2, 217])
+    def test_agrees_with_scalar_rule_on_every_pair_of_a_tie_heavy_grid(self, instance_seed):
+        # a 7 x 7 grid makes equal edge lengths, so deltas that cancel to
+        # 0.0 or round around it are common
+        inst = generate_grid(11, 7, instance_seed)
+        n = inst.n
+        pairs = inversion_pairs(n)
+        scan = _stretch_scanner(inst)
+        rng = Xoshiro256StarStar(instance_seed)
+        perms = [self.local_optimum(inst, seed) for seed in (1, 2)]
+        for _ in range(20):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            perms.append(perm)
+        ties = 0
+        for perm in perms:
+            accepts = [scalar_accepts(inst, perm, i, j) for i, j in pairs]
+            for t, accept in enumerate(accepts):
+                assert scan(perm, words(t)) == ((0, 0) if accept else (1, 1))
+            order = list(range(len(pairs)))
+            rng.shuffle(order)
+            first = next(k for k, t in enumerate(order) if accepts[t])
+            assert scan(perm, words(*order)) == (first, first)
+            d = inst.distance_matrix
+            for i, j in pairs:
+                if (i, j) != (1, n):
+                    a, b, c, e = perm[i - 2], perm[i - 1], perm[j - 1], perm[j % n]
+                    ties += d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e] == 0.0
+        assert ties > 0
+
+    def test_large_coordinates_are_left_to_the_scalar_loop(self):
+        assert _exact_from_coords((0, 2**26), (0, 2**26))
+        assert not _exact_from_coords((0, 2**26 + 1), (0, 2**26))
+        inst = validate([(0, 0), (2**31 - 1, 5), (7, 2**31 - 1), (-(2**31 - 1), 11), (3, -(2**31 - 1))])
+        assert not _exact_from_coords(*inst.coords)
+        assert run_rls(inst, 300, 2) == reference_rls(inst, 300, 2)
 
 
 def accepted_inversions(instance, steps, seed):

@@ -7,6 +7,7 @@ frozen reference_mutation, so run_ea's operator (_child_pricer) is held
 to an independent copy of the draw order.
 """
 
+import hashlib
 import itertools
 
 import pytest
@@ -29,9 +30,10 @@ from tsplab import (
 )
 from tsplab.oracle import held_karp_optimum, hull_order_optimum
 from tsplab.rng import Xoshiro256StarStar
-from tsplab.search import Trajectory
+import tsplab.search
+from tsplab.search import _REVALIDATE_EVERY, Trajectory
 
-from conftest import inversion_pairs, reference_mutation
+from conftest import cycle_edges, inversion_pairs, reference_mutation
 
 
 def reference_rls(instance, budget, seed, optimum_value=None):
@@ -50,9 +52,14 @@ def reference_rls(instance, budget, seed, optimum_value=None):
     gens = alpha = accepted = 0
     reached = False
     certified = False
+    # crossing_pairs from scratch, once per tour the walk reaches: a
+    # rejected step keeps the very same tuple
+    checked = crossed = None
     if not optimal(tour):
         while gens < budget:
-            alpha += 1 if crossing_pairs(instance, tour) else 0
+            if tour is not checked:
+                checked, crossed = tour, bool(crossing_pairs(instance, tour))
+            alpha += 1 if crossed else 0
             gens += 1
             i, j = pairs[rng.randbelow(len(pairs))]
             if (i, j) == (1, n):
@@ -164,6 +171,111 @@ def test_rls_matches_reference_past_revalidation():
     fast = run_rls(inst, 70000, 9)
     slow = reference_rls(inst, 70000, 9)
     assert fast == slow
+
+
+def batched_steps(monkeypatch, run):
+    """run()'s result and the number of steps its batches priced."""
+    priced = [0]
+    make = tsplab.search._stretch_scanner
+
+    def counting_scanner(instance):
+        scan = make(instance)
+
+        def counted(perm, words):
+            steps, used = scan(perm, words)
+            priced[0] += steps
+            return steps, used
+
+        return counted
+
+    with monkeypatch.context() as m:
+        m.setattr(tsplab.search, "_stretch_scanner", counting_scanner)
+        result = run()
+    return result, priced[0]
+
+
+@pytest.mark.parametrize(
+    "n,budget,instance_seed", [(32, 20000, 221), (32, 30000, 222), (64, 25000, 223), (64, 30000, 224)]
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rls_matches_reference_on_idle_runs(monkeypatch, n, budget, instance_seed, seed):
+    # no optimum: past the first local optimum nearly every step is
+    # rejected, so most steps are priced in batches
+    inst = generate_grid(n, 1024, instance_seed)
+    fast, priced = batched_steps(monkeypatch, lambda: run_rls(inst, budget, seed))
+    assert fast == reference_rls(inst, budget, seed)
+    assert fast.generations == budget and priced > budget // 2
+
+
+def test_rls_batches_match_reference_past_revalidation(monkeypatch):
+    budget = _REVALIDATE_EVERY + 5000
+    inst = generate_grid(32, 1024, 219)
+    draws = [0]
+
+    class Counting(Xoshiro256StarStar):
+        __slots__ = ()
+
+        def next_u64(self):
+            draws[0] += 1
+            return Xoshiro256StarStar.next_u64(self)
+
+    fsum = tsplab.search._fsum_length
+    recomputed = []  # draws made when run_rls recomputes its length
+
+    def spy(d, n, perm):
+        recomputed.append(draws[0])
+        return fsum(d, n, perm)
+
+    monkeypatch.setattr(tsplab.search, "Xoshiro256StarStar", Counting)
+    monkeypatch.setattr(tsplab.search, "_fsum_length", spy)
+    fast, priced = batched_steps(monkeypatch, lambda: run_rls(inst, budget, 4))
+    assert fast == reference_rls(inst, budget, 4)
+    assert priced > budget // 2
+    # after the shuffle, and after exactly _REVALIDATE_EVERY steps of one
+    # draw each (no word of this run is sampled away)
+    assert recomputed == [inst.n - 1, inst.n - 1 + _REVALIDATE_EVERY]
+
+
+@pytest.mark.parametrize(
+    "make,seed",
+    [
+        (lambda: generate_grid(16, 64, 3), 5),
+        (lambda: generate_grid(16, 64, 3), 8),
+        (lambda: generate_with_inner(11, 3, 1024, 4), 7),
+        (lambda: generate_with_inner(11, 3, 1024, 4), 12),
+        (lambda: generate_with_inner(11, 3, 1024, 5), 37),
+    ],
+)
+def test_rls_reaches_optimum_after_a_batched_stretch(monkeypatch, make, seed):
+    inst = make()
+    opt = held_karp_optimum(inst).optimum_value
+    fast, priced = batched_steps(monkeypatch, lambda: run_rls(inst, 20000, seed, optimum_value=opt))
+    assert fast == reference_rls(inst, 20000, seed, optimum_value=opt)
+    assert fast.reached_optimum and priced > 0
+    # the cycle stood for the 128 steps before the one that reached the
+    # optimum, so a batch found that step
+    g = fast.generations
+    before = [run_rls(inst, budget, seed, optimum_value=opt) for budget in (g - 129, g - 1)]
+    assert not before[1].reached_optimum
+    assert cycle_edges(before[0].final_tour) == cycle_edges(before[1].final_tour)
+
+
+def test_rls_series_unchanged():
+    # SHA-256 of the series these runs recorded before rejected stretches
+    # were priced in batches
+    inst = generate_with_inner(11, 3, 1024, 4)
+    opt = held_karp_optimum(inst).optimum_value
+    runs = [
+        (generate_grid(64, 1024, 5), 25000, 1, None),
+        (generate_grid(64, 1024, 5), 25000, 2, None),
+        (generate_grid(32, 1024, 7), 70000, 3, None),
+        (inst, 20000, 7, opt),
+    ]
+    h = hashlib.sha256()
+    for instance, budget, seed, optimum in runs:
+        traj = run_rls(instance, budget, seed, optimum_value=optimum, record_series=True)
+        h.update(repr(traj.best_fitness_series).encode())
+    assert h.hexdigest() == "23eb5dab4d9a84d2d67241dafaa2dace8152b09e485533ab96c46499c0fc4064"
 
 
 @pytest.mark.parametrize("mu,lam,kind", [(1, 1, "two_opt"), (3, 5, "mixed"), (2, 2, "two_opt")])
