@@ -52,8 +52,9 @@ def build_parser() -> _Parser:
     p.add_argument("--mu", type=int, help="EA parent count (default 1)")
     p.add_argument("--lambda", dest="lam", type=int, help="EA offspring count (default 1)")
     p.add_argument("--mutation", choices=["two_opt", "mixed"], help="EA mutation (default two_opt)")
-    p.add_argument("--optimum", type=float, default=None, help="known optimum value")
-    p.add_argument("--no-oracle", action="store_true", help="skip automatic oracle lookup")
+    optimum = p.add_mutually_exclusive_group()
+    optimum.add_argument("--optimum", type=float, default=None, help="known optimum value")
+    optimum.add_argument("--no-oracle", action="store_true", help="skip automatic oracle lookup")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("oracle", help="exact optimum of an instance file")

@@ -14,6 +14,8 @@ import re
 from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     CollinearTripleError,
     DuplicatePointError,
@@ -34,9 +36,9 @@ _COORD_LIMIT = 2**31  # |coordinate| < 2^31 keeps orientation exact in 64 bits
 class Instance:
     """Validated planar point set with derived hull data.
 
-    Immutable after construction; metrics and the distance matrix are
-    computed lazily and cached. Build instances through validate() or a
-    generator, not directly.
+    Immutable after construction; metrics, coords, distance_matrix and
+    its read-only numpy copy distance_array are computed lazily and
+    cached. Build instances through validate() or a generator, not directly.
     """
 
     def __init__(self, points: tuple[Point, ...], grid_size: int, hull: tuple[int, ...]):
@@ -69,6 +71,14 @@ class Instance:
                 d[i * n + j] = v
                 d[j * n + i] = v
         return tuple(d)
+
+    @cached_property
+    def distance_array(self) -> np.ndarray:
+        """distance_matrix as a read-only (n, n) float64 array, 0-based."""
+        n = len(self.points)
+        d = np.array(self.distance_matrix).reshape(n, n)
+        d.flags.writeable = False
+        return d
 
     @cached_property
     def coords(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

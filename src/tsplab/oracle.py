@@ -39,12 +39,6 @@ class OracleResult:
     method: str
 
 
-def _dist_array(instance: Instance) -> np.ndarray:
-    """The distance matrix as an (n, n) float64 array, 0-based."""
-    n = instance.n
-    return np.array(instance.distance_matrix).reshape(n, n)
-
-
 def _shortest(instance: Instance, tours: Iterable[Tour], method: str) -> OracleResult:
     """The shortest of the tours by the shared tour_length; ties on the
     exact value break by canonical-form lexicographic order."""
@@ -88,7 +82,7 @@ def held_karp_optimum(instance: Instance) -> OracleResult:
     n = instance.n
     if n > _HELD_KARP_MAX_N:
         raise TooLargeError(f"held-karp accepts n <= {_HELD_KARP_MAX_N}, got {n}")
-    dist = _dist_array(instance)
+    dist = instance.distance_array
     free = n - 1
     size = 1 << free
     dp = np.full((size, free), np.inf)
@@ -122,10 +116,17 @@ def held_karp_optimum(instance: Instance) -> OracleResult:
 
 
 def interleaving_count(instance: Instance) -> int:
-    """The C(n, k) * k! budget bound for hull-ordered tours."""
+    """The paper's bound C(n, k) * k! on the number of hull-ordered tours."""
     n = instance.n
     k = instance.inner_count
     return math.comb(n, k) * math.factorial(k)
+
+
+def hull_order_count(instance: Instance) -> int:
+    """The number of tours hull_order_tours yields, h(h+1)...(h+k-1): the
+    i-th inserted inner point has h + i - 1 places."""
+    h = len(instance.hull)
+    return math.prod(range(h, h + instance.inner_count))
 
 
 def hull_order_tours(instance: Instance) -> Iterator[Tour]:
@@ -160,10 +161,10 @@ def _insertion_costs(rows: np.ndarray, p: int, dist: np.ndarray) -> np.ndarray:
 
 
 def _check_hull_order_budget(instance: Instance) -> None:
-    """TooLargeError, before anything is built, if C(n, k) * k! is over budget."""
-    count = interleaving_count(instance)
+    """TooLargeError, before anything is built, if hull_order_count is over budget."""
+    count = hull_order_count(instance)
     if count > _INTERLEAVING_BUDGET:
-        raise TooLargeError(f"hull-order enumeration budget exceeded: C(n,k)*k! = {count}")
+        raise TooLargeError(f"hull-order enumeration budget exceeded: h(h+1)...(h+k-1) = {count} tours")
 
 
 def _insertion_optimum(instance: Instance, base: Sequence[int], inserted: Iterable[int], method: str) -> OracleResult:
@@ -195,7 +196,7 @@ def _insertion_optimum(instance: Instance, base: Sequence[int], inserted: Iterab
     inserted = [v - 1 for v in inserted]
     if not inserted:
         return _shortest(instance, [tuple(base)], method)
-    dist = _dist_array(instance)
+    dist = instance.distance_array
     rows = (np.array([base]) - 1).astype(np.min_scalar_type(instance.n - 1))
     lengths = dist[rows, np.roll(rows, -1, axis=1)].sum(axis=1)
     for p in inserted[:-1]:
@@ -233,7 +234,7 @@ def hull_order_optimum(instance: Instance) -> OracleResult:
 
     Crossing-free tours keep hull order, and the optimum is crossing
     free, so this superset always contains it. Budget-limited by
-    C(n, k) * k! <= 1e6, checked before anything is built.
+    hull_order_count <= 1e6, checked before anything is built.
     """
     _check_hull_order_budget(instance)
     return _insertion_optimum(instance, instance.hull, instance.inner_labels, "hull_order")

@@ -215,10 +215,14 @@ class Xoshiro256StarStar:
 
     def peek(self, k: int) -> np.ndarray:
         """The next k raw outputs as a uint64 array, without consuming them."""
+        if k < 0:
+            raise ValueError(f"count must be >= 0, got {k}")
         return self._source.peek(k)
 
     def skip(self, m: int) -> None:
         """Consume the next m raw outputs, each through `self.next_u64`."""
+        if m < 0:
+            raise ValueError(f"count must be >= 0, got {m}")
         collections.deque(itertools.islice(iter(self.next_u64, None), m), 0)
 
     def randbelow(self, bound: int) -> int:

@@ -133,59 +133,43 @@ def _position_table(n: int) -> np.ndarray:
     return table
 
 
-def _exact_from_coords(xs, ys) -> bool:
-    """Whether sqrt(dx*dx + dy*dy) in float64 gives every distance_matrix
-    entry bit for bit: when the squared span of the points is at most
-    2^53, every intermediate is an integer that float64 holds exactly,
-    and np.sqrt rounds correctly, as math.sqrt does."""
-    return (max(xs) - min(xs)) ** 2 + (max(ys) - min(ys)) ** 2 <= 1 << 53
-
-
 def _stretch_scanner(instance: Instance):
-    """run_rls's batch kernel, for an instance with _exact_from_coords.
+    """run_rls's batch kernel.
 
     scan(perm, words) prices the steps that the raw 64-bit words (a uint64
     array) make on the 0-based tour perm, as run_rls does: a word >= the
     rejection limit is sampled away and is no step; any other picks the
     inversion words % npairs, priced by the same 4-term delta in the same
-    order, ((d_ac + d_be) - d_ab) - d_ce, with distances computed from
-    the coordinates. It returns (steps, used): the number of steps before
-    the first with delta <= 0.0 (the full reversal always has one), or
-    all of them, and the number of words those steps use.
+    order, ((d_ac + d_be) - d_ab) - d_ce, from the same stored doubles
+    (instance.distance_array holds distance_matrix's). It returns
+    (steps, used): the number of steps before the first with delta <= 0.0
+    (the full reversal always has one), or all of them, and the number of
+    words those steps use.
     """
-    xs, ys = instance.coords
-    n = instance.n
-    positions = _position_table(n)
+    dist = instance.distance_array
+    positions = _position_table(instance.n)
     npairs = positions.shape[1]
     limit = (1 << 64) - (1 << 64) % npairs
-    coords = np.array((xs, ys), dtype=float)
-    key = ends = None
+    key = ends = edges = None
 
     def scan(perm, words):
-        nonlocal key, ends
+        nonlocal key, ends, edges
         if perm != key:
             key = perm[:]
-            # rows, per tour position: x and x of the successor, y and y of
-            # the successor, the length of the edge to the successor
-            ends = np.empty((5, n))
-            ends[:4] = coords[:, np.array((perm, perm[1:] + perm[:1]))].reshape(4, n)
-            diff = ends[0:4:2] - ends[1:4:2]
-            diff *= diff
-            np.sqrt(diff[0] + diff[1], out=ends[4])
+            # per tour position: its label and its successor's, and the
+            # length of the edge between them
+            ends = np.array((perm, perm[1:] + perm[:1]))
+            edges = dist[ends[0], ends[1]]
         kept = None
         if words.max() >= limit:  # each word with probability < npairs / 2^64
             kept = np.flatnonzero(words < limit)
             words = words[kept]
         a, c = positions.take(words % npairs, axis=1)
-        # rows x, y of a, b and of c, e; then d_ab and d_ce
-        at_a = ends.take(a, axis=1)
-        at_c = ends.take(c, axis=1)
-        diff = at_a[:4] - at_c[:4]
-        diff *= diff
-        added = np.sqrt(diff[:2] + diff[2:])
+        # d_ac and d_be: rows a, b against columns c, e
+        added = dist[ends.take(a, axis=1), ends.take(c, axis=1)]
         delta = added[0] + added[1]
-        delta -= at_a[4]
-        delta -= at_c[4]
+        delta -= edges.take(a)
+        delta -= edges.take(c)
         hits = np.flatnonzero(delta <= 0.0)
         steps = int(hits[0]) if len(hits) else len(delta)
         if kept is None:
@@ -294,10 +278,10 @@ def run_rls(
     - the tour and cur_len do not change over rejected steps, so the
       alpha count, the series samples and the step count of the batch
       follow in closed form;
-    - a batch computes the scalar delta's terms exactly (see
-      _stretch_scanner), and numpy's float64 add and subtract round as
-      Python's do; the order of the terms is the same, so every delta,
-      and every accept decision, is the scalar one;
+    - a batch reads the same stored doubles as the scalar delta (see
+      _stretch_scanner) and adds and subtracts them in the same order,
+      and numpy's float64 add and subtract round as Python's do, so
+      every delta, and every accept decision, is the scalar one;
     - revalidation and the optimum and local-optimum checks happen only
       in scalar steps, at the same steps as before;
     - the words consumed, through next_u64, are the ones the scalar loop
@@ -343,12 +327,9 @@ def run_rls(
     stride = max(1, budget // 1024) if record_series else 0
     revalidate_at = _REVALIDATE_EVERY
     scan = None  # built at the first batch
-    # batches start `after` steps into a stretch; never, past the budget,
-    # where the scanner could not be exact
-    after = _BATCH_AFTER if _exact_from_coords(xs, ys) else budget
-    # the step at which the current stretch reaches `after` steps; a step
-    # at or past check_at looks at revalidation and batching
-    batch_at = after
+    # the step at which the current stretch reaches _BATCH_AFTER steps; a
+    # step at or past check_at looks at revalidation and batching
+    batch_at = _BATCH_AFTER
     check_at = min(revalidate_at, batch_at)
 
     def _confirm_optimum() -> bool:
@@ -390,7 +371,7 @@ def run_rls(
                     cur_len += delta
                     accepted += 1
                     if j0 - i0 < n - 1:  # not (2, n) or (1, n-1): a new cycle
-                        batch_at = gens + after
+                        batch_at = gens + _BATCH_AFTER
                         check_at = min(revalidate_at, batch_at)
                     if opt_hi is not None:
                         if cur_len <= opt_hi and _confirm_optimum():

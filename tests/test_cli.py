@@ -149,6 +149,14 @@ class TestSolve:
         assert rec2["optimum_length"] == ""
         assert rec2["reached_optimum"] == "false"
 
+    @pytest.mark.parametrize("flags", [["--optimum", "4.0", "--no-oracle"], ["--no-oracle", "--optimum", "4.0"]])
+    def test_no_oracle_with_explicit_optimum_rejected(self, square_file, capsys, flags):
+        assert tsplab.cli.main(["solve", str(square_file), "--algorithm", "rls", "--budget", "100", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: argument --") and "not allowed with argument --" in err
+        assert "--optimum" in err and "--no-oracle" in err
+
     @pytest.mark.parametrize("algorithm", ["ea", "rls"])
     def test_optimum_above_a_tour_rejected(self, tmp_path, capsys, algorithm):
         # the grid's optimum is 134.9922578862372

@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 import tsplab.instance
@@ -371,3 +372,19 @@ class TestDistanceMatrix:
                 assert d[i * n + j] == d[j * n + i]
                 p, q = inst.points[i], inst.points[j]
                 assert d[i * n + j] == math.sqrt((p.x - q.x) ** 2 + (p.y - q.y) ** 2)
+
+    @pytest.mark.parametrize("points", [
+        [(0, 0), (3, 0), (0, 4), (5, 7)],
+        [(-(2**31 - 1), 5), (2**31 - 1, -(2**31 - 1)), (7, 2**31 - 1), (2**31 - 2, 2**31 - 3)],
+    ])
+    def test_distance_array_is_the_matrix_read_only(self, points):
+        inst = validate(points)
+        n = inst.n
+        arr = inst.distance_array
+        assert arr.dtype == np.float64 and arr.shape == (n, n)
+        assert arr.tolist() == [list(inst.distance_matrix[i * n:(i + 1) * n]) for i in range(n)]
+        assert inst.distance_array is arr
+        with pytest.raises(ValueError):
+            arr[0, 1] = 1.0
+        with pytest.raises(ValueError):
+            arr.ravel()[1] = 1.0

@@ -23,10 +23,12 @@ from tsplab import (
 )
 from tsplab import oracle
 from tsplab.errors import TooLargeError
+from tsplab.experiment import strongest_oracle
 from tsplab.oracle import (
     brute_force_optimum,
     enumerate_intersection_free,
     held_karp_optimum,
+    hull_order_count,
     hull_order_optimum,
     hull_order_tours,
     interleaving_count,
@@ -104,7 +106,7 @@ def inner_instance(draw):
 
 
 def _assert_hull_order_matches_reference(inst):
-    if interleaving_count(inst) > oracle._INTERLEAVING_BUDGET:
+    if hull_order_count(inst) > oracle._INTERLEAVING_BUDGET:
         with pytest.raises(TooLargeError):
             hull_order_optimum(inst)
     else:
@@ -220,6 +222,15 @@ class TestAgainstFrozenReferences:
         inst = generate_with_inner(12, 5, 1024, 3)
         assert hull_order_optimum(inst) == reference_hull_order(inst)
 
+    def test_budget_counts_the_tours_built(self):
+        # (13, 5) builds 13 * 14 * ... * 17 = 742,560 tours, within the
+        # budget, although the paper's bound C(18, 5) * 5! is 1,028,160
+        inst = generate_with_inner(13, 5, 1024, 3)
+        assert hull_order_count(inst) == 742_560 < oracle._INTERLEAVING_BUDGET < interleaving_count(inst)
+        expected = reference_hull_order(inst)
+        assert hull_order_optimum(inst) == expected
+        assert strongest_oracle(inst) == expected
+
     @pytest.mark.parametrize("block_rows", [1, 7, 4096])
     def test_only_near_optimal_tours_are_confirmed(self, monkeypatch, block_rows):
         # the exact tour_length confirms go to tours within the float
@@ -286,7 +297,7 @@ class TestHullOrderTours:
         # inserting k points one at a time after any element gives
         # h(h+1)...(h+k-1) sequences
         tours = list(hull_order_tours(inst))
-        assert len(tours) == 5 * 6
+        assert len(tours) == 5 * 6 == hull_order_count(inst)
         assert len(set(tours)) == len(tours)
         assert all(respects_hull_order(inst, t) for t in tours)
 

@@ -231,6 +231,16 @@ class TestPeekAndSkip:
         rng.skip(count)
         assert [rng.next_u64(), rng.next_u64()] == expected[consumed + count:]
 
+    @pytest.mark.parametrize("consumed", [0, 1])
+    def test_negative_counts_rejected(self, consumed):
+        rng = Xoshiro256StarStar(19)
+        rng.skip(consumed)
+        with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+            rng.peek(-1)
+        with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+            rng.skip(-1)
+        assert rng.next_u64() == Xoshiro256StarStar(19).peek(consumed + 1)[-1]
+
     def test_counting_override_counts_what_skip_consumes(self):
         counter = [0]
         rng = counting_class(counter)(17)

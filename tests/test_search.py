@@ -28,11 +28,11 @@ from tsplab import (
 from tsplab.errors import CollinearTripleError, DuplicatePointError
 from tsplab.oracle import held_karp_optimum, hull_order_optimum
 from tsplab.rng import Xoshiro256StarStar
-from tsplab.search import _INV_E, _child_pricer, _ea_margin_unit, _exact_from_coords, _stretch_scanner
+from tsplab.search import _INV_E, _child_pricer, _ea_margin_unit, _stretch_scanner
 
 import test_search_reference
 from conftest import ForcedRng, cycle_edges, inversion_pairs, reference_mutation
-from test_search_reference import reference_ea, reference_rls
+from test_search_reference import batched_steps, reference_ea, reference_rls
 
 
 class TestPoissonPlusOne:
@@ -493,6 +493,29 @@ def rejection_limit(n):
     return 2**64 - 2**64 % (n * (n - 1) // 2)
 
 
+# scales the 7 x 7 grid's coordinates 0..6, about its centre, to within
+# one of +-(2^31 - 1)
+WIDE_SCALE = (2**32 - 2) // 6
+
+
+def scaled(inst, scale):
+    """inst's points scaled by `scale` about the centre of a 7 x 7 grid:
+    every length is `scale` times the old one, so equal lengths stay equal."""
+    return validate([((p.x - 3) * scale, (p.y - 3) * scale) for p in inst.points])
+
+
+def wide_instance(n, seed):
+    """n distinct points uniform over the whole 32-bit coordinate range."""
+    rng = Xoshiro256StarStar(seed)
+    bound = 2**31 - 1
+    points = []
+    while len(points) < n:
+        p = (rng.randbelow(2 * bound + 1) - bound, rng.randbelow(2 * bound + 1) - bound)
+        if p not in points:
+            points.append(p)
+    return validate(points)
+
+
 class TestStretchScanner:
     """run_rls's batch kernel on synthetic words: it prices each step as
     the scalar loop does and stops where the scalar loop would accept."""
@@ -543,11 +566,12 @@ class TestStretchScanner:
         assert scan(perm, words(zero)) == (0, 0)
         assert scan(perm, words(*rejected, zero, *rejected)) == (len(rejected), len(rejected))
 
-    @pytest.mark.parametrize("instance_seed", [1, 2, 217])
-    def test_agrees_with_scalar_rule_on_every_pair_of_a_tie_heavy_grid(self, instance_seed):
+    @pytest.mark.parametrize("instance_seed,scale", [(1, 1), (2, 1), (217, 1), (1, WIDE_SCALE)], ids=["1", "2", "217", "wide"])
+    def test_agrees_with_scalar_rule_on_every_pair_of_a_tie_heavy_grid(self, instance_seed, scale):
         # a 7 x 7 grid makes equal edge lengths, so deltas that cancel to
-        # 0.0 or round around it are common
-        inst = generate_grid(11, 7, instance_seed)
+        # 0.0 or round around it are common; scaled to the 32-bit range it
+        # keeps its ties, and its squared lengths pass 2^53
+        inst = scaled(generate_grid(11, 7, instance_seed), scale)
         n = inst.n
         pairs = inversion_pairs(n)
         scan = _stretch_scanner(inst)
@@ -573,12 +597,13 @@ class TestStretchScanner:
                     ties += d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e] == 0.0
         assert ties > 0
 
-    def test_large_coordinates_are_left_to_the_scalar_loop(self):
-        assert _exact_from_coords((0, 2**26), (0, 2**26))
-        assert not _exact_from_coords((0, 2**26 + 1), (0, 2**26))
-        inst = validate([(0, 0), (2**31 - 1, 5), (7, 2**31 - 1), (-(2**31 - 1), 11), (3, -(2**31 - 1))])
-        assert not _exact_from_coords(*inst.coords)
-        assert run_rls(inst, 300, 2) == reference_rls(inst, 300, 2)
+    @pytest.mark.parametrize("instance_seed", [1, 2, 3])
+    def test_wide_coordinates_are_batched(self, monkeypatch, instance_seed):
+        inst = wide_instance(24, instance_seed)
+        assert max(max(map(abs, xs)) for xs in inst.coords) > 2**31 - 2**28
+        result, priced = batched_steps(monkeypatch, lambda: run_rls(inst, 8000, instance_seed))
+        assert priced > result.generations // 2
+        assert result == reference_rls(inst, 8000, instance_seed)
 
 
 def accepted_inversions(instance, steps, seed):
