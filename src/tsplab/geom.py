@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import TooSmallError
 
@@ -61,22 +61,44 @@ def properly_cross(ax: int, ay: int, bx: int, by: int, cx: int, cy: int, dx: int
     no three of the involved points are collinear (a strict straddle
     test in both directions decides everything).
     """
-    abx = bx - ax
-    aby = by - ay
-    o1 = abx * (cy - ay) - aby * (cx - ax)
-    o2 = abx * (dy - ay) - aby * (dx - ax)
-    if o1 * o2 >= 0:
-        return False
-    cdx = dx - cx
-    cdy = dy - cy
-    o3 = cdx * (ay - cy) - cdy * (ax - cx)
-    o4 = cdx * (by - cy) - cdy * (bx - cx)
-    return o3 * o4 < 0
+    return next(_crossings_along(ax, ay, bx, by, (cx, dx), (cy, dy), (0, 1)), None) is not None
 
 
 def segments_properly_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
     """properly_cross on Points."""
     return properly_cross(a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y)
+
+
+def _crossings_along(ax: int, ay: int, bx: int, by: int, xs, ys, path) -> Iterator[int]:
+    """Each p, lazily and in increasing order, at which the segment from
+    point path[p] to point path[p + 1] properly crosses the segment ab;
+    xs and ys hold the points' coordinates, indexed by the labels in path.
+    The package's one crossing predicate, in polyline form.
+
+    Two segments properly cross iff each one's end points lie strictly on
+    opposite sides of the other's line. The side of each point of path
+    (the sign of (b - a) x (p - a)) is computed once, and only a segment
+    that straddles the line ab is tested the other way. Exact integer
+    arithmetic: a shared end point or a collinear triple makes a side 0,
+    and 0 never straddles.
+    """
+    abx = bx - ax
+    aby = by - ay
+    # side of (x, y): abx * (y - ay) - aby * (x - ax) = abx * y - aby * x - k
+    k = abx * ay - aby * ax
+    s = path[0]
+    o1 = abx * ys[s] - aby * xs[s] - k
+    for p, t in enumerate(path[1:]):
+        o2 = abx * ys[t] - aby * xs[t] - k
+        if o1 * o2 < 0:
+            cx = xs[s]
+            cy = ys[s]
+            cdx = xs[t] - cx
+            cdy = ys[t] - cy
+            if (cdx * (ay - cy) - cdy * (ax - cx)) * (cdx * (by - cy) - cdy * (bx - cx)) < 0:
+                yield p
+        s = t
+        o1 = o2
 
 
 def convex_hull(points: Sequence[Point]) -> tuple[int, ...]:

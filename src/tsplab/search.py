@@ -9,7 +9,8 @@ it. A run is a sequential Markov chain driven by one seeded generator;
 identical (instance, parameters, seed) reproduce the trajectory bit for
 bit. run_rls prices long stretches of rejected steps in numpy batches
 from words it peeks from the generator (_stretch_scanner), on the same
-trajectory.
+trajectory; on a cycle that has stood long, a batch walks only the words
+that pick one of the cycle's candidate pairs.
 
 Trajectory accounting: each executed step/generation is classified by
 the best-so-far tour before the step -- alpha if the tour has crossing
@@ -19,14 +20,15 @@ generations always equals alpha_steps + beta_steps; a tour shorter than
 that value raises ValueError where it is compared. Neither loop counts
 crossings: each keeps a crossing witness (see _witness) and updates it
 from the edges that changed, by one rule (_update_witness). run_rls
-diffs its tour before and after an accepted inversion; run_ea diffs each
-new best tour against the last one it classified, whatever parent the
-new best came from, and a new best that is the same cycle costs no
-geometry.
+diffs its tour before and after an accepted inversion that changes the
+cycle; run_ea diffs each new best tour against the last one it
+classified, whatever parent the new best came from. A move or a new best
+that keeps the cycle costs no geometry.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -37,7 +39,7 @@ import numpy as np
 from .instance import Instance
 from .rng import _INV_2_53, Xoshiro256StarStar
 from .tour import Tour, _crossings0, _fsum_length, _segment_crossing, tour_length
-from .tour import is_two_opt_local_optimum
+from .tour import _SHRINK, is_two_opt_local_optimum
 
 _INV_E = float.fromhex("0x1.78b56362cef38p-2")  # 1/e correctly rounded, with no libm call
 # the incremental float length is re-derived from scratch this often to
@@ -45,7 +47,10 @@ _INV_E = float.fromhex("0x1.78b56362cef38p-2")  # 1/e correctly rounded, with no
 _REVALIDATE_EVERY = 1 << 16
 # run_rls prices its steps in numpy batches once the cycle has stood this
 # many steps, at most _BATCH_MAX words a batch (which bounds the batch's
-# temporaries to a few hundred KiB)
+# temporaries to a few hundred KiB); once it has stood npairs // 4 steps,
+# its batches walk its candidate pairs (marking them costs about as much
+# as pricing every pair once; a half to an eighth of npairs measured the
+# same on rls-grid-local)
 _BATCH_AFTER = 64
 _BATCH_MAX = 2048
 # relative slack when comparing a recomputed length against the optimum
@@ -133,8 +138,80 @@ def _position_table(n: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=1)
+def _reflection_table(n: int) -> np.ndarray:
+    """How pair indices move under the three cycle-preserving moves: row
+    m is for the full reversal (m = 0), (2, n) (m = 1) and (1, n-1)
+    (m = 2). Entry t of row m is a pair index, on the tour before move m,
+    that removes the same two edges as pair t on the tour after it; for
+    the three cycle-preserving pairs it is the full reversal's index.
+
+    Each move reflects the cycle's edge positions: edge k of the new tour
+    is edge (c - k) mod n of the old, with c = -2, -1 and -3. An edge
+    pair {k1 < k2} has the index of (k1 + 2, k2 + 1) in 1-based positions,
+    or of (1, k1 + 1) when k2 = n - 1; a pair with edge n - 1 has a second
+    index, (k1 + 2, n), which the table never names, so a mask read
+    through it must hold both indices of such a pair."""
+    npairs = n * (n - 1) // 2
+    dtype = np.int16 if npairs < 1 << 15 else np.int32
+    k1, k2 = _position_table(n).astype(np.int32) % n
+    rows = []
+    for c in (-2, -1, -3):
+        e1 = (c - k1) % n
+        e2 = (c - k2) % n
+        lo = np.minimum(e1, e2)
+        hi = np.maximum(e1, e2)
+        wrap = hi == n - 1
+        i0 = np.where(wrap, 0, lo + 1)
+        j0 = np.where(wrap, lo + 1, hi + 1)
+        old = i0 * (n - 1) - i0 * (i0 - 1) // 2 + j0 - i0 - 2
+        old[[n - 2, 2 * n - 4, n - 3]] = n - 2  # (1, n), (2, n), (1, n-1)
+        rows.append(old.astype(dtype))
+    table = np.stack(rows)
+    table.flags.writeable = False
+    return table
+
+
+def _tour_edges(dist: np.ndarray, perm) -> tuple[np.ndarray, np.ndarray]:
+    """Per position of the 0-based tour perm: its label and its
+    successor's (a (2, n) array), and the length of the edge between
+    them, read from the stored distances."""
+    ends = np.array((perm, perm[1:] + perm[:1]))
+    return ends, dist[ends[0], ends[1]]
+
+
+def _candidate_marks(instance: Instance, perm) -> np.ndarray:
+    """Which pairs of _slice_table(n) are candidates on the 0-based tour
+    perm: a bool per pair index, False where is_two_opt_local_optimum's
+    prefilter, fl(d_ab + d_ce) < fl(fl(d_ac + d_be) * _SHRINK), proves
+    the inversion rejected.
+
+    Both sums are order-free, so a pair's mark depends only on the two
+    edges it removes, not on the tour's orientation, and the two indices
+    of a pair with edge n - 1 (see _reflection_table) get the same mark.
+    An unmarked pair has a float delta > 0 in every order of its four
+    terms: with u = 2^-53 and A = d_ac + d_be, the prefilter puts the
+    exact d_ab + d_ce below A(1+u)^2(1 - 2^-48)/(1-u), more than
+    0.9 * 2^-48 * A below A, and summing the four signed terms in any
+    order errs by at most 3.01u(A + A) < 0.19 * 2^-48 * A. The three
+    cycle-preserving pairs are always marked: their two sums are equal,
+    or the added one is 0. Computed in slices of _BATCH_MAX pairs, so its
+    temporaries are a batch's.
+    """
+    dist = instance.distance_array
+    positions = _position_table(instance.n)
+    ends, edges = _tour_edges(dist, perm)
+    npairs = positions.shape[1]
+    marks = np.empty(npairs, dtype=bool)
+    for lo in range(0, npairs, _BATCH_MAX):
+        a, c = positions[:, lo : lo + _BATCH_MAX]
+        ac, be = dist[ends.take(a, axis=1), ends.take(c, axis=1)]
+        np.greater_equal(edges.take(a) + edges.take(c), (ac + be) * _SHRINK, out=marks[lo : lo + _BATCH_MAX])
+    return marks
+
+
 def _stretch_scanner(instance: Instance):
-    """run_rls's batch kernel.
+    """run_rls's batch kernels, (scan, walk).
 
     scan(perm, words) prices the steps that the raw 64-bit words (a uint64
     array) make on the 0-based tour perm, as run_rls does: a word >= the
@@ -145,38 +222,118 @@ def _stretch_scanner(instance: Instance):
     (steps, used): the number of steps before the first with delta <= 0.0
     (the full reversal always has one), or all of them, and the number of
     words those steps use.
+
+    walk(perm, words, cur_len, accepted, opt_hi, certify_every) makes the
+    same steps on a cycle that has stood long, and may move perm. It marks
+    the tour's candidate pairs (_candidate_marks) once per tour, looks up
+    which words pick a marked pair, and runs the scalar rule on those
+    words alone, in order:
+
+    - a marked pair with delta > 0.0 is rejected;
+    - the full reversal, and (2, n) or (1, n-1) with delta <= 0.0, is
+      taken: perm moves, the marks follow it through _reflection_table
+      (the cycle, hence every pair's mark, is the same), and the walk
+      goes on;
+    - it stops before any other accepted pair, and before a (2, n) or
+      (1, n-1) on which run_rls's optimum check (cur_len + delta <=
+      opt_hi) or its certification ((accepted + 1) % certify_every == 0,
+      without an optimum) would run, leaving that step to the scalar loop.
+
+    It returns (steps, used, taken): steps and used as scan's, and the
+    (word index, delta) of each move taken, delta 0.0 for the full
+    reversal, in order.
     """
     dist = instance.distance_array
-    positions = _position_table(instance.n)
+    n = instance.n
+    d = instance.distance_matrix
+    pairs = _slice_table(n)
+    positions = _position_table(n)
     npairs = positions.shape[1]
     limit = (1 << 64) - (1 << 64) % npairs
     key = ends = edges = None
+    marked = marked_for = None
+
+    def drop_over_limit(words):
+        """(words below the limit, their indices, or None if all are)."""
+        if words.max() < limit:  # each word is over with probability < npairs / 2^64
+            return words, None
+        kept = np.flatnonzero(words < limit)
+        return words[kept], kept
+
+    def used_by(steps, kept):
+        if kept is None:
+            return steps
+        return int(kept[steps - 1]) + 1 if steps else 0
 
     def scan(perm, words):
         nonlocal key, ends, edges
         if perm != key:
             key = perm[:]
-            # per tour position: its label and its successor's, and the
-            # length of the edge between them
-            ends = np.array((perm, perm[1:] + perm[:1]))
-            edges = dist[ends[0], ends[1]]
-        kept = None
-        if words.max() >= limit:  # each word with probability < npairs / 2^64
-            kept = np.flatnonzero(words < limit)
-            words = words[kept]
+            ends, edges = _tour_edges(dist, perm)
+        words, kept = drop_over_limit(words)
         a, c = positions.take(words % npairs, axis=1)
         # d_ac and d_be: rows a, b against columns c, e
-        added = dist[ends.take(a, axis=1), ends.take(c, axis=1)]
-        delta = added[0] + added[1]
+        ac_be = dist[ends.take(a, axis=1), ends.take(c, axis=1)]
+        delta = ac_be[0] + ac_be[1]
         delta -= edges.take(a)
         delta -= edges.take(c)
         hits = np.flatnonzero(delta <= 0.0)
         steps = int(hits[0]) if len(hits) else len(delta)
-        if kept is None:
-            return steps, steps
-        return steps, int(kept[steps - 1]) + 1 if steps else 0
+        return steps, used_by(steps, kept)
 
-    return scan
+    def walk(perm, words, cur_len, accepted, opt_hi, certify_every):
+        nonlocal marked, marked_for
+        if perm != marked_for:
+            marked = _candidate_marks(instance, perm)
+        words, kept = drop_over_limit(words)
+        picks = words % npairs
+        # per orientation of the cycle met in this batch, keyed by the
+        # tour's first two labels: its marks, and the words that pick a
+        # marked pair
+        seen = {}
+        facing = (perm[0], perm[1])
+        seen[facing] = marked, marked.take(picks).nonzero()[0].tolist()
+        taken = []
+        last = -1
+        steps = None
+        while steps is None:
+            marked, hits = seen[facing]
+            for h in hits[bisect.bisect(hits, last) :]:
+                i0, j0, jmod = pairs[int(picks[h])]
+                if j0 - i0 == n:
+                    perm.reverse()
+                    delta = 0.0
+                    move = 0
+                else:
+                    a = perm[i0 - 1]
+                    b = perm[i0]
+                    c = perm[j0 - 1]
+                    e = perm[jmod]
+                    delta = d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e]
+                    if delta > 0.0:
+                        continue
+                    if j0 - i0 < n - 1 or (
+                        cur_len + delta <= opt_hi if opt_hi is not None else (accepted + 1) % certify_every == 0
+                    ):
+                        steps = h
+                        break
+                    perm[i0:j0] = perm[i0:j0][::-1]
+                    cur_len += delta
+                    move = 1 if i0 else 2
+                accepted += 1
+                taken.append((h, delta))
+                last = h
+                facing = (perm[0], perm[1])
+                if facing not in seen:
+                    moved = marked.take(_reflection_table(n)[move])
+                    seen[facing] = moved, moved.take(picks).nonzero()[0].tolist()
+                break
+            else:
+                steps = len(picks)
+        marked_for = perm[:]
+        return steps, used_by(steps, kept), taken
+
+    return scan, walk
 
 
 def _check_optimum(optimum_value: Optional[float]) -> None:
@@ -219,7 +376,10 @@ def _witness(xs, ys, perm, added, rescan: bool) -> Optional[tuple[int, int]]:
 
     Nothing requires T' to be one move from T, so the rule holds for any
     edge diff: run_rls's inversions (two edges out, two in) and run_ea's
-    new best tours, which may descend from any parent.
+    new best tours, which may descend from any parent. An empty diff (the
+    same cycle: run_rls's full reversal, (2, n) and (1, n-1), or run_ea's
+    tied child of one) keeps the witness, and neither loop calls this for
+    it.
     """
     n = len(perm)
     for u, v in added:
@@ -264,39 +424,54 @@ def run_rls(
     runs until the budget or until a full neighborhood scan (every n^2
     accepted steps) certifies a 2-opt local optimum.
 
-    Rejected stretches are priced in numpy batches. Once the cycle has
-    stood for _BATCH_AFTER steps (the full reversal and the cycle-
-    preserving (2, n) and (1, n-1) keep it), every scalar step is
-    followed by a batch of k steps priced by _stretch_scanner, with k
-    the number of steps the cycle has stood, at most _BATCH_MAX, and
-    never past the budget or the step before the next revalidation. The
-    batch's words are peeked; it ends before its first step that would
-    be accepted, and the rng skips exactly the words of the rejected
-    steps before that one, which the next scalar step then takes. This
-    is the same trajectory, bit for bit:
+    Rejected stretches are priced in numpy batches (_stretch_scanner),
+    from words peeked from the generator; the rng then skips exactly the
+    words of the steps a batch made, and the next scalar step takes the
+    one it stopped before. Once the cycle has stood _BATCH_AFTER steps
+    (the full reversal and the cycle-preserving (2, n) and (1, n-1) keep
+    it), every scalar step is followed by a batch of at most _BATCH_MAX
+    steps, never past the budget or the step before the next
+    revalidation:
 
-    - the tour and cur_len do not change over rejected steps, so the
-      alpha count, the series samples and the step count of the batch
-      follow in closed form;
+    - while the cycle has stood fewer than npairs // 4 steps, scan prices
+      as many steps as it has stood and stops before the first that
+      would be accepted;
+    - after that, walk marks the cycle's candidate pairs once and runs
+      the scalar rule on the words that pick one, and no other. It takes
+      the full reversal and an accepted (2, n) or (1, n-1) itself, and
+      stops before any other accepted step, and before a cycle-preserving
+      one on which the optimum check or the certification would run.
+
+    This is the same trajectory, bit for bit:
+
+    - between the moves a batch takes the tour and cur_len do not change,
+      so the alpha count, the series samples and the step count follow in
+      closed form; a move it takes keeps the edge set, hence the crossing
+      status, and adds its delta to cur_len (0.0 for the full reversal),
+      as the scalar step does;
     - a batch reads the same stored doubles as the scalar delta (see
       _stretch_scanner) and adds and subtracts them in the same order,
       and numpy's float64 add and subtract round as Python's do, so
-      every delta, and every accept decision, is the scalar one;
+      every delta, and every accept decision, is the scalar one; a pair
+      that walk leaves unmarked has a delta > 0 in every term order;
     - revalidation and the optimum and local-optimum checks happen only
       in scalar steps, at the same steps as before;
     - the words consumed, through next_u64, are the ones the scalar loop
       draws, so a draw-counting override counts the same draws.
 
     Alpha/beta accounting reads a crossing witness (see _witness). An
-    accepted inversion that swaps the edges ab and ce for ac and be keeps
-    it exact through _update_witness:
+    accepted inversion that swaps the edges ab and ce for the new edges
+    ac and be keeps it exact through _update_witness:
 
     - no witness edge is ab or ce: both are still tour edges that cross;
     - the tour was crossing-free: a new crossing involves ac or be, and
       one pass over the cycle for each (_segment_crossing) decides;
-    - a witness edge was removed (also by the cycle-preserving (2, n) and
-      (1, n-1), which re-add it): the same check, and if neither added
+    - a witness edge was removed: the same check, and if neither added
       edge is crossed, a rescan that stops at the first crossing.
+
+    The full reversal, (2, n) and (1, n-1) remove and re-add the same
+    edges, so the witness stands and no geometry runs, in a batch or in a
+    scalar step.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -326,7 +501,8 @@ def run_rls(
     series: Optional[list[float]] = [] if record_series else None
     stride = max(1, budget // 1024) if record_series else 0
     revalidate_at = _REVALIDATE_EVERY
-    scan = None  # built at the first batch
+    scan = walk = None  # built at the first batch
+    walk_after = max(_BATCH_AFTER, npairs // 4)
     # the step at which the current stretch reaches _BATCH_AFTER steps; a
     # step at or past check_at looks at revalidation and batching
     batch_at = _BATCH_AFTER
@@ -364,13 +540,13 @@ def run_rls(
                 delta = d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e]
                 if delta <= 0.0:
                     perm[i0:j0] = perm[i0:j0][::-1]
-                    witness = _update_witness(
-                        xs, ys, perm, witness, (1 << a | 1 << b, 1 << c | 1 << e), ((a, c), (b, e))
-                    )
-                    has_cross = 0 if witness is None else 1
                     cur_len += delta
                     accepted += 1
                     if j0 - i0 < n - 1:  # not (2, n) or (1, n-1): a new cycle
+                        witness = _update_witness(
+                            xs, ys, perm, witness, (1 << a | 1 << b, 1 << c | 1 << e), ((a, c), (b, e))
+                        )
+                        has_cross = 0 if witness is None else 1
                         batch_at = gens + _BATCH_AFTER
                         check_at = min(revalidate_at, batch_at)
                     if opt_hi is not None:
@@ -390,15 +566,27 @@ def run_rls(
                         reached_optimum = True
                         break
                 if gens >= batch_at:
-                    k = min(gens + _BATCH_AFTER - batch_at, _BATCH_MAX, budget - gens, revalidate_at - 1 - gens)
+                    stood = gens + _BATCH_AFTER - batch_at
+                    k = min(_BATCH_MAX, budget - gens, revalidate_at - 1 - gens)
                     if k > 0:
                         if scan is None:
-                            scan = _stretch_scanner(instance)
-                        steps, used = scan(perm, rng.peek(k))
+                            scan, walk = _stretch_scanner(instance)
+                        if stood < walk_after:
+                            steps, used = scan(perm, rng.peek(min(k, stood)))
+                            taken = ()
+                        else:
+                            steps, used, taken = walk(perm, rng.peek(k), cur_len, accepted, opt_hi, certify_every)
                         rng.skip(used)
                         alpha += has_cross * steps
+                        sampled = gens  # the series holds the samples of the steps up to here
+                        for h, delta in taken:
+                            if series is not None:
+                                series.extend([cur_len] * ((gens + h + 1) // stride - sampled // stride))
+                                sampled = gens + h + 1
+                            cur_len += delta
+                        accepted += len(taken)
                         if series is not None:
-                            series.extend([cur_len] * ((gens + steps) // stride - gens // stride))
+                            series.extend([cur_len] * ((gens + steps) // stride - sampled // stride))
                         gens += steps
                 check_at = min(revalidate_at, batch_at)
 

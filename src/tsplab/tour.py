@@ -11,10 +11,10 @@ The private kernels _fsum_length, _crossings0 (every crossing pair,
 lazily) and _segment_crossing (the first edge crossing one segment) take
 a 0-based permutation, the search loops' own state, and the flat distance
 matrix or the raw coordinates (Instance.coords); run_rls keeps its
-crossing witness with the last two. They stay private, as does the
-predicate alias: perfbench/tracer.py wraps each public function bound
-across modules, which would make every predicate call of a traced scan a
-span.
+crossing witness with the last two, which run geom's crossing kernel
+(_crossings_along) along the cycle. They stay private, as does the
+kernel: perfbench/tracer.py wraps each public function bound across
+modules, which would make every kernel call of a traced scan a span.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional, Sequence
 
-from .geom import properly_cross as _properly_cross
+from .geom import _crossings_along
 from .instance import Instance
 
 Tour = tuple[int, ...]
@@ -101,33 +101,22 @@ def _crossings0(xs, ys, perm) -> Iterator[tuple[int, int]]:
     """0-based edge-position pairs (a, b), a < b, whose segments properly
     cross, lazily in lexicographic order. Edge p joins perm[p] and
     perm[p+1] (edge n-1 closes the cycle: perm[p+1-n] wraps); edges
-    sharing an endpoint never cross."""
-    n = len(perm)
-    for a in range(n):
-        u = perm[a]
-        v = perm[a + 1 - n]
-        ux, uy, vx, vy = xs[u], ys[u], xs[v], ys[v]
-        for b in range(a + 1, n):
-            s = perm[b]
-            t = perm[b + 1 - n]
-            if _properly_cross(ux, uy, vx, vy, xs[s], ys[s], xs[t], ys[t]):
-                yield (a, b)
+    sharing an endpoint never cross. Row a runs the crossing kernel along
+    the polyline of edges a+1, ..., n-1."""
+    closed = perm + perm[:1]
+    for a, (u, v) in enumerate(zip(perm, closed[1:])):
+        for p in _crossings_along(xs[u], ys[u], xs[v], ys[v], xs, ys, closed[a + 1 :]):
+            yield (a, a + 1 + p)
 
 
 def _segment_crossing(xs, ys, perm, u: int, v: int) -> Optional[int]:
     """0-based position of the first edge of the cycle perm, in cycle
     order (edge n-1 closes it), whose segment properly crosses the
-    segment between labels u and v; None if no edge does. One pass that
-    stops at the first crossing; edges sharing an endpoint with uv, and
-    uv itself if it is an edge, never cross it."""
-    n = len(perm)
-    ux, uy, vx, vy = xs[u], ys[u], xs[v], ys[v]
-    for p in range(n):
-        s = perm[p]
-        t = perm[p + 1 - n]
-        if _properly_cross(ux, uy, vx, vy, xs[s], ys[s], xs[t], ys[t]):
-            return p
-    return None
+    segment between labels u and v; None if no edge does. One pass of the
+    crossing kernel along the closed cycle, which stops at the first
+    crossing; edges sharing an endpoint with uv, and uv itself if it is
+    an edge, never cross it."""
+    return next(_crossings_along(xs[u], ys[u], xs[v], ys[v], xs, ys, perm + perm[:1]), None)
 
 
 def _crossings(instance: Instance, tour: Sequence[int]) -> Iterator[tuple[int, int]]:

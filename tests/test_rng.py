@@ -194,6 +194,21 @@ class TestOverrideContract:
         assert fast == slow and priced > 12500
         assert fast_draws == slow_draws >= fast.generations + inst.n - 1
 
+    def test_rls_draw_count_on_a_walked_run(self, monkeypatch):
+        # an idle n = 12 run: nearly every step is made by walks, which
+        # take the full reversal, (2, n) and (1, n-1) themselves
+        inst = generate_grid(12, 64, 7)
+        (fast, fast_draws), made = test_search_reference.batches(
+            monkeypatch, lambda: self.counted(monkeypatch, tsplab.search, lambda: run_rls(inst, 20000, 2))
+        )
+        slow, slow_draws = self.counted(
+            monkeypatch, test_search_reference, lambda: reference_rls(inst, 20000, 2)
+        )
+        walked = sum(steps for kind, steps, _ in made if kind == "walk")
+        assert fast == slow and walked > fast.generations // 2
+        assert sum(len(taken) for _, _, taken in made) > 100
+        assert fast_draws == slow_draws >= fast.generations + inst.n - 1
+
     @pytest.mark.parametrize("mu,lam,kind", [(1, 1, "two_opt"), (1, 1, "mixed"), (4, 8, "mixed")])
     @pytest.mark.parametrize("seed", [4, 5])
     def test_ea_draw_count(self, monkeypatch, mu, lam, kind, seed):

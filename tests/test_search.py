@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tsplab.search
@@ -25,10 +25,17 @@ from tsplab import (
     tour_length,
     validate,
 )
-from tsplab.errors import CollinearTripleError, DuplicatePointError
+from tsplab.errors import CollinearTripleError, DuplicatePointError, GenerationExhaustedError
 from tsplab.oracle import held_karp_optimum, hull_order_optimum
 from tsplab.rng import Xoshiro256StarStar
-from tsplab.search import _INV_E, _child_pricer, _ea_margin_unit, _stretch_scanner
+from tsplab.search import (
+    _INV_E,
+    _candidate_marks,
+    _child_pricer,
+    _ea_margin_unit,
+    _reflection_table,
+    _stretch_scanner,
+)
 
 import test_search_reference
 from conftest import ForcedRng, cycle_edges, inversion_pairs, reference_mutation
@@ -531,7 +538,7 @@ class TestStretchScanner:
         r, s = rejected[:2]
         rev = inversion_draw(n, 1, n)
         limit = rejection_limit(n)
-        scan = _stretch_scanner(inst)
+        scan, _ = _stretch_scanner(inst)
         # (steps, words they use): a sampled-away word is part of the
         # step after it, so words after the last rejected step are not used
         assert scan(perm, words(limit, r, limit + 1, s, 2**64 - 1, rev, r)) == (2, 4)
@@ -547,7 +554,7 @@ class TestStretchScanner:
         inst = generate_grid(12, 32, seed)
         n = inst.n
         rev = inversion_draw(n, 1, n)
-        scan = _stretch_scanner(inst)
+        scan, _ = _stretch_scanner(inst)
         shuffled = list(range(n))
         Xoshiro256StarStar(seed).shuffle(shuffled)
         for perm in (self.local_optimum(inst, seed), list(range(n)), shuffled):
@@ -560,7 +567,7 @@ class TestStretchScanner:
         perm = [0, 1, 4, 2, 3]
         d = inst.distance_matrix
         assert d[0 * 5 + 2] + d[1 * 5 + 3] - d[0 * 5 + 1] - d[2 * 5 + 3] == 0.0
-        scan = _stretch_scanner(inst)
+        scan, _ = _stretch_scanner(inst)
         zero = inversion_draw(5, 2, 4)
         rejected = [t for t, (i, j) in enumerate(inversion_pairs(5)) if not scalar_accepts(inst, perm, i, j)]
         assert scan(perm, words(zero)) == (0, 0)
@@ -574,7 +581,7 @@ class TestStretchScanner:
         inst = scaled(generate_grid(11, 7, instance_seed), scale)
         n = inst.n
         pairs = inversion_pairs(n)
-        scan = _stretch_scanner(inst)
+        scan, _ = _stretch_scanner(inst)
         rng = Xoshiro256StarStar(instance_seed)
         perms = [self.local_optimum(inst, seed) for seed in (1, 2)]
         for _ in range(20):
@@ -604,6 +611,206 @@ class TestStretchScanner:
         result, priced = batched_steps(monkeypatch, lambda: run_rls(inst, 8000, instance_seed))
         assert priced > result.generations // 2
         assert result == reference_rls(inst, 8000, instance_seed)
+
+
+def walk_by_scalar_rule(instance, perm, values, cur_len, accepted, opt_hi, certify_every):
+    """What walk must return for the raw words `values` on the 0-based perm
+    (which it moves): run_rls's scalar rule word by word, taking the full
+    reversal and an accepted (2, n) or (1, n-1) unless the optimum check
+    or the certification would run on it, and stopping before any other
+    accepted step."""
+    n = instance.n
+    d = instance.distance_matrix
+    pairs = inversion_pairs(n)
+    limit = rejection_limit(n)
+    steps = used = 0
+    taken = []
+    for k, u in enumerate(values):
+        if u >= limit:
+            continue
+        i, j = pairs[u % len(pairs)]
+        if (i, j) == (1, n):
+            perm.reverse()
+            delta = 0.0
+        else:
+            a, b, c, e = perm[i - 2], perm[i - 1], perm[j - 1], perm[j % n]
+            delta = d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e]
+            if delta > 0.0:
+                steps, used = steps + 1, k + 1
+                continue
+            fires = cur_len + delta <= opt_hi if opt_hi is not None else (accepted + 1) % certify_every == 0
+            if j - i < n - 2 or fires:
+                break
+            perm[i - 1 : j] = perm[i - 1 : j][::-1]
+            cur_len += delta
+        accepted += 1
+        taken.append((steps, delta))
+        steps, used = steps + 1, k + 1
+    return steps, used, taken
+
+
+def cycle_preserving_draws(n):
+    return [inversion_draw(n, 1, n), inversion_draw(n, 2, n), inversion_draw(n, 1, n - 1)]
+
+
+class TestWalk:
+    """run_rls's batch kernel for long-standing cycles, on synthetic words,
+    against the scalar rule applied word by word."""
+
+    def check(self, inst, perm, values, cur_len=1e9, accepted=1, opt_hi=None, certify_every=10**9):
+        _, walk = _stretch_scanner(inst)
+        moved = perm[:]
+        got = walk(moved, words(*values), cur_len, accepted, opt_hi, certify_every)
+        expected_perm = perm[:]
+        expected = walk_by_scalar_rule(inst, expected_perm, values, cur_len, accepted, opt_hi, certify_every)
+        assert got == expected and moved == expected_perm
+        return got
+
+    def test_words_over_the_limit_are_no_steps(self):
+        inst = generate_grid(10, 64, 5)
+        n = inst.n
+        perm = TestStretchScanner().local_optimum(inst, 1)
+        rejected = [t for t, (i, j) in enumerate(inversion_pairs(n)) if not scalar_accepts(inst, perm, i, j)]
+        r, s = rejected[:2]
+        rev = inversion_draw(n, 1, n)
+        limit = rejection_limit(n)
+        # (steps, words they use, moves taken): words after the last step
+        # are not used
+        assert self.check(inst, perm, [limit, r, limit + 1, rev, 2**64 - 1, s]) == (3, 6, [(1, 0.0)])
+        assert self.check(inst, perm, [r, limit, 2**64 - 1]) == (1, 1, [])
+        assert self.check(inst, perm, [limit, 2**64 - 1, limit]) == (0, 0, [])
+        # a word over the limit just before the step the walk stops at is
+        # left for the scalar step, which draws it first
+        shuffled = list(range(n))
+        Xoshiro256StarStar(5).shuffle(shuffled)
+        improving = next(
+            t for t, (i, j) in enumerate(inversion_pairs(n)) if j - i < n - 2 and scalar_accepts(inst, shuffled, i, j)
+        )
+        r = next(t for t, (i, j) in enumerate(inversion_pairs(n)) if not scalar_accepts(inst, shuffled, i, j))
+        assert self.check(inst, shuffled, [r, limit, improving, r]) == (1, 1, [])
+
+    @pytest.mark.parametrize("instance_seed,scale", [(1, 1), (2, 1), (217, 1), (1, WIDE_SCALE)], ids=["1", "2", "217", "wide"])
+    def test_agrees_with_scalar_rule_on_a_tie_heavy_grid(self, instance_seed, scale):
+        inst = scaled(generate_grid(11, 7, instance_seed), scale)
+        n = inst.n
+        rng = Xoshiro256StarStar(instance_seed)
+        npairs = n * (n - 1) // 2
+        tours = [TestStretchScanner().local_optimum(inst, seed) for seed in (1, 2, 3)]
+        for _ in range(3):
+            shuffled = list(range(n))
+            rng.shuffle(shuffled)
+            tours.append(shuffled)
+        cps = cycle_preserving_draws(n)
+        for perm in tours:
+            for _ in range(30):
+                # many cycle-preserving words, so that the walk moves the
+                # tour often, and a few words over the limit
+                values = [cps[rng.randbelow(3)] if rng.randbelow(4) == 0 else rng.randbelow(npairs) for _ in range(300)]
+                values[rng.randbelow(300)] = rejection_limit(n) + rng.randbelow(2**64 - rejection_limit(n))
+                self.check(inst, perm, values)
+
+    def test_stops_before_the_certification_and_the_optimum_check(self):
+        inst = generate_grid(11, 7, 2)
+        n = inst.n
+        stops = Counter()
+        for seed in range(1, 9):
+            perm = TestStretchScanner().local_optimum(inst, seed)
+            turned = perm[::-1]  # the tour after the walk's full reversal
+            d = inst.distance_matrix
+            for draw, (i, j) in zip(cycle_preserving_draws(n)[1:], [(2, n), (1, n - 1)]):
+                a, b, c, e = turned[i - 2], turned[i - 1], turned[j - 1], turned[j % n]
+                delta = d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e]
+                if delta > 0.0:
+                    continue
+                values = [cycle_preserving_draws(n)[0], draw]
+                # the certification runs at the third accepted move: the
+                # walk takes the full reversal and stops before the move
+                assert self.check(inst, perm, values, accepted=1, certify_every=3) == (1, 1, [(0, 0.0)])
+                assert len(self.check(inst, perm, values, accepted=0, certify_every=3)[2]) == 2
+                # the optimum check runs when the new length is within opt_hi
+                length = tour_length(inst, tuple(v + 1 for v in perm))
+                assert self.check(inst, perm, values, cur_len=length, opt_hi=length + delta) == (1, 1, [(0, 0.0)])
+                assert len(self.check(inst, perm, values, cur_len=length, opt_hi=length + delta - 1e-9)[2]) == 2
+                stops[i, j] += 1
+        assert stops[2, n] > 0 and stops[1, n - 1] > 0
+
+
+def all_orders(terms):
+    """The left-to-right float sums of `terms` in every order."""
+    for order in itertools.permutations(terms):
+        total = 0.0
+        for t in order:
+            total += t
+        yield total
+
+
+# a, b, c, e with |ac| + |be| = |ab| + |ce| exactly, every length a multiple
+# of sqrt(2), no three collinear: scaled up, the stored lengths round so
+# that d_ab + d_ce < d_ac + d_be in floats, within 2^-48 of a tie
+SURD_TIES = [
+    ((0, 0), (-6, -6), (-7, -1), (-9, -3)),
+    ((0, 0), (2, 2), (-7, -1), (-1, 5)),
+    ((0, 0), (-3, 3), (-6, -6), (-5, 1)),
+]
+
+
+@st.composite
+def tie_heavy_tours(draw):
+    """(instance, 0-based tour): a 7 x 7 grid, as it is or scaled to within
+    one of +-(2^31 - 1), or a scaled SURD_TIES quadruple."""
+    if draw(st.booleans()):
+        try:
+            inst = generate_grid(draw(st.integers(5, 10)), 7, draw(st.integers(0, 2**32 - 1)))
+        except GenerationExhaustedError:
+            assume(False)
+        inst = scaled(inst, draw(st.sampled_from([1, WIDE_SCALE])))
+    else:
+        points = draw(st.sampled_from(SURD_TIES))
+        scale = draw(st.integers(1, (2**31 - 1) // 9))
+        inst = validate([(x * scale, y * scale) for x, y in points])
+    return inst, draw(st.permutations(range(inst.n)))
+
+
+class TestCandidateMarks:
+    """The walk looks only at marked pairs: every other pair must be
+    rejected by the scalar rule on every tour of the same cycle."""
+
+    @settings(max_examples=300)
+    @given(tie_heavy_tours())
+    # at this scale the stored lengths give d_ab + d_ce < d_ac + d_be in
+    # floats, and 0.0 in some order of the four terms
+    @example((validate([(x * 87474181, y * 87474181) for x, y in SURD_TIES[0]]), [0, 1, 2, 3]))
+    def test_unmarked_pairs_are_rejected_in_every_term_order(self, tour):
+        inst, perm = tour
+        n = inst.n
+        d = inst.distance_matrix
+        marks = _candidate_marks(inst, perm)
+        pairs = inversion_pairs(n)
+        assert len(marks) == len(pairs)
+        for t, (i, j) in enumerate(pairs):
+            a, b, c, e = perm[i - 2], perm[i - 1], perm[j - 1], perm[j % n]
+            if j - i >= n - 2:
+                assert marks[t]  # (1, n), (2, n) and (1, n-1)
+            elif not marks[t]:
+                assert min(all_orders((d[a * n + c], d[b * n + e], -d[a * n + b], -d[c * n + e]))) > 0.0
+        # a pair with edge n - 1 is listed twice, as (1, x + 1) and
+        # (x + 2, n); both carry its mark
+        for x in range(1, n - 2):
+            assert marks[pairs.index((1, x + 1))] == marks[pairs.index((x + 2, n))]
+
+    @pytest.mark.parametrize("instance_seed,scale", [(1, 1), (217, 1), (1, WIDE_SCALE)], ids=["1", "217", "wide"])
+    def test_reflections_carry_the_marks(self, instance_seed, scale):
+        inst = scaled(generate_grid(11, 7, instance_seed), scale)
+        n = inst.n
+        rng = Xoshiro256StarStar(instance_seed)
+        table = _reflection_table(n)
+        for _ in range(20):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            marks = _candidate_marks(inst, perm)
+            for row, (i, j) in enumerate([(1, n), (2, n), (1, n - 1)]):
+                moved = list(apply_inversion(tuple(perm), i, j))
+                assert (_candidate_marks(inst, moved) == marks[table[row]]).all()
 
 
 def accepted_inversions(instance, steps, seed):
@@ -665,7 +872,11 @@ class TestRlsCrossingWitness:
                 made = []
                 while calls and calls[0][1] == after:
                     made.append(calls.pop(0)[0])
-                if is_intersection_free(inst, before):
+                if cycle_edges(after) == cycle_edges(before):
+                    # (2, n) or (1, n-1): the same edges, the same witness
+                    assert made == []
+                    paths["cycle kept"] += 1
+                elif is_intersection_free(inst, before):
                     # only an added edge can cross: checked, no rescan
                     assert made and set(made) == {"_segment_crossing"}
                     paths["added edges on a crossing-free tour"] += 1
@@ -676,7 +887,7 @@ class TestRlsCrossingWitness:
                     paths["rescan after the witness was removed"] += 1
             assert calls == []
         assert paths["witness kept"] > paths["rescan after the witness was removed"] > 0
-        assert paths["added edges on a crossing-free tour"] > 0
+        assert paths["added edges on a crossing-free tour"] > 0 and paths["cycle kept"] > 0
 
     # identity tours whose first crossing pair has an edge that the
     # cycle-preserving inversion removes and re-adds (its float delta is 0)
@@ -706,8 +917,9 @@ class TestRlsCrossingWitness:
         assert fast == slow
         assert (fast.alpha_steps, fast.beta_steps) == (1 + len(uncross), 1)
         assert fast.final_tour == tour[::-1]
-        # the move was accepted and re-derived the witness
-        assert calls[1] == ("_segment_crossing", apply_inversion(tuple(range(1, n + 1)), *pair))
+        # the move was accepted and kept the witness: it ran no kernel
+        assert calls[0] == ("_crossings0", tuple(range(1, n + 1)))
+        assert all(t != apply_inversion(tuple(range(1, n + 1)), *pair) for _, t in calls)
 
 
 def compressed(tours):

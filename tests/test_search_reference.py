@@ -173,25 +173,38 @@ def test_rls_matches_reference_past_revalidation():
     assert fast == slow
 
 
-def batched_steps(monkeypatch, run):
-    """run()'s result and the number of steps its batches priced."""
-    priced = [0]
+def batches(monkeypatch, run):
+    """run()'s result and its batches, in order: ("scan", steps, ()) for a
+    priced batch, ("walk", steps, taken) for a batch on a long-standing
+    cycle, with taken the (word index, delta) of each move it took."""
+    made = []
     make = tsplab.search._stretch_scanner
 
     def counting_scanner(instance):
-        scan = make(instance)
+        scan, walk = make(instance)
 
-        def counted(perm, words):
-            steps, used = scan(perm, words)
-            priced[0] += steps
-            return steps, used
+        def counted_scan(*args):
+            result = scan(*args)
+            made.append(("scan", result[0], ()))
+            return result
 
-        return counted
+        def counted_walk(*args):
+            result = walk(*args)
+            made.append(("walk", result[0], result[2]))
+            return result
+
+        return counted_scan, counted_walk
 
     with monkeypatch.context() as m:
         m.setattr(tsplab.search, "_stretch_scanner", counting_scanner)
         result = run()
-    return result, priced[0]
+    return result, made
+
+
+def batched_steps(monkeypatch, run):
+    """run()'s result and the number of steps its batches made."""
+    result, made = batches(monkeypatch, run)
+    return result, sum(steps for _, steps, _ in made)
 
 
 @pytest.mark.parametrize(
@@ -276,6 +289,90 @@ def test_rls_series_unchanged():
         traj = run_rls(instance, budget, seed, optimum_value=optimum, record_series=True)
         h.update(repr(traj.best_fitness_series).encode())
     assert h.hexdigest() == "23eb5dab4d9a84d2d67241dafaa2dace8152b09e485533ab96c46499c0fc4064"
+
+
+@pytest.mark.parametrize("n,seed", [(6, 1), (6, 3), (7, 1), (7, 2), (8, 2), (8, 3), (9, 1), (9, 3)])
+def test_rls_certifies_on_a_cycle_preserving_step_a_walk_met(monkeypatch, n, seed):
+    # no optimum: the every-n^2 certification falls on a (2, n) or
+    # (1, n-1), which the walk that met it leaves to the scalar loop
+    inst = generate_grid(n, 64, 1)
+    fast, made = batches(monkeypatch, lambda: run_rls(inst, 20000, seed))
+    assert fast == reference_rls(inst, 20000, seed)
+    assert fast.generations < 20000 and fast.reached_local_optimum
+    assert any(kind == "walk" and taken for kind, _, taken in made)
+    # the run's last batch was a walk, stopped just before the last step,
+    # which kept the cycle but moved the tour
+    kind, steps, _ = made[-1]
+    assert kind == "walk"
+    before = run_rls(inst, fast.generations - 1, seed).final_tour
+    assert cycle_edges(before) == cycle_edges(fast.final_tour) and before != fast.final_tour
+    assert run_rls(inst, fast.generations - 1, seed) == reference_rls(inst, fast.generations - 1, seed)
+
+
+@pytest.mark.parametrize(
+    "n,m,instance_seed,seed,moves_length",
+    [(8, 64, 1, 1, False), (9, 64, 3, 2, False), (10, 64, 5, 3, False), (12, 64, 1, 1, False), (5, 1024, 25, 3, True)],
+)
+def test_rls_walks_move_the_length_of_a_parked_run(monkeypatch, n, m, instance_seed, seed, moves_length):
+    # a Held-Karp optimum the run never reaches: it parks at a local
+    # optimum, where walks take (2, n) and (1, n-1) with float deltas
+    # below 0, which cur_len, the series and the optimum checks see
+    inst = generate_grid(n, m, instance_seed)
+    opt = held_karp_optimum(inst).optimum_value
+    fast, made = batches(monkeypatch, lambda: run_rls(inst, 5000, seed, optimum_value=opt, record_series=True))
+    series, fast.best_fitness_series = fast.best_fitness_series, None
+    assert fast == reference_rls(inst, 5000, seed, optimum_value=opt)
+    assert not fast.reached_optimum and fast.generations == 5000
+    assert any(delta != 0.0 for kind, _, taken in made for _, delta in taken)
+    with monkeypatch.context() as m:
+        m.setattr(tsplab.search, "_BATCH_AFTER", 5001)  # no batch at all
+        scalar = run_rls(inst, 5000, seed, optimum_value=opt, record_series=True)
+    assert scalar.best_fitness_series == series
+    if moves_length:
+        # a delta of half an ulp of cur_len, rounded to even, moves it
+        assert any(0 < x - y < 1e-9 * x for x, y in zip(series, series[1:]))
+
+
+@pytest.mark.parametrize(
+    "n,m,instance_seed,seed,scale",
+    [(11, 6, 2, 3, 1), (9, 7, 8, 2, 1), (10, 6, 9, 1, 1), (9, 7, 2, 2, (2**32 - 2) // 6)],
+    ids=["6x6-a", "7x7", "6x6-b", "7x7-wide"],
+)
+def test_rls_walks_match_reference_with_candidates(monkeypatch, n, m, instance_seed, seed, scale):
+    # tie-heavy grids: walks meet cycles with marked pairs besides the
+    # three cycle-preserving ones, and run the scalar rule on them
+    grid = generate_grid(n, m, instance_seed)
+    inst = validate([((p.x - 3) * scale, (p.y - 3) * scale) for p in grid.points]) if scale > 1 else grid
+    marked = []
+    marks = tsplab.search._candidate_marks
+
+    def counting(instance, perm):
+        result = marks(instance, perm)
+        marked.append(int(result.sum()) - 3)
+        return result
+
+    monkeypatch.setattr(tsplab.search, "_candidate_marks", counting)
+    fast, made = batches(monkeypatch, lambda: run_rls(inst, 8000, seed))
+    assert fast == reference_rls(inst, 8000, seed)
+    assert max(marked) > 0 and any(kind == "walk" for kind, _, _ in made)
+
+
+def test_rls_series_unchanged_on_walked_runs():
+    # SHA-256 of the series these runs recorded before batches walked
+    # long-standing cycles: idle runs, a parked run with a Held-Karp
+    # optimum, and a tie-heavy grid
+    parked = generate_grid(9, 64, 3)
+    runs = [
+        (generate_grid(12, 64, 7), 20000, 2, None),
+        (generate_grid(12, 64, 6), 20000, 2, None),
+        (parked, 5000, 2, held_karp_optimum(parked).optimum_value),
+        (generate_grid(11, 6, 2), 8000, 3, None),
+    ]
+    h = hashlib.sha256()
+    for instance, budget, seed, optimum in runs:
+        traj = run_rls(instance, budget, seed, optimum_value=optimum, record_series=True)
+        h.update(repr(traj.best_fitness_series).encode())
+    assert h.hexdigest() == "b7920b49ae05e317381125f4ddf98094afe79e031775d697aef7a6be6869df9e"
 
 
 @pytest.mark.parametrize("mu,lam,kind", [(1, 1, "two_opt"), (3, 5, "mixed"), (2, 2, "two_opt")])
