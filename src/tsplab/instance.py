@@ -10,6 +10,7 @@ number of draws.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from functools import cached_property
 from typing import Sequence
@@ -111,8 +112,11 @@ def validate(points: Sequence, grid_size: int = 0) -> Instance:
     """Check a point sequence and build an Instance.
 
     Accepts Point objects or (x, y) pairs; labels are assigned 1..n in
-    input order. Raises TooSmallError, DuplicatePointError, or
-    CollinearTripleError on the first violation found.
+    input order. Coordinates are taken through operator.index, so numpy
+    integers become Python ints before any exact geometry runs; anything
+    else that is not an integer raises ValueError. Raises TooSmallError,
+    DuplicatePointError, or CollinearTripleError on the first violation
+    found.
     """
     if len(points) < 3:
         raise TooSmallError(f"need at least 3 points, got {len(points)}")
@@ -122,6 +126,10 @@ def validate(points: Sequence, grid_size: int = 0) -> Instance:
             x, y = p.x, p.y
         else:
             x, y = p
+        try:
+            x, y = operator.index(x), operator.index(y)
+        except TypeError:
+            raise ValueError(f"point {idx + 1}: coordinate ({x!r}, {y!r}) is not an integer") from None
         _check_coordinate(x, y, grid_size)
         pts.append(Point(idx + 1, x, y))
     seen: dict[tuple[int, int], int] = {}

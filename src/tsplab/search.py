@@ -7,10 +7,10 @@ mutation. Both operators are defined once, by their draws, in
 _child_pricer; run_ea mutates through it and mutation_statistics samples
 it. A run is a sequential Markov chain driven by one seeded generator;
 identical (instance, parameters, seed) reproduce the trajectory bit for
-bit. run_rls prices long stretches of rejected steps in numpy batches
-from words it peeks from the generator (_stretch_scanner), on the same
-trajectory; on a cycle that has stood long, a batch walks only the words
-that pick one of the cycle's candidate pairs.
+bit. run_rls makes long stretches of rejected steps in batches, from
+words it peeks from the generator, on the same trajectory: one kernel
+(_stretch_scanner) marks in numpy which words pick one of the cycle's
+candidate pairs and runs the scalar rule on those words alone.
 
 Trajectory accounting: each executed step/generation is classified by
 the best-so-far tour before the step -- alpha if the tour has crossing
@@ -45,12 +45,12 @@ _INV_E = float.fromhex("0x1.78b56362cef38p-2")  # 1/e correctly rounded, with no
 # the incremental float length is re-derived from scratch this often to
 # bound its drift; the crossing witness is exact and needs none
 _REVALIDATE_EVERY = 1 << 16
-# run_rls prices its steps in numpy batches once the cycle has stood this
-# many steps, at most _BATCH_MAX words a batch (which bounds the batch's
-# temporaries to a few hundred KiB); once it has stood npairs // 4 steps,
-# its batches walk its candidate pairs (marking them costs about as much
-# as pricing every pair once; a half to an eighth of npairs measured the
-# same on rls-grid-local)
+# run_rls makes its steps in batches once the cycle has stood this many
+# steps, at most _BATCH_MAX words a batch (which bounds the batch's
+# temporaries to a few hundred KiB); until it has stood npairs // 4 steps,
+# a batch marks only the pairs its words pick, and after that every pair
+# of the tour, once (that costs about as much as pricing every pair once;
+# a half to an eighth of npairs measured the same on rls-grid-local)
 _BATCH_AFTER = 64
 _BATCH_MAX = 2048
 # relative slack when comparing a recomputed length against the optimum
@@ -176,15 +176,20 @@ def _tour_edges(dist: np.ndarray, perm) -> tuple[np.ndarray, np.ndarray]:
     """Per position of the 0-based tour perm: its label and its
     successor's (a (2, n) array), and the length of the edge between
     them, read from the stored distances."""
-    ends = np.array((perm, perm[1:] + perm[:1]))
+    ends = np.empty((2, len(perm)), dtype=np.intp)
+    ends[0] = perm  # one list to convert: a tuple of two converts at half the speed
+    ends[1, :-1] = ends[0, 1:]
+    ends[1, -1] = perm[0]
     return ends, dist[ends[0], ends[1]]
 
 
-def _candidate_marks(instance: Instance, perm) -> np.ndarray:
-    """Which pairs of _slice_table(n) are candidates on the 0-based tour
-    perm: a bool per pair index, False where is_two_opt_local_optimum's
-    prefilter, fl(d_ab + d_ce) < fl(fl(d_ac + d_be) * _SHRINK), proves
-    the inversion rejected.
+def _candidate_marks(dist: np.ndarray, ends: np.ndarray, edges: np.ndarray, columns) -> np.ndarray:
+    """Which of some pairs of _slice_table(n) are candidates on a tour: a
+    bool per pair, False where is_two_opt_local_optimum's prefilter,
+    fl(d_ab + d_ce) < fl(fl(d_ac + d_be) * _SHRINK), proves the inversion
+    rejected. columns holds the pairs' columns of _position_table(n) (a
+    slice of it, or the columns taken for picked pair indices), and ends
+    and edges are the tour's _tour_edges.
 
     Both sums are order-free, so a pair's mark depends only on the two
     edges it removes, not on the tour's orientation, and the two indices
@@ -195,52 +200,58 @@ def _candidate_marks(instance: Instance, perm) -> np.ndarray:
     0.9 * 2^-48 * A below A, and summing the four signed terms in any
     order errs by at most 3.01u(A + A) < 0.19 * 2^-48 * A. The three
     cycle-preserving pairs are always marked: their two sums are equal,
-    or the added one is 0. Computed in slices of _BATCH_MAX pairs, so its
-    temporaries are a batch's.
+    or the added one is 0.
     """
+    a, c = columns
+    ac, be = dist[ends.take(a, axis=1), ends.take(c, axis=1)]
+    return edges.take(a) + edges.take(c) >= (ac + be) * _SHRINK
+
+
+def _tour_marks(instance: Instance, perm) -> np.ndarray:
+    """_candidate_marks of every pair of _slice_table(n) on the 0-based
+    tour perm, computed in slices of _BATCH_MAX pairs, so that its
+    temporaries are a batch's."""
     dist = instance.distance_array
     positions = _position_table(instance.n)
     ends, edges = _tour_edges(dist, perm)
-    npairs = positions.shape[1]
-    marks = np.empty(npairs, dtype=bool)
-    for lo in range(0, npairs, _BATCH_MAX):
-        a, c = positions[:, lo : lo + _BATCH_MAX]
-        ac, be = dist[ends.take(a, axis=1), ends.take(c, axis=1)]
-        np.greater_equal(edges.take(a) + edges.take(c), (ac + be) * _SHRINK, out=marks[lo : lo + _BATCH_MAX])
-    return marks
+    return np.concatenate([
+        _candidate_marks(dist, ends, edges, positions[:, lo : lo + _BATCH_MAX])
+        for lo in range(0, positions.shape[1], _BATCH_MAX)
+    ])
 
 
 def _stretch_scanner(instance: Instance):
-    """run_rls's batch kernels, (scan, walk).
+    """run_rls's batch kernel, walk.
 
-    scan(perm, words) prices the steps that the raw 64-bit words (a uint64
-    array) make on the 0-based tour perm, as run_rls does: a word >= the
+    walk(perm, words, whole, cur_len, accepted, opt_hi, certify_every)
+    makes the steps that the raw 64-bit words (a uint64 array) make on the
+    0-based tour perm, as run_rls does, and may move perm: a word >= the
     rejection limit is sampled away and is no step; any other picks the
-    inversion words % npairs, priced by the same 4-term delta in the same
-    order, ((d_ac + d_be) - d_ab) - d_ce, from the same stored doubles
-    (instance.distance_array holds distance_matrix's). It returns
-    (steps, used): the number of steps before the first with delta <= 0.0
-    (the full reversal always has one), or all of them, and the number of
-    words those steps use.
+    inversion words % npairs. It looks up which words pick a candidate
+    pair (_candidate_marks) and runs the scalar rule on those words
+    alone, in order, with the same 4-term delta from the same stored
+    doubles:
 
-    walk(perm, words, cur_len, accepted, opt_hi, certify_every) makes the
-    same steps on a cycle that has stood long, and may move perm. It marks
-    the tour's candidate pairs (_candidate_marks) once per tour, looks up
-    which words pick a marked pair, and runs the scalar rule on those
-    words alone, in order:
-
-    - a marked pair with delta > 0.0 is rejected;
+    - a candidate with delta > 0.0 is rejected;
     - the full reversal, and (2, n) or (1, n-1) with delta <= 0.0, is
-      taken: perm moves, the marks follow it through _reflection_table
-      (the cycle, hence every pair's mark, is the same), and the walk
-      goes on;
+      taken: perm moves, the words' marks are read again for the new
+      facing (the cycle, hence every pair's mark, is the same), and the
+      walk goes on;
     - it stops before any other accepted pair, and before a (2, n) or
       (1, n-1) on which run_rls's optimum check (cur_len + delta <=
       opt_hi) or its certification ((accepted + 1) % certify_every == 0,
       without an optimum) would run, leaving that step to the scalar loop.
 
-    It returns (steps, used, taken): steps and used as scan's, and the
-    (word index, delta) of each move taken, delta 0.0 for the full
+    The marks come from one of two sources. With whole false (a young
+    cycle), only the picked pairs are marked, once per facing of the tour
+    that the batch meets. With whole true (a cycle that has stood long),
+    every pair of the tour is marked once per tour (_tour_marks) and kept
+    for the next batch, the marks follow a move through _reflection_table,
+    and each facing's words read theirs from them.
+
+    It returns (steps, used, taken): the number of steps made, the number
+    of words they use (a sampled-away word belongs to the step after it),
+    and the (word index, delta) of each move taken, delta 0.0 for the full
     reversal, in order.
     """
     dist = instance.distance_array
@@ -250,54 +261,36 @@ def _stretch_scanner(instance: Instance):
     positions = _position_table(n)
     npairs = positions.shape[1]
     limit = (1 << 64) - (1 << 64) % npairs
-    key = ends = edges = None
     marked = marked_for = None
 
-    def drop_over_limit(words):
-        """(words below the limit, their indices, or None if all are)."""
-        if words.max() < limit:  # each word is over with probability < npairs / 2^64
-            return words, None
-        kept = np.flatnonzero(words < limit)
-        return words[kept], kept
-
-    def used_by(steps, kept):
-        if kept is None:
-            return steps
-        return int(kept[steps - 1]) + 1 if steps else 0
-
-    def scan(perm, words):
-        nonlocal key, ends, edges
-        if perm != key:
-            key = perm[:]
-            ends, edges = _tour_edges(dist, perm)
-        words, kept = drop_over_limit(words)
-        a, c = positions.take(words % npairs, axis=1)
-        # d_ac and d_be: rows a, b against columns c, e
-        ac_be = dist[ends.take(a, axis=1), ends.take(c, axis=1)]
-        delta = ac_be[0] + ac_be[1]
-        delta -= edges.take(a)
-        delta -= edges.take(c)
-        hits = np.flatnonzero(delta <= 0.0)
-        steps = int(hits[0]) if len(hits) else len(delta)
-        return steps, used_by(steps, kept)
-
-    def walk(perm, words, cur_len, accepted, opt_hi, certify_every):
+    def walk(perm, words, whole, cur_len, accepted, opt_hi, certify_every):
         nonlocal marked, marked_for
-        if perm != marked_for:
-            marked = _candidate_marks(instance, perm)
-        words, kept = drop_over_limit(words)
+        kept = None
+        if words.max() >= limit:  # each word is over with probability < npairs / 2^64
+            kept = np.flatnonzero(words < limit)
+            words = words[kept]
         picks = words % npairs
-        # per orientation of the cycle met in this batch, keyed by the
-        # tour's first two labels: its marks, and the words that pick a
-        # marked pair
-        seen = {}
+        if whole:
+            tour = marked if perm == marked_for else _tour_marks(instance, perm)
+        else:
+            tour = None
+            columns = positions.take(picks, axis=1)
+
+        def candidates(tour):
+            """The indices of the words that pick a candidate on perm."""
+            marks = tour.take(picks) if whole else _candidate_marks(dist, *_tour_edges(dist, perm), columns)
+            return marks.nonzero()[0].tolist()
+
+        # per facing of the cycle met in this batch, keyed by the tour's
+        # first two labels: its marks, if whole, and the words that pick
+        # a candidate
         facing = (perm[0], perm[1])
-        seen[facing] = marked, marked.take(picks).nonzero()[0].tolist()
+        seen = {facing: (tour, candidates(tour))}
         taken = []
         last = -1
         steps = None
         while steps is None:
-            marked, hits = seen[facing]
+            tour, hits = seen[facing]
             for h in hits[bisect.bisect(hits, last) :]:
                 i0, j0, jmod = pairs[int(picks[h])]
                 if j0 - i0 == n:
@@ -325,15 +318,20 @@ def _stretch_scanner(instance: Instance):
                 last = h
                 facing = (perm[0], perm[1])
                 if facing not in seen:
-                    moved = marked.take(_reflection_table(n)[move])
-                    seen[facing] = moved, moved.take(picks).nonzero()[0].tolist()
+                    if whole:
+                        tour = tour.take(_reflection_table(n)[move])
+                    seen[facing] = tour, candidates(tour)
                 break
             else:
                 steps = len(picks)
-        marked_for = perm[:]
-        return steps, used_by(steps, kept), taken
+        if whole:
+            marked, marked_for = tour, perm[:]
+        used = steps
+        if kept is not None and steps:
+            used = int(kept[steps - 1]) + 1
+        return steps, used, taken
 
-    return scan, walk
+    return walk
 
 
 def _check_optimum(optimum_value: Optional[float]) -> None:
@@ -424,23 +422,24 @@ def run_rls(
     runs until the budget or until a full neighborhood scan (every n^2
     accepted steps) certifies a 2-opt local optimum.
 
-    Rejected stretches are priced in numpy batches (_stretch_scanner),
+    Rejected stretches are made in batches (_stretch_scanner's walk),
     from words peeked from the generator; the rng then skips exactly the
     words of the steps a batch made, and the next scalar step takes the
     one it stopped before. Once the cycle has stood _BATCH_AFTER steps
     (the full reversal and the cycle-preserving (2, n) and (1, n-1) keep
-    it), every scalar step is followed by a batch of at most _BATCH_MAX
-    steps, never past the budget or the step before the next
-    revalidation:
+    it), every scalar step is followed by a batch, never past the budget
+    or the step before the next revalidation. A batch runs the scalar
+    rule on the words that pick one of the cycle's candidate pairs, and
+    no other. It takes the full reversal and an accepted (2, n) or
+    (1, n-1) itself, and stops before any other accepted step, and before
+    a cycle-preserving one on which the optimum check or the
+    certification would run. Its words and its marks depend on how long
+    the cycle has stood:
 
-    - while the cycle has stood fewer than npairs // 4 steps, scan prices
-      as many steps as it has stood and stops before the first that
-      would be accepted;
-    - after that, walk marks the cycle's candidate pairs once and runs
-      the scalar rule on the words that pick one, and no other. It takes
-      the full reversal and an accepted (2, n) or (1, n-1) itself, and
-      stops before any other accepted step, and before a cycle-preserving
-      one on which the optimum check or the certification would run.
+    - fewer than npairs // 4 steps: as many words as it has stood, and
+      only the pairs they pick are marked;
+    - after that, _BATCH_MAX words, and every pair of the tour is marked
+      once and kept while the cycle stands.
 
     This is the same trajectory, bit for bit:
 
@@ -449,11 +448,10 @@ def run_rls(
       closed form; a move it takes keeps the edge set, hence the crossing
       status, and adds its delta to cur_len (0.0 for the full reversal),
       as the scalar step does;
-    - a batch reads the same stored doubles as the scalar delta (see
-      _stretch_scanner) and adds and subtracts them in the same order,
-      and numpy's float64 add and subtract round as Python's do, so
-      every delta, and every accept decision, is the scalar one; a pair
-      that walk leaves unmarked has a delta > 0 in every term order;
+    - a batch prices each candidate by the scalar delta, from the same
+      stored doubles in the same order, so every accept decision is the
+      scalar one; a pair it leaves unmarked has a delta > 0 in every
+      term order (_candidate_marks);
     - revalidation and the optimum and local-optimum checks happen only
       in scalar steps, at the same steps as before;
     - the words consumed, through next_u64, are the ones the scalar loop
@@ -501,8 +499,8 @@ def run_rls(
     series: Optional[list[float]] = [] if record_series else None
     stride = max(1, budget // 1024) if record_series else 0
     revalidate_at = _REVALIDATE_EVERY
-    scan = walk = None  # built at the first batch
-    walk_after = max(_BATCH_AFTER, npairs // 4)
+    walk = None  # built at the first batch
+    whole_after = max(_BATCH_AFTER, npairs // 4)
     # the step at which the current stretch reaches _BATCH_AFTER steps; a
     # step at or past check_at looks at revalidation and batching
     batch_at = _BATCH_AFTER
@@ -569,13 +567,11 @@ def run_rls(
                     stood = gens + _BATCH_AFTER - batch_at
                     k = min(_BATCH_MAX, budget - gens, revalidate_at - 1 - gens)
                     if k > 0:
-                        if scan is None:
-                            scan, walk = _stretch_scanner(instance)
-                        if stood < walk_after:
-                            steps, used = scan(perm, rng.peek(min(k, stood)))
-                            taken = ()
-                        else:
-                            steps, used, taken = walk(perm, rng.peek(k), cur_len, accepted, opt_hi, certify_every)
+                        if walk is None:
+                            walk = _stretch_scanner(instance)
+                        whole = stood >= whole_after
+                        words = rng.peek(k if whole else min(k, stood))
+                        steps, used, taken = walk(perm, words, whole, cur_len, accepted, opt_hi, certify_every)
                         rng.skip(used)
                         alpha += has_cross * steps
                         sampled = gens  # the series holds the samples of the steps up to here

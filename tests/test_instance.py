@@ -96,6 +96,26 @@ class TestValidate:
         inst = validate([Point(9, 0, 0), Point(9, 2, 0), Point(9, 1, 2)])
         assert [p.id for p in inst.points] == [1, 2, 3]
 
+    # near the corners of the 32-bit range: orientation products pass
+    # 2^63, so int64 arithmetic would wrap
+    EDGE_POINTS = [(-(2**31) + 1, -(2**31) + 1), (2**31 - 1, -(2**31) + 2), (0, 2**31 - 1), (5, 3)]
+
+    def test_numpy_integer_coordinates_are_python_ints(self):
+        exact = validate(self.EDGE_POINTS)
+        as_int64 = validate([tuple(np.int64(v) for v in p) for p in self.EDGE_POINTS])
+        assert exact.hull == as_int64.hull == (1, 2, 3)
+        assert all(type(v) is int for p in as_int64.points for v in p)
+        assert as_int64.metrics == exact.metrics
+        assert as_int64.distance_matrix == exact.distance_matrix
+        assert validate([Point(1, np.int32(3), np.int16(0)), (0, 0), (1, 2)]).hull == validate([(3, 0), (0, 0), (1, 2)]).hull
+
+    @pytest.mark.parametrize("bad", [1.0, "1", None])
+    def test_non_integer_coordinate_named(self, bad):
+        with pytest.raises(ValueError, match="point 2: coordinate"):
+            validate([(0, 0), (bad, 5), (1, 3)])
+        with pytest.raises(ValueError, match="point 3: coordinate"):
+            validate([(0, 0), (2, 5), (1, bad)])
+
 
 class TestGenerateGrid:
     def test_deterministic(self):

@@ -204,9 +204,28 @@ class TestOverrideContract:
         slow, slow_draws = self.counted(
             monkeypatch, test_search_reference, lambda: reference_rls(inst, 20000, 2)
         )
-        walked = sum(steps for kind, steps, _ in made if kind == "walk")
+        walked = sum(batch.steps for batch in made if batch.source == "tour")
         assert fast == slow and walked > fast.generations // 2
-        assert sum(len(taken) for _, _, taken in made) > 100
+        assert sum(len(batch.taken) for batch in made) > 100
+        assert fast_draws == slow_draws >= fast.generations + inst.n - 1
+
+    def test_rls_draw_count_on_young_batches(self, monkeypatch):
+        # n = 24, parked on the optimal cycle by a value just below the
+        # optimum: young batches take moves that keep the cycle and stop
+        # before those on which the optimum check runs
+        inst, value = test_search_reference.parked_below(20, 4, 1)
+        n = inst.n
+        (fast, fast_draws), made = test_search_reference.batches(
+            monkeypatch,
+            lambda: self.counted(monkeypatch, tsplab.search, lambda: run_rls(inst, 20000, 2, optimum_value=value)),
+        )
+        slow, slow_draws = self.counted(
+            monkeypatch, test_search_reference, lambda: reference_rls(inst, 20000, 2, optimum_value=value)
+        )
+        young = [batch for batch in made if batch.source == "picks"]
+        assert fast == slow
+        assert any((1, n) in batch.moves for batch in young)
+        assert any(batch.stop in ((2, n), (1, n - 1)) for batch in young)
         assert fast_draws == slow_draws >= fast.generations + inst.n - 1
 
     @pytest.mark.parametrize("mu,lam,kind", [(1, 1, "two_opt"), (1, 1, "mixed"), (4, 8, "mixed")])

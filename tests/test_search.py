@@ -33,8 +33,11 @@ from tsplab.search import (
     _candidate_marks,
     _child_pricer,
     _ea_margin_unit,
+    _position_table,
     _reflection_table,
     _stretch_scanner,
+    _tour_edges,
+    _tour_marks,
 )
 
 import test_search_reference
@@ -523,94 +526,10 @@ def wide_instance(n, seed):
     return validate(points)
 
 
-class TestStretchScanner:
-    """run_rls's batch kernel on synthetic words: it prices each step as
-    the scalar loop does and stops where the scalar loop would accept."""
-
-    def local_optimum(self, inst, seed):
-        return [v - 1 for v in run_rls(inst, 3000, seed).final_tour]
-
-    def test_words_over_the_limit_are_no_steps(self):
-        inst = generate_grid(10, 64, 5)
-        n = inst.n
-        perm = self.local_optimum(inst, 1)
-        rejected = [t for t, (i, j) in enumerate(inversion_pairs(n)) if not scalar_accepts(inst, perm, i, j)]
-        r, s = rejected[:2]
-        rev = inversion_draw(n, 1, n)
-        limit = rejection_limit(n)
-        scan, _ = _stretch_scanner(inst)
-        # (steps, words they use): a sampled-away word is part of the
-        # step after it, so words after the last rejected step are not used
-        assert scan(perm, words(limit, r, limit + 1, s, 2**64 - 1, rev, r)) == (2, 4)
-        assert scan(perm, words(r, limit, s, limit)) == (2, 3)
-        assert scan(perm, words(limit, 2**64 - 1)) == (0, 0)
-        assert scan(perm, words(limit, rev)) == (0, 0)
-        # a word picks its pair modulo the pair count
-        npairs = n * (n - 1) // 2
-        assert scan(perm, words(r + 7 * npairs, rev + 5 * npairs, s)) == (1, 1)
-
-    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-    def test_full_reversal_always_hits(self, seed):
-        inst = generate_grid(12, 32, seed)
-        n = inst.n
-        rev = inversion_draw(n, 1, n)
-        scan, _ = _stretch_scanner(inst)
-        shuffled = list(range(n))
-        Xoshiro256StarStar(seed).shuffle(shuffled)
-        for perm in (self.local_optimum(inst, seed), list(range(n)), shuffled):
-            assert scan(perm, words(rev)) == (0, 0)
-
-    def test_exact_zero_delta_is_accepted(self):
-        # a, b, c, e at the corners of a unit square: inverting (2, 4) of
-        # (a, b, x, c, e) swaps ab, ce for ac, be, all of length 1
-        inst = validate([(0, 0), (1, 0), (0, 1), (1, 1), (3, 7)])
-        perm = [0, 1, 4, 2, 3]
-        d = inst.distance_matrix
-        assert d[0 * 5 + 2] + d[1 * 5 + 3] - d[0 * 5 + 1] - d[2 * 5 + 3] == 0.0
-        scan, _ = _stretch_scanner(inst)
-        zero = inversion_draw(5, 2, 4)
-        rejected = [t for t, (i, j) in enumerate(inversion_pairs(5)) if not scalar_accepts(inst, perm, i, j)]
-        assert scan(perm, words(zero)) == (0, 0)
-        assert scan(perm, words(*rejected, zero, *rejected)) == (len(rejected), len(rejected))
-
-    @pytest.mark.parametrize("instance_seed,scale", [(1, 1), (2, 1), (217, 1), (1, WIDE_SCALE)], ids=["1", "2", "217", "wide"])
-    def test_agrees_with_scalar_rule_on_every_pair_of_a_tie_heavy_grid(self, instance_seed, scale):
-        # a 7 x 7 grid makes equal edge lengths, so deltas that cancel to
-        # 0.0 or round around it are common; scaled to the 32-bit range it
-        # keeps its ties, and its squared lengths pass 2^53
-        inst = scaled(generate_grid(11, 7, instance_seed), scale)
-        n = inst.n
-        pairs = inversion_pairs(n)
-        scan, _ = _stretch_scanner(inst)
-        rng = Xoshiro256StarStar(instance_seed)
-        perms = [self.local_optimum(inst, seed) for seed in (1, 2)]
-        for _ in range(20):
-            perm = list(range(n))
-            rng.shuffle(perm)
-            perms.append(perm)
-        ties = 0
-        for perm in perms:
-            accepts = [scalar_accepts(inst, perm, i, j) for i, j in pairs]
-            for t, accept in enumerate(accepts):
-                assert scan(perm, words(t)) == ((0, 0) if accept else (1, 1))
-            order = list(range(len(pairs)))
-            rng.shuffle(order)
-            first = next(k for k, t in enumerate(order) if accepts[t])
-            assert scan(perm, words(*order)) == (first, first)
-            d = inst.distance_matrix
-            for i, j in pairs:
-                if (i, j) != (1, n):
-                    a, b, c, e = perm[i - 2], perm[i - 1], perm[j - 1], perm[j % n]
-                    ties += d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e] == 0.0
-        assert ties > 0
-
-    @pytest.mark.parametrize("instance_seed", [1, 2, 3])
-    def test_wide_coordinates_are_batched(self, monkeypatch, instance_seed):
-        inst = wide_instance(24, instance_seed)
-        assert max(max(map(abs, xs)) for xs in inst.coords) > 2**31 - 2**28
-        result, priced = batched_steps(monkeypatch, lambda: run_rls(inst, 8000, instance_seed))
-        assert priced > result.generations // 2
-        assert result == reference_rls(inst, 8000, instance_seed)
+def local_optimum(inst, seed):
+    """The 0-based final tour of a 3000-step run_rls: a 2-opt local
+    optimum on the small instances used here."""
+    return [v - 1 for v in run_rls(inst, 3000, seed).final_tour]
 
 
 def walk_by_scalar_rule(instance, perm, values, cur_len, accepted, opt_hi, certify_every):
@@ -649,27 +568,134 @@ def walk_by_scalar_rule(instance, perm, values, cur_len, accepted, opt_hi, certi
     return steps, used, taken
 
 
+def check_walk(inst, perm, values, sources=(False, True), cur_len=1e9, accepted=1, opt_hi=None, certify_every=10**9):
+    """walk's (steps, used, taken) for the raw words `values` on the
+    0-based perm, with the marks of the picked pairs (whole false, a
+    young cycle) and of the whole tour (whole true), as `sources` lists:
+    each must be walk_by_scalar_rule's, and move a copy of perm as it
+    does."""
+    expected_perm = perm[:]
+    expected = walk_by_scalar_rule(inst, expected_perm, values, cur_len, accepted, opt_hi, certify_every)
+    for whole in sources:
+        moved = perm[:]
+        got = _stretch_scanner(inst)(moved, words(*values), whole, cur_len, accepted, opt_hi, certify_every)
+        assert (got, moved) == (expected, expected_perm), f"whole={whole}"
+    return expected
+
+
 def cycle_preserving_draws(n):
     return [inversion_draw(n, 1, n), inversion_draw(n, 2, n), inversion_draw(n, 1, n - 1)]
 
 
-class TestWalk:
-    """run_rls's batch kernel for long-standing cycles, on synthetic words,
-    against the scalar rule applied word by word."""
+class TestStretchScanner:
+    """run_rls's batch kernel on synthetic words with the marks of the
+    picked pairs, as for a young cycle: it runs the scalar rule on the
+    words that pick a candidate, takes the full reversal and an accepted
+    (2, n) or (1, n-1), and stops before any other accepted step."""
 
-    def check(self, inst, perm, values, cur_len=1e9, accepted=1, opt_hi=None, certify_every=10**9):
-        _, walk = _stretch_scanner(inst)
-        moved = perm[:]
-        got = walk(moved, words(*values), cur_len, accepted, opt_hi, certify_every)
-        expected_perm = perm[:]
-        expected = walk_by_scalar_rule(inst, expected_perm, values, cur_len, accepted, opt_hi, certify_every)
-        assert got == expected and moved == expected_perm
-        return got
+    def check(self, inst, perm, values):
+        return check_walk(inst, perm, values, sources=(False,))
 
     def test_words_over_the_limit_are_no_steps(self):
         inst = generate_grid(10, 64, 5)
         n = inst.n
-        perm = TestStretchScanner().local_optimum(inst, 1)
+        perm = local_optimum(inst, 1)
+        turned = perm[::-1]
+        rejected = [
+            t for t, (i, j) in enumerate(inversion_pairs(n))
+            if not scalar_accepts(inst, perm, i, j) and not scalar_accepts(inst, turned, i, j)
+        ]
+        r, s = rejected[:2]
+        rev = inversion_draw(n, 1, n)
+        limit = rejection_limit(n)
+        # (steps, words they use, moves taken): a sampled-away word is part
+        # of the step after it, so words after the last step are not used
+        assert self.check(inst, perm, [limit, r, limit + 1, s, 2**64 - 1, rev, r]) == (4, 7, [(2, 0.0)])
+        assert self.check(inst, perm, [r, limit, s, limit]) == (2, 3, [])
+        assert self.check(inst, perm, [limit, 2**64 - 1]) == (0, 0, [])
+        assert self.check(inst, perm, [limit, rev, limit]) == (1, 2, [(0, 0.0)])
+        # a word picks its pair modulo the pair count
+        npairs = n * (n - 1) // 2
+        assert self.check(inst, perm, [r + 7 * npairs, rev + 5 * npairs, s]) == (3, 3, [(1, 0.0)])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_full_reversal_always_hits(self, seed):
+        # the full reversal keeps the cycle, so the batch takes it and the
+        # next words read their marks on the reversed tour
+        inst = generate_grid(12, 32, seed)
+        n = inst.n
+        rev = inversion_draw(n, 1, n)
+        shuffled = list(range(n))
+        Xoshiro256StarStar(seed).shuffle(shuffled)
+        for perm in (local_optimum(inst, seed), list(range(n)), shuffled):
+            assert self.check(inst, perm, [rev]) == (1, 1, [(0, 0.0)])
+            assert self.check(inst, perm, [rev, rev, rev]) == (3, 3, [(0, 0.0), (1, 0.0), (2, 0.0)])
+
+    def test_exact_zero_delta_is_accepted(self):
+        # a, b, c, e at the corners of a unit square: inverting (2, 4) of
+        # (a, b, x, c, e) swaps ab, ce for ac, be, all of length 1
+        inst = validate([(0, 0), (1, 0), (0, 1), (1, 1), (3, 7)])
+        perm = [0, 1, 4, 2, 3]
+        d = inst.distance_matrix
+        assert d[0 * 5 + 2] + d[1 * 5 + 3] - d[0 * 5 + 1] - d[2 * 5 + 3] == 0.0
+        zero = inversion_draw(5, 2, 4)
+        rejected = [t for t, (i, j) in enumerate(inversion_pairs(5)) if not scalar_accepts(inst, perm, i, j)]
+        assert self.check(inst, perm, [zero]) == (0, 0, [])
+        assert self.check(inst, perm, [*rejected, zero, *rejected]) == (len(rejected), len(rejected), [])
+
+    @pytest.mark.parametrize("instance_seed,scale", [(1, 1), (2, 1), (217, 1), (1, WIDE_SCALE)], ids=["1", "2", "217", "wide"])
+    def test_agrees_with_scalar_rule_on_every_pair_of_a_tie_heavy_grid(self, instance_seed, scale):
+        # a 7 x 7 grid makes equal edge lengths, so deltas that cancel to
+        # 0.0 or round around it are common; scaled to the 32-bit range it
+        # keeps its ties, and its squared lengths pass 2^53
+        inst = scaled(generate_grid(11, 7, instance_seed), scale)
+        n = inst.n
+        pairs = inversion_pairs(n)
+        rng = Xoshiro256StarStar(instance_seed)
+        perms = [local_optimum(inst, seed) for seed in (1, 2)]
+        for _ in range(20):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            perms.append(perm)
+        ties = 0
+        for perm in perms:
+            for t, (i, j) in enumerate(pairs):
+                steps, used, taken = self.check(inst, perm, [t])
+                if not scalar_accepts(inst, perm, i, j):
+                    assert (steps, used, taken) == (1, 1, [])
+                elif j - i < n - 2:  # a new cycle: left to the scalar loop
+                    assert (steps, used, taken) == (0, 0, [])
+                else:
+                    assert (steps, used, len(taken)) == (1, 1, 1)
+            order = list(range(len(pairs)))
+            rng.shuffle(order)
+            self.check(inst, perm, order)
+            d = inst.distance_matrix
+            for i, j in pairs:
+                if (i, j) != (1, n):
+                    a, b, c, e = perm[i - 2], perm[i - 1], perm[j - 1], perm[j % n]
+                    ties += d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e] == 0.0
+        assert ties > 0
+
+    @pytest.mark.parametrize("instance_seed", [1, 2, 3])
+    def test_wide_coordinates_are_batched(self, monkeypatch, instance_seed):
+        inst = wide_instance(24, instance_seed)
+        assert max(max(map(abs, xs)) for xs in inst.coords) > 2**31 - 2**28
+        result, priced = batched_steps(monkeypatch, lambda: run_rls(inst, 8000, instance_seed))
+        assert priced > result.generations // 2
+        assert result == reference_rls(inst, 8000, instance_seed)
+
+
+class TestWalk:
+    """run_rls's batch kernel on synthetic words, with both mark sources,
+    against the scalar rule applied word by word."""
+
+    check = staticmethod(check_walk)
+
+    def test_words_over_the_limit_are_no_steps(self):
+        inst = generate_grid(10, 64, 5)
+        n = inst.n
+        perm = local_optimum(inst, 1)
         rejected = [t for t, (i, j) in enumerate(inversion_pairs(n)) if not scalar_accepts(inst, perm, i, j)]
         r, s = rejected[:2]
         rev = inversion_draw(n, 1, n)
@@ -695,7 +721,7 @@ class TestWalk:
         n = inst.n
         rng = Xoshiro256StarStar(instance_seed)
         npairs = n * (n - 1) // 2
-        tours = [TestStretchScanner().local_optimum(inst, seed) for seed in (1, 2, 3)]
+        tours = [local_optimum(inst, seed) for seed in (1, 2, 3)]
         for _ in range(3):
             shuffled = list(range(n))
             rng.shuffle(shuffled)
@@ -714,7 +740,7 @@ class TestWalk:
         n = inst.n
         stops = Counter()
         for seed in range(1, 9):
-            perm = TestStretchScanner().local_optimum(inst, seed)
+            perm = local_optimum(inst, seed)
             turned = perm[::-1]  # the tour after the walk's full reversal
             d = inst.distance_matrix
             for draw, (i, j) in zip(cycle_preserving_draws(n)[1:], [(2, n), (1, n - 1)]):
@@ -775,6 +801,23 @@ class TestCandidateMarks:
     """The walk looks only at marked pairs: every other pair must be
     rejected by the scalar rule on every tour of the same cycle."""
 
+    @pytest.mark.parametrize("n", [5, 11, 70, 200])
+    def test_picked_pairs_get_the_tour_marks(self, n):
+        # the whole tour is marked in slices of the position table, picked
+        # pairs through its columns taken by index: one formula
+        inst = generate_grid(n, 1024, n)
+        rng = Xoshiro256StarStar(n)
+        npairs = n * (n - 1) // 2
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            marks = _tour_marks(inst, perm)
+            assert marks.shape == (npairs,) and marks.sum() >= 3
+            picks = words(*(rng.randbelow(npairs) for _ in range(500))) % npairs
+            columns = _position_table(n).take(picks, axis=1)
+            ends, edges = _tour_edges(inst.distance_array, perm)
+            assert (_candidate_marks(inst.distance_array, ends, edges, columns) == marks[picks]).all()
+
     @settings(max_examples=300)
     @given(tie_heavy_tours())
     # at this scale the stored lengths give d_ab + d_ce < d_ac + d_be in
@@ -784,7 +827,7 @@ class TestCandidateMarks:
         inst, perm = tour
         n = inst.n
         d = inst.distance_matrix
-        marks = _candidate_marks(inst, perm)
+        marks = _tour_marks(inst, perm)
         pairs = inversion_pairs(n)
         assert len(marks) == len(pairs)
         for t, (i, j) in enumerate(pairs):
@@ -807,10 +850,10 @@ class TestCandidateMarks:
         for _ in range(20):
             perm = list(range(n))
             rng.shuffle(perm)
-            marks = _candidate_marks(inst, perm)
+            marks = _tour_marks(inst, perm)
             for row, (i, j) in enumerate([(1, n), (2, n), (1, n - 1)]):
                 moved = list(apply_inversion(tuple(perm), i, j))
-                assert (_candidate_marks(inst, moved) == marks[table[row]]).all()
+                assert (_tour_marks(inst, moved) == marks[table[row]]).all()
 
 
 def accepted_inversions(instance, steps, seed):

@@ -9,6 +9,7 @@ to an independent copy of the draw order.
 
 import hashlib
 import itertools
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import assume, given, settings
@@ -173,27 +174,36 @@ def test_rls_matches_reference_past_revalidation():
     assert fast == slow
 
 
+class Batch(NamedTuple):
+    """One call of run_rls's batch kernel."""
+
+    source: str  # "picks": a young cycle, only the picked pairs marked; "tour": every pair
+    steps: int
+    taken: list  # the (word index, delta) of each move the batch took
+    moves: list  # the 1-based (i, j) of each move the batch took
+    stop: Optional[tuple]  # the (i, j) of the step it stopped before, if a word picked one
+
+
 def batches(monkeypatch, run):
-    """run()'s result and its batches, in order: ("scan", steps, ()) for a
-    priced batch, ("walk", steps, taken) for a batch on a long-standing
-    cycle, with taken the (word index, delta) of each move it took."""
+    """run()'s result and its batches, in order (see Batch)."""
     made = []
     make = tsplab.search._stretch_scanner
 
     def counting_scanner(instance):
-        scan, walk = make(instance)
+        walk = make(instance)
+        pairs = inversion_pairs(instance.n)
+        limit = 2**64 - 2**64 % len(pairs)
 
-        def counted_scan(*args):
-            result = scan(*args)
-            made.append(("scan", result[0], ()))
+        def counted_walk(perm, words, whole, *rest):
+            result = walk(perm, words, whole, *rest)
+            steps, _, taken = result
+            picked = [pairs[w % len(pairs)] for w in words.tolist() if w < limit]
+            moves = [picked[h] for h, _ in taken]
+            stop = picked[steps] if steps < len(picked) else None
+            made.append(Batch("tour" if whole else "picks", steps, taken, moves, stop))
             return result
 
-        def counted_walk(*args):
-            result = walk(*args)
-            made.append(("walk", result[0], result[2]))
-            return result
-
-        return counted_scan, counted_walk
+        return counted_walk
 
     with monkeypatch.context() as m:
         m.setattr(tsplab.search, "_stretch_scanner", counting_scanner)
@@ -204,7 +214,7 @@ def batches(monkeypatch, run):
 def batched_steps(monkeypatch, run):
     """run()'s result and the number of steps its batches made."""
     result, made = batches(monkeypatch, run)
-    return result, sum(steps for _, steps, _ in made)
+    return result, sum(batch.steps for batch in made)
 
 
 @pytest.mark.parametrize(
@@ -299,11 +309,10 @@ def test_rls_certifies_on_a_cycle_preserving_step_a_walk_met(monkeypatch, n, see
     fast, made = batches(monkeypatch, lambda: run_rls(inst, 20000, seed))
     assert fast == reference_rls(inst, 20000, seed)
     assert fast.generations < 20000 and fast.reached_local_optimum
-    assert any(kind == "walk" and taken for kind, _, taken in made)
-    # the run's last batch was a walk, stopped just before the last step,
-    # which kept the cycle but moved the tour
-    kind, steps, _ = made[-1]
-    assert kind == "walk"
+    assert any(batch.source == "tour" and batch.taken for batch in made)
+    # the run's last batch walked the tour's marks and stopped just before
+    # the last step, which kept the cycle but moved the tour
+    assert made[-1].source == "tour" and made[-1].stop in ((2, n), (1, n - 1))
     before = run_rls(inst, fast.generations - 1, seed).final_tour
     assert cycle_edges(before) == cycle_edges(fast.final_tour) and before != fast.final_tour
     assert run_rls(inst, fast.generations - 1, seed) == reference_rls(inst, fast.generations - 1, seed)
@@ -323,7 +332,7 @@ def test_rls_walks_move_the_length_of_a_parked_run(monkeypatch, n, m, instance_s
     series, fast.best_fitness_series = fast.best_fitness_series, None
     assert fast == reference_rls(inst, 5000, seed, optimum_value=opt)
     assert not fast.reached_optimum and fast.generations == 5000
-    assert any(delta != 0.0 for kind, _, taken in made for _, delta in taken)
+    assert any(delta != 0.0 for batch in made for _, delta in batch.taken)
     with monkeypatch.context() as m:
         m.setattr(tsplab.search, "_BATCH_AFTER", 5001)  # no batch at all
         scalar = run_rls(inst, 5000, seed, optimum_value=opt, record_series=True)
@@ -344,17 +353,50 @@ def test_rls_walks_match_reference_with_candidates(monkeypatch, n, m, instance_s
     grid = generate_grid(n, m, instance_seed)
     inst = validate([((p.x - 3) * scale, (p.y - 3) * scale) for p in grid.points]) if scale > 1 else grid
     marked = []
-    marks = tsplab.search._candidate_marks
+    marks = tsplab.search._tour_marks
 
     def counting(instance, perm):
         result = marks(instance, perm)
         marked.append(int(result.sum()) - 3)
         return result
 
-    monkeypatch.setattr(tsplab.search, "_candidate_marks", counting)
+    monkeypatch.setattr(tsplab.search, "_tour_marks", counting)
     fast, made = batches(monkeypatch, lambda: run_rls(inst, 8000, seed))
     assert fast == reference_rls(inst, 8000, seed)
-    assert max(marked) > 0 and any(kind == "walk" for kind, _, _ in made)
+    assert max(marked) > 0 and any(batch.source == "tour" for batch in made)
+
+
+@pytest.mark.parametrize("instance_seed,seed", [(5, 2), (18, 2), (19, 2)])
+def test_rls_young_batches_take_cycle_preserving_moves(monkeypatch, instance_seed, seed):
+    # n = 24: a cycle that has stood 64 to 68 steps gets one young batch,
+    # which marks only the pairs its words pick; it takes the full
+    # reversal and an accepted (2, n) or (1, n-1) and marks its picks
+    # again on the moved tour
+    inst = generate_grid(24, 1024, instance_seed)
+    n = inst.n
+    fast, made = batches(monkeypatch, lambda: run_rls(inst, 20000, seed))
+    assert fast == reference_rls(inst, 20000, seed)
+    young = [batch.moves for batch in made if batch.source == "picks"]
+    assert any((1, n) in moves and ((2, n) in moves or (1, n - 1) in moves) for moves in young)
+
+
+def parked_below(h, k, instance_seed):
+    """An instance with h hull and k inner points, and a value 1e-11
+    below its optimum: a run given that value reaches the optimal cycle
+    and never stops on it, and each (2, n) or (1, n-1) it accepts there
+    runs the optimum check."""
+    inst = generate_with_inner(h, k, 1024, instance_seed)
+    return inst, hull_order_optimum(inst).optimum_value * (1 - 1e-11)
+
+
+@pytest.mark.parametrize("h,k,instance_seed,seed", [(20, 4, 1, 2), (20, 4, 9, 2), (21, 3, 10, 1), (21, 3, 14, 3)])
+def test_rls_young_batch_stops_before_an_optimum_check(monkeypatch, h, k, instance_seed, seed):
+    inst, value = parked_below(h, k, instance_seed)
+    n = inst.n
+    fast, made = batches(monkeypatch, lambda: run_rls(inst, 20000, seed, optimum_value=value))
+    assert fast == reference_rls(inst, 20000, seed, optimum_value=value)
+    assert not fast.reached_optimum and fast.final_length == pytest.approx(value, rel=1e-10)
+    assert any(batch.source == "picks" and batch.stop in ((2, n), (1, n - 1)) for batch in made)
 
 
 def test_rls_series_unchanged_on_walked_runs():
