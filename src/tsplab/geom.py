@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cmp_to_key
+from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import TooSmallError
@@ -39,12 +40,23 @@ class InstanceMetrics:
     min_uncross_gain: float
 
 
+def _exact(p: Point) -> Point:
+    """p with its coordinates as Python ints (through operator.index, as
+    validate takes them), so products never wrap in a fixed-width type."""
+    return Point(p.id, index(p.x), index(p.y))
+
+
 def orient(p: Point, q: Point, r: Point) -> int:
     """Sign of the cross product (q-p) x (r-p).
 
     +1 for a left turn, -1 for a right turn, 0 for collinear points.
-    Exact for all coordinates in the 32-bit signed range.
+    Exact for any integer coordinates, numpy integers included.
     """
+    return _orient(_exact(p), _exact(q), _exact(r))
+
+
+def _orient(p: Point, q: Point, r: Point) -> int:
+    """orient on points whose coordinates are Python ints."""
     cross = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
     if cross > 0:
         return 1
@@ -106,19 +118,20 @@ def convex_hull(points: Sequence[Point]) -> tuple[int, ...]:
 
     Monotone-chain sweep with exact orientation tests. The cycle starts
     at the lexicographically smallest point. Requires at least three
-    points, none of them collinear triples.
+    points, none of them collinear triples. Coordinates are taken through
+    operator.index once, so numpy integers sweep as Python ints.
     """
     if len(points) < 3:
         raise TooSmallError("convex hull needs at least 3 points")
-    pts = sorted(points, key=lambda p: (p.x, p.y))
+    pts = sorted(map(_exact, points), key=lambda p: (p.x, p.y))
     lower: list[Point] = []
     for p in pts:
-        while len(lower) > 1 and orient(lower[-2], lower[-1], p) <= 0:
+        while len(lower) > 1 and _orient(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
     upper: list[Point] = []
     for p in reversed(pts):
-        while len(upper) > 1 and orient(upper[-2], upper[-1], p) <= 0:
+        while len(upper) > 1 and _orient(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
     hull = lower[:-1] + upper[:-1]
@@ -247,9 +260,10 @@ def grid_angle_lower_bound(m: int) -> float:
 
 
 def point_strictly_inside(hull_points: Sequence[Point], p: Point) -> bool:
-    """True iff p lies strictly inside the CCW convex polygon."""
+    """True iff p lies strictly inside the CCW convex polygon; the
+    coordinates must be Python ints."""
     h = len(hull_points)
     for i in range(h):
-        if orient(hull_points[i], hull_points[(i + 1) % h], p) <= 0:
+        if _orient(hull_points[i], hull_points[(i + 1) % h], p) <= 0:
             return False
     return True

@@ -4,11 +4,16 @@ Three routes to the optimal tour (full cycle enumeration, bitmask
 dynamic programming, and enumeration of hull-ordered interleavings)
 plus exhaustive enumeration of crossing-free tours. All final values
 come from the one shared tour_length routine, so equality checks across
-oracles are exact. Brute force (labels 4..n inserted into the cycle
-(1, 2, 3)) and hull order (inner labels inserted into the hull) build
-different sets through one insertion builder and block pricer, so brute
-force's independence comes from the tests' pure-Python reference_brute
-and from Held-Karp in criterion 1.
+oracles are exact: the oracles report the same optimum_value. Among
+exactly tied tours, brute force and hull order return the smallest
+canonical form; Held-Karp returns the one minimal tour its
+first-minimal-member rule reconstructs, which may be another.
+
+Brute force (labels 4..n inserted into the cycle (1, 2, 3)) and hull
+order (inner labels inserted into the hull) build different sets
+through one insertion builder and block pricer, so brute force's
+independence comes from the tests' pure-Python reference_brute and
+from Held-Karp in criterion 1.
 """
 
 from __future__ import annotations
@@ -77,7 +82,12 @@ def held_karp_optimum(instance: Instance) -> OracleResult:
     a scalar loop over masks in increasing order with a strict < rule.
 
     The reported value is the shared tour_length of the reconstructed
-    tour, not the DP accumulator.
+    tour, not the DP accumulator. Among exactly tied tours it is the one
+    the first-minimal-member rule reaches, which need not be the smallest
+    canonical form the other oracles return (generate_grid(9, 5, 15) is
+    one such instance). The DP compares float path sums, so that its tour
+    is exactly minimal is checked against the other oracles by the tests,
+    not proven.
     """
     n = instance.n
     if n > _HELD_KARP_MAX_N:

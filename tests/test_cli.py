@@ -445,6 +445,17 @@ class TestExperimentParts:
         inst = generate_with_inner(14, 6, 256, 1)  # n = 20; C(20, 6) * 6! = 27,907,200 interleavings
         assert strongest_oracle(inst) is None
 
+    def test_inner_paired_shape_runs_no_held_karp(self, monkeypatch):
+        # h = 9, k = 3: hull order builds 990 tours, Held-Karp's table has 11 * 2^11 entries
+        def must_not_run(inst):
+            raise AssertionError("Held-Karp called")
+
+        monkeypatch.setattr(tsplab.experiment, "held_karp_optimum", must_not_run)
+        cfg = dataclasses.replace(parse_config(SRC_DIR.parent / "configs" / "inner_paired.cfg"), budget=50, runs=1)
+        records = run_experiment(cfg)[0]
+        assert len(records) == 2
+        assert all(r.optimum_length is not None for r in records)
+
 
 class TestCsvContract:
     """The run CSV's bytes, pinned across commits.

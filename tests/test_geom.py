@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,11 @@ def P(x, y, pid=0):
     return Point(pid, x, y)
 
 
+# three corners at the 32-bit edge and one point inside: with int64
+# coordinates the orientation products overflow
+_WRAPPING_CORNERS = [(-(2**31) + 1, -(2**31) + 1), (2**31 - 1, -(2**31) + 2), (0, 2**31 - 1), (5, 3)]
+
+
 class TestOrient:
     def test_left_turn(self):
         assert orient(P(0, 0), P(1, 0), P(0, 1)) == 1
@@ -49,6 +55,14 @@ class TestOrient:
         # barely-left turn that float arithmetic would misjudge
         assert orient(P(-big, -big), P(big, big - 1), P(big, big)) == 1
         assert orient(P(-big, -big), P(0, 0), P(big, big)) == 0
+
+    def test_numpy_coordinates_give_the_python_int_signs(self):
+        # int64 cross products wrap at these coordinates; pytest turns the
+        # overflow warning into an error, so this also checks none is raised
+        pts = [P(*c) for c in _WRAPPING_CORNERS]
+        wide = [P(np.int64(x), np.int64(y)) for x, y in _WRAPPING_CORNERS]
+        for i, j, k in itertools.permutations(range(4), 3):
+            assert orient(wide[i], wide[j], wide[k]) == orient(pts[i], pts[j], pts[k])
 
 
 class TestProperIntersection:
@@ -118,6 +132,11 @@ class TestConvexHull:
     def test_too_few_points(self):
         with pytest.raises(TooSmallError):
             convex_hull([P(0, 0, 1), P(1, 1, 2)])
+
+    def test_numpy_coordinates_give_the_python_int_hull(self):
+        pts = [P(x, y, i) for i, (x, y) in enumerate(_WRAPPING_CORNERS, start=1)]
+        wide = [P(np.int64(x), np.int64(y), i) for i, (x, y) in enumerate(_WRAPPING_CORNERS, start=1)]
+        assert convex_hull(wide) == convex_hull(pts) == (1, 2, 3)
 
     def test_against_half_plane_oracle(self):
         for seed in range(20):

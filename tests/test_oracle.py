@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -162,6 +163,58 @@ class TestHeldKarp:
         inst = generate_grid(19, 64, 2)
         with pytest.raises(TooLargeError):
             held_karp_optimum(inst)
+
+    @pytest.mark.parametrize("args", [(9, 5, 15), (9, 5, 26), (10, 6, 10)])
+    def test_exact_ties_may_end_on_another_tour(self, args):
+        # brute force and hull order break exact ties by canonical form;
+        # Held-Karp's first-minimal-member rule reconstructs another
+        # tour of the very same length
+        inst = generate_grid(*args)
+        b = brute_force_optimum(inst)
+        ho = hull_order_optimum(inst)
+        hk = held_karp_optimum(inst)
+        assert b == dataclasses.replace(ho, method="brute")
+        assert hk.optimum_value == b.optimum_value
+        assert hk.optimum_tour != b.optimum_tour
+        assert tour_length(inst, hk.optimum_tour) == b.optimum_value
+
+
+class TestStrongestOracle:
+    """strongest_oracle runs Held-Karp only where hull order would build
+    more tours than Held-Karp's table has entries."""
+
+    @staticmethod
+    def _check(inst):
+        n = inst.n
+        res = strongest_oracle(inst)
+        if n <= 16 and hull_order_count(inst) > (n - 1) << (n - 1):
+            assert res.method == "held_karp"
+        else:
+            assert res.method == "hull_order"
+        assert res.optimum_value == held_karp_optimum(inst).optimum_value
+
+    @settings(max_examples=40)
+    @given(tie_heavy_grid(13))
+    def test_value_of_held_karp_on_tie_heavy_grids(self, coords):
+        self._check(validate(coords))
+
+    @settings(max_examples=40)
+    @given(inner_instance())
+    def test_value_of_held_karp_on_inner_instances(self, inst):
+        assume(inst.n <= 16)
+        self._check(inst)
+
+    # above the budget (None): tests/test_cli.py::TestExperimentParts
+    @pytest.mark.parametrize(
+        "generate, args, method",
+        [
+            (generate_with_inner, (9, 3, 256, 180003), "hull_order"),  # 990 tours against 11 * 2^11
+            # configs/grid_rls.cfg's n = 12 cell: h = 5, k = 7, 1,663,200 tours
+            (generate_grid, (12, 64, 301009), "held_karp"),
+        ],
+    )
+    def test_method_follows_the_work_counts(self, generate, args, method):
+        assert strongest_oracle(generate(*args)).method == method
 
 
 class TestAgainstFrozenReferences:
