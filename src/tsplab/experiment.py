@@ -184,21 +184,24 @@ def strongest_oracle(instance: Instance) -> Optional[OracleResult]:
     """An exact optimum from the oracle with less work to do, or None.
 
     Held-Karp runs when n <= 16 and hull order would build more tours
-    (hull_order_count) than Held-Karp's table has entries, (n-1) 2^(n-1);
-    otherwise hull order runs, within its 1e6-tour budget, and None comes
-    back above it. Both report the same optimum_value.
+    (hull_order_count) than 0.2 (n-1)^2 2^(n-1), a fifth of Held-Karp's
+    additions; otherwise hull order runs, within its 1e6-tour budget, and
+    None comes back above it. Both report the same optimum_value.
 
-    Why the table size is the bar: hull order costs about 30 ns per tour
-    ((11, 5): 360,360 tours in 10.7 ms) and Held-Karp about 7 ns per each
-    of its (n-1)^2 2^(n-1) additions (n = 16: 48 ms), min of 3 in-process
-    runs on a 2-vCPU VM, CPython 3.11. So hull order is the cheaper one
-    below about 0.23 (n-1)^2 2^(n-1) tours, a bar that (n-1) 2^(n-1)
-    stays under for every n >= 6; below that n both take well under 1 ms.
-    An instance with many inner points, such as grid n = 12 with h = 5 and
-    k = 7 (1,663,200 tours, over the budget), keeps Held-Karp.
+    Why that bar: hull order costs about 30-40 ns per tour ((11, 5):
+    360,360 tours in 10.8 ms; (10, 5): 240,240 tours in 9.0 ms) and
+    Held-Karp about 7 ns per each of its (n-1)^2 2^(n-1) additions
+    (n = 16: 44-52 ms; n = 15: 22.9 ms), min of 5 in-process runs on a
+    2-vCPU VM, CPython 3.11. So the two cost the same at about 0.19-0.23
+    (n-1)^2 2^(n-1) tours. generate_with_inner(10, 5, 144, 7) (n = 15,
+    240,240 tours) takes hull order, about 2.5 times faster. Below n = 10
+    Held-Karp's cost per addition grows (n = 9: 90 ns), but there both
+    take about a millisecond. An instance with many inner points, such as
+    grid n = 12 with h = 5 and k = 7 (1,663,200 tours, over the budget),
+    keeps Held-Karp.
     """
     n = instance.n
-    if n <= _HELD_KARP_AUTO_MAX_N and hull_order_count(instance) > (n - 1) << (n - 1):
+    if n <= _HELD_KARP_AUTO_MAX_N and hull_order_count(instance) > ((n - 1) ** 2 << (n - 1)) // 5:
         return held_karp_optimum(instance)
     try:
         return hull_order_optimum(instance)

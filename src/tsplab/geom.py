@@ -13,7 +13,17 @@ from functools import cmp_to_key
 from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import TooSmallError
+
+# rows of point pairs the numpy set-up code builds at a time: each
+# temporary holds at most 32 * n entries, 64 KiB at n = 256
+_ROWS = 32
+
+# relative window of np.arctan2 values within which instance_metrics lets
+# math.atan2 decide epsilon
+_ATAN2_WINDOW = 1e-9
 
 
 class Point(NamedTuple):
@@ -173,23 +183,66 @@ def _reduced_direction(dx: int, dy: int) -> tuple[int, int]:
     return dx // g, dy // g
 
 
+def _exact_coords(xs: Sequence[int], ys: Sequence[int]) -> np.ndarray:
+    """(2, n) array of xs and ys, each shifted by its minimum, on which
+    the products of coordinate differences are exact.
+
+    The array is int64 when both spans are below 2^30: every difference
+    is then below 2^30 in magnitude, so every square, cross and dot
+    product of two differences stays below 2^61, and sums of two of them
+    below 2^62. Otherwise it is an object array of Python ints. This
+    dtype is the only branch; the code that uses the array is the same
+    for both.
+    """
+    x0, y0 = min(xs), min(ys)
+    dtype = np.int64 if max(max(xs) - x0, max(ys) - y0) < 1 << 30 else object
+    return np.array([[x - x0 for x in xs], [y - y0 for y in ys]], dtype)
+
+
 def first_collinear_triple(coords: Sequence[tuple[int, int]]) -> tuple[int, int, int] | None:
     """Lexicographically first 0-based (i, j, k), i < j < k, of three collinear
-    points, or None; the points must be distinct. O(n^2): for each i in order,
-    the points j > i are grouped by their direction from i."""
+    points, or None; the points must be distinct, with coordinates below
+    2^52 in magnitude (validate's are below 2^31).
+
+    O(n^2 log n), in numpy, _ROWS points at a time. Points j and k are
+    collinear with i iff they have the same slope from i. Row i holds the
+    float slopes dy/dx from point i to every other point, inf where
+    dx == 0: the coordinate differences are exact in float64 and IEEE
+    division is correctly rounded, so equal slopes give equal floats, though
+    equal floats may also come from two slopes too close to tell apart.
+    Each row is sorted and its neighbours compared. The first point of any
+    collinear triple is the first whose row holds a true repeat, and a
+    Python scan with exact integer directions (_first_partners) runs on
+    each row with a repeat, in order, until one names i's partners.
+    """
     n = len(coords)
-    for i in range(n - 2):
-        xi, yi = coords[i]
-        first: dict[tuple[int, int], int] = {}
-        best = None
-        for j in range(i + 1, n):
-            x, y = coords[j]
-            a = first.setdefault(_reduced_direction(x - xi, y - yi), j)
-            if a != j and (best is None or a < best[0]):
-                best = (a, j)
-        if best is not None:
-            return (i, *best)
+    xy = np.array(coords, dtype=np.float64).T
+    # 0/0 on the diagonal gives nan, which sorts last and equals nothing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r in range(0, n - 2, _ROWS):
+            d = xy[:, r : r + _ROWS, None] - xy[:, None, :]
+            slope = d[1] / d[0]
+            slope[slope == -np.inf] = np.inf
+            slope.sort(axis=1)
+            for row in np.flatnonzero((slope[:, 1:] == slope[:, :-1]).any(axis=1)).tolist():
+                pair = _first_partners(coords, r + row)
+                if pair is not None:
+                    return (r + row, *pair)
     return None
+
+
+def _first_partners(coords: Sequence[tuple[int, int]], i: int) -> tuple[int, int] | None:
+    """Lexicographically first (j, k), i < j < k, with i, j and k collinear,
+    or None. O(n): the points after i are grouped by their direction from i."""
+    xi, yi = coords[i]
+    first: dict[tuple[int, int], int] = {}
+    best = None
+    for j in range(i + 1, len(coords)):
+        x, y = coords[j]
+        a = first.setdefault(_reduced_direction(x - xi, y - yi), j)
+        if a != j and (best is None or a < best[0]):
+            best = (a, j)
+    return best
 
 
 def collinear_with_any(coords: Sequence[tuple[int, int]], cand: tuple[int, int]) -> bool:
@@ -220,26 +273,61 @@ def instance_metrics(points: Sequence[Point], distances: Sequence[float]) -> Ins
     point set (three or more distinct points, no three collinear) and its
     flat row-major distance matrix, from which d_min and d_max are read.
 
-    Each vertex sorts its directions to the other points by angle (an
-    atan2 pre-sort, then an exact integer sort, so floats never decide
-    the order) and measures only circular neighbours: any other pair
-    spans two gaps or more, so the minimum is the same. O(n^2 log n).
+    Each vertex sorts its directions to the other points by angle and
+    measures only circular neighbours: any other pair spans two gaps or
+    more, so the minimum is the same. O(n^2 log n), in numpy, _ROWS
+    vertices at a time, on _exact_coords' integers.
+
+    - np.arctan2 only presorts a row. Each adjacent pair is then checked
+      exactly, by half-plane and the sign of its cross product, as
+      _exact_angle_key orders directions; a row that fails is sorted
+      again by _exact_angle_key. So floats never decide the order.
+    - Each circular-neighbour pair's angle is atan2(|u x w|, u . w) of its
+      exact products, each rounded once to float64, as math.atan2 rounds
+      Python ints.
+    - math.atan2 decides epsilon; np.arctan2 only preselects the pairs
+      to hand it. Let theta_q be the exact angle of pair q's two floats,
+      t_q math.atan2's value and a_q np.arctan2's, and suppose both are
+      within a relative d of theta_q (libm's atan2 is within about 1 ulp;
+      numpy's vector loops, AVX-512 ones included, within a few ulps; so
+      d < 2^-48). For the pair p with the least t_p and any pair q:
+          a_p <= (1+d) theta_p <= (1+d) t_p / (1-d) <= (1+d) t_q / (1-d)
+              <= (1+d)^2 theta_q / (1-d) <= (1+d)^2 a_q / (1-d)^2,
+      so a_p <= (1 + 5d) min_q a_q. A chunk keeps its pairs within a
+      relative 1e-9 (_ATAN2_WINDOW) of the least np.arctan2 value so far,
+      which is at least min_q a_q, so p is kept, far inside the window.
+      Angles are positive, since no three points are collinear, so the
+      window is never empty. epsilon is the least math.atan2 value of the
+      kept pairs: the float the per-vertex scalar sweep took.
     """
     n = len(points)
     d_min = min(min(distances[i * n + i + 1 : (i + 1) * n]) for i in range(n - 1))
     d_max = max(distances)
-    epsilon = math.inf
-    atan2 = math.atan2
-    for v, pv in enumerate(points):
-        dirs = [(p.x - pv.x, p.y - pv.y) for p in points[:v] + points[v + 1 :]]
-        dirs.sort(key=lambda d: atan2(d[1], d[0]))
-        dirs.sort(key=_exact_angle_key)
-        ux, uy = dirs[-1]
-        for wx, wy in dirs:
-            theta = atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
-            if theta < epsilon:
-                epsilon = theta
-            ux, uy = wx, wy
+    xy = _exact_coords([p.x for p in points], [p.y for p in points])
+    after = np.arange(1, n)
+    least = math.inf
+    near: list[tuple[float, float]] = []  # (|u x w|, u . w) of pairs within the window
+    for r in range(0, n, _ROWS):
+        v = np.arange(r, min(r + _ROWS, n))[:, None]
+        # (dx, dy) from each vertex v to the n - 1 points after it, cyclically
+        d = xy[:, (v + after) % n] - xy[:, v]
+        f = d.astype(np.float64)
+        d = d[:, np.arange(len(v))[:, None], np.arctan2(f[1], f[0]).argsort(axis=1)]
+        dx, dy = d
+        upper = (dy > 0) | ((dy == 0) & (dx < 0))  # angle in (0, pi]
+        hu, hw = upper[:, :-1], upper[:, 1:]
+        cross = dx[:, :-1] * dy[:, 1:] - dy[:, :-1] * dx[:, 1:]
+        ordered = ((hu < hw) | ((hu == hw) & (cross > 0))).all(axis=1)
+        for row in np.flatnonzero(~ordered).tolist():
+            d[:, row] = np.array(sorted(zip(*d[:, row].tolist()), key=_exact_angle_key), d.dtype).T
+        ux, uy = d[:, :, after - 2]  # each direction's predecessor, circularly
+        sines = np.abs(ux * dy - uy * dx).astype(np.float64)
+        cosines = (ux * dx + uy * dy).astype(np.float64)
+        theta = np.arctan2(sines, cosines)
+        least = min(least, float(theta.min()))
+        keep = theta <= least * (1.0 + _ATAN2_WINDOW)
+        near.extend(zip(sines[keep].tolist(), cosines[keep].tolist()))
+    epsilon = min(math.atan2(s, c) for s, c in near)
     return InstanceMetrics(
         d_min=d_min,
         d_max=d_max,

@@ -13,6 +13,7 @@ import math
 import operator
 import re
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -24,22 +25,27 @@ from .errors import (
     ParseError,
     TooSmallError,
 )
-from .geom import Point, convex_hull, distance, instance_metrics, point_strictly_inside
-from .geom import collinear_with_any, first_collinear_triple
+from .geom import Point, convex_hull, instance_metrics, point_strictly_inside
+from .geom import _ROWS, _exact_coords, collinear_with_any, first_collinear_triple
 from .rng import Xoshiro256StarStar
 
 # total point draws a generator may spend before giving up
 RETRY_BUDGET = 10**6
 
-_COORD_LIMIT = 2**31  # |coordinate| < 2^31 keeps orientation exact in 64 bits
+# |coordinate| < 2^31. Differences then reach 2^32 - 2 and cross products
+# about 2^65, so 64-bit integers are not enough: the exact predicates run
+# on Python ints, and the numpy set-up code (geom._exact_coords) on int64
+# only when the coordinate span is below 2^30, on Python ints otherwise.
+_COORD_LIMIT = 2**31
 
 
 class Instance:
     """Validated planar point set with derived hull data.
 
-    Immutable after construction; metrics, coords, distance_matrix and
-    its read-only numpy copy distance_array are computed lazily and
-    cached. Build instances through validate() or a generator, not directly.
+    Immutable after construction; metrics, coords, the read-only numpy
+    distance_array and the distance_matrix tuple of its floats are
+    computed lazily and cached. Build instances through validate() or a
+    generator, not directly.
     """
 
     def __init__(self, points: tuple[Point, ...], grid_size: int, hull: tuple[int, ...]):
@@ -63,21 +69,31 @@ class Instance:
 
     @cached_property
     def distance_matrix(self) -> tuple[float, ...]:
-        """Flat row-major n*n matrix indexed by 0-based labels."""
-        n = len(self.points)
-        d = [0.0] * (n * n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = distance(self.points[i], self.points[j])
-                d[i * n + j] = v
-                d[j * n + i] = v
-        return tuple(d)
+        """Flat row-major n*n matrix indexed by 0-based labels: the floats
+        of distance_array, with entries (i, j) and (j, i) one float object,
+        so that the tuple holds n(n-1)/2 + 1 floats, not n^2."""
+        d = self.distance_array
+        upper = [[0.0] * (i + 1) + d[i, i + 1 :].tolist() for i in range(len(d))]
+        # row i: column i of upper left of the diagonal, row i of upper from it
+        rows = (chain(col[:i], row[i:]) for i, (col, row) in enumerate(zip(zip(*upper), upper)))
+        return tuple(chain.from_iterable(rows))
 
     @cached_property
     def distance_array(self) -> np.ndarray:
-        """distance_matrix as a read-only (n, n) float64 array, 0-based."""
+        """Read-only (n, n) float64 array of the Euclidean distances,
+        indexed by 0-based labels, built _ROWS rows at a time.
+
+        Each squared distance is summed exactly (geom._exact_coords),
+        rounded once to float64 and square-rooted by IEEE sqrt; both steps
+        are correctly rounded, as in math.sqrt of a Python int, so each
+        entry is the float geom.distance returns.
+        """
         n = len(self.points)
-        d = np.array(self.distance_matrix).reshape(n, n)
+        xy = _exact_coords([p.x for p in self.points], [p.y for p in self.points])
+        d = np.empty((n, n))
+        for r in range(0, n, _ROWS):
+            dxy = xy[:, r : r + _ROWS, None] - xy[:, None, :]
+            np.sqrt((dxy * dxy).sum(axis=0).astype(np.float64), out=d[r : r + _ROWS])
         d.flags.writeable = False
         return d
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tsplab import (
@@ -19,7 +19,8 @@ from tsplab import (
     validate,
 )
 from tsplab.errors import CollinearTripleError, TooSmallError
-from tsplab.geom import first_collinear_triple, properly_cross
+from tsplab import geom
+from tsplab.geom import distance, first_collinear_triple, properly_cross
 from tsplab.rng import Xoshiro256StarStar
 
 from conftest import brute_hull, frac_segments_cross, triple_scan_collinear, triple_scan_metrics
@@ -292,6 +293,108 @@ class TestAgainstTripleScans:
         for seed in range(3):
             inst = generate(n, 7000 + seed)
             assert inst.metrics == triple_scan_metrics(inst.points)
+
+
+# coordinate spans on either side of the int64 limit of the numpy set-up
+# code (geom._exact_coords), up to the widest one validate accepts
+_SPANS = [2**30 - 2, 2**30 - 1, 2**30, 2**30 + 1, 2**32 - 2]
+
+
+@st.composite
+def _spanning_sets(draw):
+    """(span, coords): 3 to 12 distinct points inside +-(2^31 - 1) whose x
+    coordinates span exactly span; the y span is at most that."""
+    span = draw(st.sampled_from(_SPANS))
+    lo = draw(st.integers(-_MAX_COORD, _MAX_COORD - span))
+    c = st.integers(lo, lo + span)
+    rest = draw(st.lists(st.tuples(c, c), min_size=1, max_size=10))
+    coords = list(dict.fromkeys([(lo, draw(c)), (lo + span, draw(c)), *rest]))
+    assume(len(coords) >= 3)
+    return span, coords
+
+
+def _labelled(coords):
+    return [P(x, y, i + 1) for i, (x, y) in enumerate(coords)]
+
+
+def _assert_set_up_bit_identical(coords):
+    """The first collinear triple, and validate's error, or for a
+    collinear-free set the metrics and every distance, equal the conftest
+    triple scans and distance()."""
+    triple = triple_scan_collinear(coords)
+    assert first_collinear_triple(coords) == triple
+    pts = _labelled(coords)
+    if triple is not None:
+        with pytest.raises(CollinearTripleError) as err:
+            validate(pts)
+        assert err.value.labels == tuple(i + 1 for i in triple)
+        return
+    inst = validate(pts)
+    assert inst.metrics == triple_scan_metrics(pts)
+    assert inst.distance_matrix == tuple(distance(p, q) for p in pts for q in pts)
+
+
+class TestNumpySetUp:
+    """The numpy distance matrix, collinearity check and angular sweep
+    against the scalar references, on both integer types, across chunks
+    of _ROWS points, and where floats cannot decide."""
+
+    @settings(max_examples=200)
+    @given(_spanning_sets())
+    def test_both_integer_types(self, case):
+        span, coords = case
+        xs, ys = zip(*coords)
+        assert geom._exact_coords(xs, ys).dtype == (np.int64 if span < 2**30 else object)
+        _assert_set_up_bit_identical(coords)
+
+    def test_32_bit_edge(self):
+        _assert_set_up_bit_identical(_WRAPPING_CORNERS)
+        _assert_set_up_bit_identical(
+            [(-_MAX_COORD, -_MAX_COORD), (_MAX_COORD, -_MAX_COORD + 1), (1, _MAX_COORD)]
+        )
+
+    @pytest.mark.parametrize("n", [3, geom._ROWS, geom._ROWS + 1])
+    def test_chunk_edges(self, n):
+        for seed in range(3):
+            _assert_set_up_bit_identical([(p.x, p.y) for p in generate_grid(n, 1024, 7100 + seed).points])
+
+    def test_collinear_triple_in_a_later_chunk(self):
+        # the only collinear triple starts at 0-based point 32, the first
+        # point of the second chunk: 34 grid points and the mirror image
+        # of point 32 in point 33
+        coords = [(p.x, p.y) for p in generate_grid(34, 4096, 7200).points]
+        (x0, y0), (x1, y1) = coords[32:]
+        coords.append((2 * x1 - x0, 2 * y1 - y0))
+        assert triple_scan_collinear(coords) == (32, 33, 34)
+        _assert_set_up_bit_identical(coords)
+
+    def test_equal_float_slopes_that_are_not_collinear(self):
+        # from point 0 two directions with cross product -1 have the same
+        # float slope, so row 0 has a repeat the exact scan must clear
+        a, b, c, d = 2**31 - 1, 2**31 - 2, 2**31 - 2, 2**31 - 3
+        assert b / a == d / c and a * d - b * c == -1
+        fooled = [(0, 0), (a, b), (c, d)]
+        _assert_set_up_bit_identical(fooled)
+        coords = [*fooled, (5, 100), (6, 200), (7, 300)]
+        assert triple_scan_collinear(coords) == (3, 4, 5)
+        _assert_set_up_bit_identical(coords)
+
+    def test_rows_the_presort_misorders_are_repaired(self, monkeypatch):
+        # test_directions_atan2_cannot_order's five points after 32 points
+        # of a small grid far away: the vertices with the three directions
+        # that share one atan2 value sit in the second chunk
+        far = [(p.x - 2**31 + 1, p.y + 2**30) for p in generate_grid(32, 64, 7300).points]
+        tied = [(0, 0), (597592487, 543017063), (229206983, 208274544), (826799470, 751291607), (-79, -8)]
+        calls = []
+        key = geom._exact_angle_key
+
+        def counting(d):
+            calls.append(d)
+            return key(d)
+
+        monkeypatch.setattr(geom, "_exact_angle_key", counting)
+        _assert_set_up_bit_identical(far + tied)
+        assert calls
 
 
 class TestGridAngleBound:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from tsplab.errors import (
     TooSmallError,
 )
 
-from tsplab.instance import RETRY_BUDGET
+from tsplab.instance import RETRY_BUDGET, Instance
 from tsplab.rng import Xoshiro256StarStar
 
 from conftest import brute_hull
@@ -408,3 +409,25 @@ class TestDistanceMatrix:
             arr[0, 1] = 1.0
         with pytest.raises(ValueError):
             arr.ravel()[1] = 1.0
+
+
+class TestSetUpMemory:
+    def test_transient_peaks_at_n_256(self):
+        # the numpy set-up builds _ROWS rows of pairs at a time: about
+        # 0.6 MiB above what the matrix keeps and 1.0 MiB for the metrics,
+        # where whole n x n temporaries took about 10 MiB; the matrix keeps
+        # its array, the tuple and one float per unordered pair (1.75 MiB)
+        inst = generate_grid(256, 1024, 5)
+        fresh = Instance(inst.points, inst.grid_size, inst.hull)
+        mib = 2**20
+        tracemalloc.start()
+        try:
+            fresh.distance_matrix
+            kept, peak = tracemalloc.get_traced_memory()
+            assert kept < 1.8 * mib and peak - kept < 1.5 * mib
+            tracemalloc.reset_peak()
+            fresh.metrics
+            after, peak = tracemalloc.get_traced_memory()
+            assert peak - after < 1.5 * mib
+        finally:
+            tracemalloc.stop()

@@ -181,13 +181,13 @@ class TestHeldKarp:
 
 class TestStrongestOracle:
     """strongest_oracle runs Held-Karp only where hull order would build
-    more tours than Held-Karp's table has entries."""
+    more tours than a fifth of Held-Karp's (n-1)^2 2^(n-1) additions."""
 
     @staticmethod
     def _check(inst):
         n = inst.n
         res = strongest_oracle(inst)
-        if n <= 16 and hull_order_count(inst) > (n - 1) << (n - 1):
+        if n <= 16 and hull_order_count(inst) > (n - 1) ** 2 * 2 ** (n - 1) / 5:
             assert res.method == "held_karp"
         else:
             assert res.method == "hull_order"
@@ -208,7 +208,9 @@ class TestStrongestOracle:
     @pytest.mark.parametrize(
         "generate, args, method",
         [
-            (generate_with_inner, (9, 3, 256, 180003), "hull_order"),  # 990 tours against 11 * 2^11
+            (generate_with_inner, (9, 3, 256, 180003), "hull_order"),  # 990 tours against 0.2 * 11^2 * 2^11
+            # n = 15, 240,240 tours: over 14 * 2^14, under 0.2 * 14^2 * 2^14 = 642,252.8
+            (generate_with_inner, (10, 5, 144, 7), "hull_order"),
             # configs/grid_rls.cfg's n = 12 cell: h = 5, k = 7, 1,663,200 tours
             (generate_grid, (12, 64, 301009), "held_karp"),
         ],
