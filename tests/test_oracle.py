@@ -209,10 +209,10 @@ class TestStrongestOracle:
         "generate, args, method",
         [
             (generate_with_inner, (9, 3, 256, 180003), "hull_order"),  # 990 tours against 0.2 * 11^2 * 2^11
-            # n = 15, 240,240 tours: over 14 * 2^14, under 0.2 * 14^2 * 2^14 = 642,252.8
-            (generate_with_inner, (10, 5, 144, 7), "hull_order"),
             # configs/grid_rls.cfg's n = 12 cell: h = 5, k = 7, 1,663,200 tours
             (generate_grid, (12, 64, 301009), "held_karp"),
+            # n = 15, 240,240 tours: over 14 * 2^14, under 0.2 * 14^2 * 2^14 = 642,252.8
+            (generate_with_inner, (10, 5, 144, 7), "hull_order"),
         ],
     )
     def test_method_follows_the_work_counts(self, generate, args, method):
