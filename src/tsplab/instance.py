@@ -103,6 +103,8 @@ class Instance:
         return tuple(p.x for p in self.points), tuple(p.y for p in self.points)
 
     def point(self, label: int) -> Point:
+        if not 1 <= label <= len(self.points):
+            raise ValueError(f"label must be in 1..{len(self.points)}, got {label}")
         return self.points[label - 1]
 
     def __eq__(self, other) -> bool:
@@ -189,6 +191,13 @@ def _place_points(coords: list, count: int, m: int, rng: Xoshiro256StarStar, adm
         taken.add(cand)
 
 
+def _check_side(m: int) -> None:
+    """Reject a grid side whose cells reach a coordinate of 2^31, before
+    any draw: the coordinates of an m x m grid are 0..m-1."""
+    if m > _COORD_LIMIT:
+        raise ValueError(f"grid side m must be <= 2^31, got m={m}")
+
+
 def generate_grid(n: int, m: int, seed: int) -> Instance:
     """n distinct points uniform on the m x m grid, no three collinear.
 
@@ -197,6 +206,7 @@ def generate_grid(n: int, m: int, seed: int) -> Instance:
     seed."""
     if m < 3:
         raise ValueError(f"grid side must be >= 3, got {m}")
+    _check_side(m)
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     coords: list[tuple[int, int]] = []
@@ -278,6 +288,7 @@ def generate_convex(n: int, m: int, seed: int) -> Instance:
         raise ValueError(f"need n >= 3, got {n}")
     if m < 8 * n:
         raise ValueError(f"convex placement needs m >= 8n (m={m}, n={n})")
+    _check_side(m)
     rng = Xoshiro256StarStar(seed)
     coords = _convex_coords(n, m, rng)
     return validate(coords, grid_size=m)
@@ -297,6 +308,7 @@ def generate_with_inner(h: int, k: int, m: int, seed: int) -> Instance:
         raise ValueError(f"need k >= 0 inner points, got {k}")
     if m < 8 * h:
         raise ValueError(f"convex placement needs m >= 8h (m={m}, h={h})")
+    _check_side(m)
     rng = Xoshiro256StarStar(seed)
     coords = _convex_coords(h, m, rng)
     hull_pts = [Point(i + 1, x, y) for i, (x, y) in enumerate(coords)]

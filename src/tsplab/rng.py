@@ -189,10 +189,8 @@ class Xoshiro256StarStar:
             z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
             words.append(z ^ (z >> 31))
-        if not any(words):
-            # xoshiro requires a nonzero state; unreachable for SplitMix64
-            # expansions of real seeds, kept as a guard
-            words[0] = 1
+        # never all zero: the finalizer is a bijection and the four states
+        # seed + i * gamma are distinct mod 2^64, so at most one word is 0
         self._start(words)
 
     @classmethod
@@ -228,10 +226,11 @@ class Xoshiro256StarStar:
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection (no modulo bias).
 
-        bound == 1 returns 0 without consuming a draw.
+        bound == 1 returns 0 without consuming a draw; a bound above 2^64,
+        more values than one 64-bit draw holds, raises ValueError.
         """
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        if not 0 < bound <= _TWO64:
+            raise ValueError(f"bound must be in 1..2^64, got {bound}")
         if bound == 1:
             return 0
         limit = _TWO64 - (_TWO64 % bound)

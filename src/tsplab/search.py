@@ -9,8 +9,8 @@ it. A run is a sequential Markov chain driven by one seeded generator;
 identical (instance, parameters, seed) reproduce the trajectory bit for
 bit. run_rls makes long stretches of rejected steps in batches, from
 words it peeks from the generator, on the same trajectory: one kernel
-(_stretch_scanner) marks in numpy which words pick one of the cycle's
-candidate pairs and runs the scalar rule on those words alone.
+(_stretch_scanner) marks in numpy, once per cycle, which pairs of the
+tour are candidates, and runs the scalar rule on the words that pick one.
 
 Trajectory accounting: each executed step/generation is classified by
 the best-so-far tour before the step -- alpha if the tour has crossing
@@ -46,11 +46,11 @@ _INV_E = float.fromhex("0x1.78b56362cef38p-2")  # 1/e correctly rounded, with no
 # bound its drift; the crossing witness is exact and needs none
 _REVALIDATE_EVERY = 1 << 16
 # run_rls makes its steps in batches once the cycle has stood this many
-# steps, at most _BATCH_MAX words a batch (which bounds the batch's
-# temporaries to a few hundred KiB); until it has stood npairs // 4 steps,
-# a batch marks only the pairs its words pick, and after that every pair
-# of the tour, once (that costs about as much as pricing every pair once;
-# a half to an eighth of npairs measured the same on rls-grid-local)
+# steps, or npairs // 8 if more: the first batch marks every pair of the
+# tour, so a cycle that changes sooner is cheaper stepped one scalar step
+# at a time (npairs // 4 ran rls-grid-local's n = 128 runs about 1.06x
+# slower). A batch takes at most _BATCH_MAX words, which bounds its
+# temporaries to a few hundred KiB.
 _BATCH_AFTER = 64
 _BATCH_MAX = 2048
 # relative slack when comparing a recomputed length against the optimum
@@ -172,24 +172,12 @@ def _reflection_table(n: int) -> np.ndarray:
     return table
 
 
-def _tour_edges(dist: np.ndarray, perm) -> tuple[np.ndarray, np.ndarray]:
-    """Per position of the 0-based tour perm: its label and its
-    successor's (a (2, n) array), and the length of the edge between
-    them, read from the stored distances."""
-    ends = np.empty((2, len(perm)), dtype=np.intp)
-    ends[0] = perm  # one list to convert: a tuple of two converts at half the speed
-    ends[1, :-1] = ends[0, 1:]
-    ends[1, -1] = perm[0]
-    return ends, dist[ends[0], ends[1]]
-
-
-def _candidate_marks(dist: np.ndarray, ends: np.ndarray, edges: np.ndarray, columns) -> np.ndarray:
-    """Which of some pairs of _slice_table(n) are candidates on a tour: a
-    bool per pair, False where is_two_opt_local_optimum's prefilter,
-    fl(d_ab + d_ce) < fl(fl(d_ac + d_be) * _SHRINK), proves the inversion
-    rejected. columns holds the pairs' columns of _position_table(n) (a
-    slice of it, or the columns taken for picked pair indices), and ends
-    and edges are the tour's _tour_edges.
+def _tour_marks(instance: Instance, perm) -> np.ndarray:
+    """Which pairs of _slice_table(n) are candidates on the 0-based tour
+    perm: a bool per pair, False where is_two_opt_local_optimum's
+    prefilter, fl(d_ab + d_ce) < fl(fl(d_ac + d_be) * _SHRINK), proves the
+    inversion rejected. It is computed in slices of _BATCH_MAX pairs, so
+    that its temporaries are a batch's.
 
     Both sums are order-free, so a pair's mark depends only on the two
     edges it removes, not on the tour's orientation, and the two indices
@@ -202,35 +190,32 @@ def _candidate_marks(dist: np.ndarray, ends: np.ndarray, edges: np.ndarray, colu
     cycle-preserving pairs are always marked: their two sums are equal,
     or the added one is 0.
     """
-    a, c = columns
-    ac, be = dist[ends.take(a, axis=1), ends.take(c, axis=1)]
-    return edges.take(a) + edges.take(c) >= (ac + be) * _SHRINK
-
-
-def _tour_marks(instance: Instance, perm) -> np.ndarray:
-    """_candidate_marks of every pair of _slice_table(n) on the 0-based
-    tour perm, computed in slices of _BATCH_MAX pairs, so that its
-    temporaries are a batch's."""
     dist = instance.distance_array
     positions = _position_table(instance.n)
-    ends, edges = _tour_edges(dist, perm)
-    return np.concatenate([
-        _candidate_marks(dist, ends, edges, positions[:, lo : lo + _BATCH_MAX])
-        for lo in range(0, positions.shape[1], _BATCH_MAX)
-    ])
+    # per position: its label and its successor's, and the edge between them
+    ends = np.empty((2, len(perm)), dtype=np.intp)
+    ends[0] = perm  # one list to convert: a tuple of two converts at half the speed
+    ends[1, :-1] = ends[0, 1:]
+    ends[1, -1] = perm[0]
+    edges = dist[ends[0], ends[1]]
+    marks = []
+    for lo in range(0, positions.shape[1], _BATCH_MAX):
+        a, c = positions[:, lo : lo + _BATCH_MAX]
+        ac, be = dist[ends.take(a, axis=1), ends.take(c, axis=1)]
+        marks.append(edges.take(a) + edges.take(c) >= (ac + be) * _SHRINK)
+    return np.concatenate(marks)
 
 
 def _stretch_scanner(instance: Instance):
     """run_rls's batch kernel, walk.
 
-    walk(perm, words, whole, cur_len, accepted, opt_hi, certify_every)
-    makes the steps that the raw 64-bit words (a uint64 array) make on the
-    0-based tour perm, as run_rls does, and may move perm: a word >= the
+    walk(perm, words, cur_len, accepted, opt_hi, certify_every) makes the
+    steps that the raw 64-bit words (a uint64 array) make on the 0-based
+    tour perm, as run_rls does, and may move perm: a word >= the
     rejection limit is sampled away and is no step; any other picks the
     inversion words % npairs. It looks up which words pick a candidate
-    pair (_candidate_marks) and runs the scalar rule on those words
-    alone, in order, with the same 4-term delta from the same stored
-    doubles:
+    pair (_tour_marks) and runs the scalar rule on those words alone, in
+    order, with the same 4-term delta from the same stored doubles:
 
     - a candidate with delta > 0.0 is rejected;
     - the full reversal, and (2, n) or (1, n-1) with delta <= 0.0, is
@@ -242,10 +227,7 @@ def _stretch_scanner(instance: Instance):
       opt_hi) or its certification ((accepted + 1) % certify_every == 0,
       without an optimum) would run, leaving that step to the scalar loop.
 
-    The marks come from one of two sources. With whole false (a young
-    cycle), only the picked pairs are marked, once per facing of the tour
-    that the batch meets. With whole true (a cycle that has stood long),
-    every pair of the tour is marked once per tour (_tour_marks) and kept
+    Every pair of the tour is marked once per tour (_tour_marks) and kept
     for the next batch, the marks follow a move through _reflection_table,
     and each facing's words read theirs from them.
 
@@ -254,36 +236,28 @@ def _stretch_scanner(instance: Instance):
     and the (word index, delta) of each move taken, delta 0.0 for the full
     reversal, in order.
     """
-    dist = instance.distance_array
     n = instance.n
     d = instance.distance_matrix
     pairs = _slice_table(n)
-    positions = _position_table(n)
-    npairs = positions.shape[1]
+    npairs = len(pairs)
     limit = (1 << 64) - (1 << 64) % npairs
     marked = marked_for = None
 
-    def walk(perm, words, whole, cur_len, accepted, opt_hi, certify_every):
+    def walk(perm, words, cur_len, accepted, opt_hi, certify_every):
         nonlocal marked, marked_for
         kept = None
         if words.max() >= limit:  # each word is over with probability < npairs / 2^64
             kept = np.flatnonzero(words < limit)
             words = words[kept]
         picks = words % npairs
-        if whole:
-            tour = marked if perm == marked_for else _tour_marks(instance, perm)
-        else:
-            tour = None
-            columns = positions.take(picks, axis=1)
+        tour = marked if perm == marked_for else _tour_marks(instance, perm)
 
         def candidates(tour):
             """The indices of the words that pick a candidate on perm."""
-            marks = tour.take(picks) if whole else _candidate_marks(dist, *_tour_edges(dist, perm), columns)
-            return marks.nonzero()[0].tolist()
+            return tour.take(picks).nonzero()[0].tolist()
 
         # per facing of the cycle met in this batch, keyed by the tour's
-        # first two labels: its marks, if whole, and the words that pick
-        # a candidate
+        # first two labels: its marks and the words that pick a candidate
         facing = (perm[0], perm[1])
         seen = {facing: (tour, candidates(tour))}
         taken = []
@@ -318,14 +292,12 @@ def _stretch_scanner(instance: Instance):
                 last = h
                 facing = (perm[0], perm[1])
                 if facing not in seen:
-                    if whole:
-                        tour = tour.take(_reflection_table(n)[move])
+                    tour = tour.take(_reflection_table(n)[move])
                     seen[facing] = tour, candidates(tour)
                 break
             else:
                 steps = len(picks)
-        if whole:
-            marked, marked_for = tour, perm[:]
+        marked, marked_for = tour, perm[:]
         used = steps
         if kept is not None and steps:
             used = int(kept[steps - 1]) + 1
@@ -425,21 +397,16 @@ def run_rls(
     Rejected stretches are made in batches (_stretch_scanner's walk),
     from words peeked from the generator; the rng then skips exactly the
     words of the steps a batch made, and the next scalar step takes the
-    one it stopped before. Once the cycle has stood _BATCH_AFTER steps
-    (the full reversal and the cycle-preserving (2, n) and (1, n-1) keep
-    it), every scalar step is followed by a batch, never past the budget
-    or the step before the next revalidation. A batch runs the scalar
-    rule on the words that pick one of the cycle's candidate pairs, and
-    no other. It takes the full reversal and an accepted (2, n) or
-    (1, n-1) itself, and stops before any other accepted step, and before
-    a cycle-preserving one on which the optimum check or the
-    certification would run. Its words and its marks depend on how long
-    the cycle has stood:
-
-    - fewer than npairs // 4 steps: as many words as it has stood, and
-      only the pairs they pick are marked;
-    - after that, _BATCH_MAX words, and every pair of the tour is marked
-      once and kept while the cycle stands.
+    one it stopped before. Once the cycle has stood max(_BATCH_AFTER,
+    npairs // 8) steps (the full reversal and the cycle-preserving (2, n)
+    and (1, n-1) keep it), every scalar step is followed by a batch of
+    _BATCH_MAX words, never past the budget or the step before the next
+    revalidation. A batch runs the scalar rule on the words that pick one
+    of the cycle's candidate pairs, and no other; every pair of the tour
+    is marked once and kept while the cycle stands. It takes the full
+    reversal and an accepted (2, n) or (1, n-1) itself, and stops before
+    any other accepted step, and before a cycle-preserving one on which
+    the optimum check or the certification would run.
 
     This is the same trajectory, bit for bit:
 
@@ -451,7 +418,7 @@ def run_rls(
     - a batch prices each candidate by the scalar delta, from the same
       stored doubles in the same order, so every accept decision is the
       scalar one; a pair it leaves unmarked has a delta > 0 in every
-      term order (_candidate_marks);
+      term order (_tour_marks);
     - revalidation and the optimum and local-optimum checks happen only
       in scalar steps, at the same steps as before;
     - the words consumed, through next_u64, are the ones the scalar loop
@@ -500,10 +467,10 @@ def run_rls(
     stride = max(1, budget // 1024) if record_series else 0
     revalidate_at = _REVALIDATE_EVERY
     walk = None  # built at the first batch
-    whole_after = max(_BATCH_AFTER, npairs // 4)
-    # the step at which the current stretch reaches _BATCH_AFTER steps; a
+    batch_after = max(_BATCH_AFTER, npairs // 8)
+    # the step at which the current cycle has stood batch_after steps; a
     # step at or past check_at looks at revalidation and batching
-    batch_at = _BATCH_AFTER
+    batch_at = batch_after
     check_at = min(revalidate_at, batch_at)
 
     def _confirm_optimum() -> bool:
@@ -545,7 +512,7 @@ def run_rls(
                             xs, ys, perm, witness, (1 << a | 1 << b, 1 << c | 1 << e), ((a, c), (b, e))
                         )
                         has_cross = 0 if witness is None else 1
-                        batch_at = gens + _BATCH_AFTER
+                        batch_at = gens + batch_after
                         check_at = min(revalidate_at, batch_at)
                     if opt_hi is not None:
                         if cur_len <= opt_hi and _confirm_optimum():
@@ -564,14 +531,11 @@ def run_rls(
                         reached_optimum = True
                         break
                 if gens >= batch_at:
-                    stood = gens + _BATCH_AFTER - batch_at
                     k = min(_BATCH_MAX, budget - gens, revalidate_at - 1 - gens)
                     if k > 0:
                         if walk is None:
                             walk = _stretch_scanner(instance)
-                        whole = stood >= whole_after
-                        words = rng.peek(k if whole else min(k, stood))
-                        steps, used, taken = walk(perm, words, whole, cur_len, accepted, opt_hi, certify_every)
+                        steps, used, taken = walk(perm, rng.peek(k), cur_len, accepted, opt_hi, certify_every)
                         rng.skip(used)
                         alpha += has_cross * steps
                         sampled = gens  # the series holds the samples of the steps up to here

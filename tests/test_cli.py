@@ -18,13 +18,14 @@ from tsplab.experiment import CSV_COLUMNS, make_instance, parse_config, run_expe
 from conftest import SRC_DIR, cli_env
 
 
-def cli(*args, cwd=None):
+def cli(*args, cwd=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "tsplab.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=cli_env(),
+        timeout=timeout,
     )
 
 
@@ -52,6 +53,11 @@ class TestGenerate:
         assert r.returncode == 0
         assert "k=2" in r.stdout
         assert read_instance(out).inner_count == 2
+
+    def test_grid_side_above_2_31_named(self, tmp_path):
+        r = cli("generate", "--family", "grid", "--n", "5", "--m", "4294967296", "--seed", "1", "--out", str(tmp_path / "x.tsp"))
+        assert r.returncode == 1
+        assert "m=4294967296" in r.stderr and "coordinate" not in r.stderr
 
     def test_grid_exhaustion_exit_code(self, tmp_path):
         r = cli("generate", "--family", "grid", "--n", "10", "--m", "3", "--seed", "1", "--out", str(tmp_path / "x.tsp"))
@@ -299,6 +305,15 @@ out = {out}
             cells = row.split(",")
             seeds.setdefault(cells[9], set()).add(cells[10])
         assert seeds["two_opt"] == seeds["mixed"]
+
+    def test_grid_side_beyond_64_bits_exits_1(self, tmp_path):
+        # m above 2^64 once made the grid generator's first draw loop forever
+        cfg = tmp_path / "huge.cfg"
+        m = 10**23
+        cfg.write_text(f"family = grid\nn = 8\nm = {m}\nalgorithm = rls\nbudget = 100\nruns = 1\nbase_seed = 1\nout = {tmp_path / 'r.csv'}\n", encoding="utf-8")
+        r = cli("experiment", str(cfg), timeout=60)
+        assert r.returncode == 1
+        assert f"m={m}" in r.stderr
 
     def test_malformed_config_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

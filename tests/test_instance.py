@@ -97,6 +97,13 @@ class TestValidate:
         inst = validate([Point(9, 0, 0), Point(9, 2, 0), Point(9, 1, 2)])
         assert [p.id for p in inst.points] == [1, 2, 3]
 
+    def test_point_takes_labels_1_to_n_only(self):
+        inst = validate([(0, 0), (2, 0), (1, 2)])
+        assert [inst.point(label) for label in (1, 3)] == [inst.points[0], inst.points[2]]
+        for label in (0, -1, -3, 4):
+            with pytest.raises(ValueError, match=f"got {label}"):
+                inst.point(label)
+
     # near the corners of the 32-bit range: orientation products pass
     # 2^63, so int64 arithmetic would wrap
     EDGE_POINTS = [(-(2**31) + 1, -(2**31) + 1), (2**31 - 1, -(2**31) + 2), (0, 2**31 - 1), (5, 3)]
@@ -116,6 +123,19 @@ class TestValidate:
             validate([(0, 0), (bad, 5), (1, 3)])
         with pytest.raises(ValueError, match="point 3: coordinate"):
             validate([(0, 0), (2, 5), (1, bad)])
+
+
+@pytest.mark.parametrize(
+    "generate,sizes", [(generate_grid, (5,)), (generate_convex, (5,)), (generate_with_inner, (5, 2))], ids=["grid", "convex", "inner"]
+)
+def test_grid_side_above_2_31_rejected_before_any_draw(monkeypatch, generate, sizes):
+    def no_draws(seed):
+        raise AssertionError("drew before checking m")
+
+    monkeypatch.setattr(tsplab.instance, "Xoshiro256StarStar", no_draws)
+    for m in (2**31 + 1, 2**32, 10**23):
+        with pytest.raises(ValueError, match=f"m={m}"):
+            generate(*sizes, m, 1)
 
 
 class TestGenerateGrid:

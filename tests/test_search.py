@@ -30,13 +30,11 @@ from tsplab.oracle import held_karp_optimum, hull_order_optimum
 from tsplab.rng import Xoshiro256StarStar
 from tsplab.search import (
     _INV_E,
-    _candidate_marks,
+    _SHRINK,
     _child_pricer,
     _ea_margin_unit,
-    _position_table,
     _reflection_table,
     _stretch_scanner,
-    _tour_edges,
     _tour_marks,
 )
 
@@ -568,18 +566,15 @@ def walk_by_scalar_rule(instance, perm, values, cur_len, accepted, opt_hi, certi
     return steps, used, taken
 
 
-def check_walk(inst, perm, values, sources=(False, True), cur_len=1e9, accepted=1, opt_hi=None, certify_every=10**9):
+def check_walk(inst, perm, values, cur_len=1e9, accepted=1, opt_hi=None, certify_every=10**9):
     """walk's (steps, used, taken) for the raw words `values` on the
-    0-based perm, with the marks of the picked pairs (whole false, a
-    young cycle) and of the whole tour (whole true), as `sources` lists:
-    each must be walk_by_scalar_rule's, and move a copy of perm as it
-    does."""
+    0-based perm: it must be walk_by_scalar_rule's, and move a copy of
+    perm as it does."""
     expected_perm = perm[:]
     expected = walk_by_scalar_rule(inst, expected_perm, values, cur_len, accepted, opt_hi, certify_every)
-    for whole in sources:
-        moved = perm[:]
-        got = _stretch_scanner(inst)(moved, words(*values), whole, cur_len, accepted, opt_hi, certify_every)
-        assert (got, moved) == (expected, expected_perm), f"whole={whole}"
+    moved = perm[:]
+    got = _stretch_scanner(inst)(moved, words(*values), cur_len, accepted, opt_hi, certify_every)
+    assert (got, moved) == (expected, expected_perm)
     return expected
 
 
@@ -588,13 +583,12 @@ def cycle_preserving_draws(n):
 
 
 class TestStretchScanner:
-    """run_rls's batch kernel on synthetic words with the marks of the
-    picked pairs, as for a young cycle: it runs the scalar rule on the
-    words that pick a candidate, takes the full reversal and an accepted
-    (2, n) or (1, n-1), and stops before any other accepted step."""
+    """run_rls's batch kernel on a few synthetic words: it runs the scalar
+    rule on the words that pick a candidate, takes the full reversal and
+    an accepted (2, n) or (1, n-1), and stops before any other accepted
+    step."""
 
-    def check(self, inst, perm, values):
-        return check_walk(inst, perm, values, sources=(False,))
+    check = staticmethod(check_walk)
 
     def test_words_over_the_limit_are_no_steps(self):
         inst = generate_grid(10, 64, 5)
@@ -687,8 +681,8 @@ class TestStretchScanner:
 
 
 class TestWalk:
-    """run_rls's batch kernel on synthetic words, with both mark sources,
-    against the scalar rule applied word by word."""
+    """run_rls's batch kernel on many synthetic words, against the scalar
+    rule applied word by word."""
 
     check = staticmethod(check_walk)
 
@@ -803,20 +797,22 @@ class TestCandidateMarks:
 
     @pytest.mark.parametrize("n", [5, 11, 70, 200])
     def test_picked_pairs_get_the_tour_marks(self, n):
-        # the whole tour is marked in slices of the position table, picked
-        # pairs through its columns taken by index: one formula
+        # the whole tour is marked in slices of _BATCH_MAX pairs, several at
+        # n = 70 and 200; a picked pair's mark is the prefilter on its four
+        # stored lengths
         inst = generate_grid(n, 1024, n)
+        d = inst.distance_matrix
+        pairs = inversion_pairs(n)
         rng = Xoshiro256StarStar(n)
-        npairs = n * (n - 1) // 2
         for _ in range(3):
             perm = list(range(n))
             rng.shuffle(perm)
             marks = _tour_marks(inst, perm)
-            assert marks.shape == (npairs,) and marks.sum() >= 3
-            picks = words(*(rng.randbelow(npairs) for _ in range(500))) % npairs
-            columns = _position_table(n).take(picks, axis=1)
-            ends, edges = _tour_edges(inst.distance_array, perm)
-            assert (_candidate_marks(inst.distance_array, ends, edges, columns) == marks[picks]).all()
+            assert marks.shape == (len(pairs),) and marks.sum() >= 3
+            for t in [rng.randbelow(len(pairs)) for _ in range(500)]:
+                i, j = pairs[t]
+                a, b, c, e = perm[i - 2], perm[i - 1], perm[j - 1], perm[j % n]
+                assert marks[t] == (d[a * n + b] + d[c * n + e] >= (d[a * n + c] + d[b * n + e]) * _SHRINK)
 
     @settings(max_examples=300)
     @given(tie_heavy_tours())

@@ -7,6 +7,7 @@ frozen reference_mutation, so run_ea's operator (_child_pricer) is held
 to an independent copy of the draw order.
 """
 
+import bisect
 import hashlib
 import itertools
 from typing import NamedTuple, Optional
@@ -177,7 +178,6 @@ def test_rls_matches_reference_past_revalidation():
 class Batch(NamedTuple):
     """One call of run_rls's batch kernel."""
 
-    source: str  # "picks": a young cycle, only the picked pairs marked; "tour": every pair
     steps: int
     taken: list  # the (word index, delta) of each move the batch took
     moves: list  # the 1-based (i, j) of each move the batch took
@@ -194,13 +194,13 @@ def batches(monkeypatch, run):
         pairs = inversion_pairs(instance.n)
         limit = 2**64 - 2**64 % len(pairs)
 
-        def counted_walk(perm, words, whole, *rest):
-            result = walk(perm, words, whole, *rest)
+        def counted_walk(perm, words, *rest):
+            result = walk(perm, words, *rest)
             steps, _, taken = result
             picked = [pairs[w % len(pairs)] for w in words.tolist() if w < limit]
             moves = [picked[h] for h, _ in taken]
             stop = picked[steps] if steps < len(picked) else None
-            made.append(Batch("tour" if whole else "picks", steps, taken, moves, stop))
+            made.append(Batch(steps, taken, moves, stop))
             return result
 
         return counted_walk
@@ -309,10 +309,10 @@ def test_rls_certifies_on_a_cycle_preserving_step_a_walk_met(monkeypatch, n, see
     fast, made = batches(monkeypatch, lambda: run_rls(inst, 20000, seed))
     assert fast == reference_rls(inst, 20000, seed)
     assert fast.generations < 20000 and fast.reached_local_optimum
-    assert any(batch.source == "tour" and batch.taken for batch in made)
-    # the run's last batch walked the tour's marks and stopped just before
-    # the last step, which kept the cycle but moved the tour
-    assert made[-1].source == "tour" and made[-1].stop in ((2, n), (1, n - 1))
+    assert any(batch.taken for batch in made)
+    # the run's last batch stopped just before the last step, which kept
+    # the cycle but moved the tour
+    assert made[-1].stop in ((2, n), (1, n - 1))
     before = run_rls(inst, fast.generations - 1, seed).final_tour
     assert cycle_edges(before) == cycle_edges(fast.final_tour) and before != fast.final_tour
     assert run_rls(inst, fast.generations - 1, seed) == reference_rls(inst, fast.generations - 1, seed)
@@ -363,21 +363,18 @@ def test_rls_walks_match_reference_with_candidates(monkeypatch, n, m, instance_s
     monkeypatch.setattr(tsplab.search, "_tour_marks", counting)
     fast, made = batches(monkeypatch, lambda: run_rls(inst, 8000, seed))
     assert fast == reference_rls(inst, 8000, seed)
-    assert max(marked) > 0 and any(batch.source == "tour" for batch in made)
+    assert max(marked) > 0 and made
 
 
 @pytest.mark.parametrize("instance_seed,seed", [(5, 2), (18, 2), (19, 2)])
 def test_rls_young_batches_take_cycle_preserving_moves(monkeypatch, instance_seed, seed):
-    # n = 24: a cycle that has stood 64 to 68 steps gets one young batch,
-    # which marks only the pairs its words pick; it takes the full
-    # reversal and an accepted (2, n) or (1, n-1) and marks its picks
-    # again on the moved tour
+    # n = 24: one batch takes the full reversal and an accepted (2, n) or
+    # (1, n-1), and reads the moved tour's marks through _reflection_table
     inst = generate_grid(24, 1024, instance_seed)
     n = inst.n
     fast, made = batches(monkeypatch, lambda: run_rls(inst, 20000, seed))
     assert fast == reference_rls(inst, 20000, seed)
-    young = [batch.moves for batch in made if batch.source == "picks"]
-    assert any((1, n) in moves and ((2, n) in moves or (1, n - 1) in moves) for moves in young)
+    assert any((1, n) in batch.moves and ((2, n) in batch.moves or (1, n - 1) in batch.moves) for batch in made)
 
 
 def parked_below(h, k, instance_seed):
@@ -396,7 +393,52 @@ def test_rls_young_batch_stops_before_an_optimum_check(monkeypatch, h, k, instan
     fast, made = batches(monkeypatch, lambda: run_rls(inst, 20000, seed, optimum_value=value))
     assert fast == reference_rls(inst, 20000, seed, optimum_value=value)
     assert not fast.reached_optimum and fast.final_length == pytest.approx(value, rel=1e-10)
-    assert any(batch.source == "picks" and batch.stop in ((2, n), (1, n - 1)) for batch in made)
+    assert any(batch.stop in ((2, n), (1, n - 1)) for batch in made)
+
+
+@pytest.mark.parametrize("n,budget,instance_seed,seed", [(24, 20000, 5, 2), (48, 20000, 221, 3), (64, 25000, 223, 1)])
+def test_rls_batches_start_once_the_cycle_has_stood_the_threshold(monkeypatch, n, budget, instance_seed, seed):
+    # every cycle change is a scalar step, which updates the witness; a
+    # batch comes only once the cycle has stood max(_BATCH_AFTER, npairs // 8)
+    # steps, counted in draws (no word of these runs is sampled away)
+    inst = generate_grid(n, 1024, instance_seed)
+    threshold = max(tsplab.search._BATCH_AFTER, n * (n - 1) // 2 // 8)
+    draws = [0]
+
+    class Counting(Xoshiro256StarStar):
+        __slots__ = ()
+
+        def next_u64(self):
+            draws[0] += 1
+            return Xoshiro256StarStar.next_u64(self)
+
+    changed = [n - 1]  # draws after the shuffle and after each cycle change
+    update = tsplab.search._update_witness
+
+    def spy(*args):
+        changed.append(draws[0])
+        return update(*args)
+
+    monkeypatch.setattr(tsplab.search, "Xoshiro256StarStar", Counting)
+    monkeypatch.setattr(tsplab.search, "_update_witness", spy)
+    starts = []  # draws before each batch
+    make = tsplab.search._stretch_scanner
+
+    def scanner(instance):
+        walk = make(instance)
+
+        def spied(*args):
+            starts.append(draws[0])
+            return walk(*args)
+
+        return spied
+
+    monkeypatch.setattr(tsplab.search, "_stretch_scanner", scanner)
+    fast = run_rls(inst, budget, seed)
+    assert draws[0] == n - 1 + fast.generations
+    assert fast == reference_rls(inst, budget, seed)
+    stood = [start - changed[bisect.bisect(changed, start) - 1] for start in starts]
+    assert len(stood) > 5 and min(stood) == threshold
 
 
 def test_rls_series_unchanged_on_walked_runs():
