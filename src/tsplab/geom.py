@@ -268,10 +268,11 @@ def _exact_angle_key(u: tuple[int, int], w: tuple[int, int]) -> int:
     return hu - hw if hu != hw else (cross < 0) - (cross > 0)
 
 
-def instance_metrics(points: Sequence[Point], distances: Sequence[float]) -> InstanceMetrics:
+def instance_metrics(points: Sequence[Point], distances) -> InstanceMetrics:
     """d_min, d_max, the minimum angle, and derived factors of a validated
     point set (three or more distinct points, no three collinear) and its
-    flat row-major distance matrix, from which d_min and d_max are read.
+    row-major distance matrix, flat or (n, n), from which d_min and d_max
+    are read as float64.
 
     Each vertex sorts its directions to the other points by angle and
     measures only circular neighbours: any other pair spans two gaps or
@@ -301,8 +302,9 @@ def instance_metrics(points: Sequence[Point], distances: Sequence[float]) -> Ins
       kept pairs: the float the per-vertex scalar sweep took.
     """
     n = len(points)
-    d_min = min(min(distances[i * n + i + 1 : (i + 1) * n]) for i in range(n - 1))
-    d_max = max(distances)
+    dist = np.asarray(distances, dtype=np.float64).reshape(n, n)
+    d_min = float(dist[np.triu_indices(n, 1)].min())
+    d_max = float(dist.max())
     xy = _exact_coords([p.x for p in points], [p.y for p in points])
     after = np.arange(1, n)
     least = math.inf

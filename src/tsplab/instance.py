@@ -65,7 +65,7 @@ class Instance:
 
     @cached_property
     def metrics(self):
-        return instance_metrics(self.points, self.distance_matrix)
+        return instance_metrics(self.points, self.distance_array)
 
     @cached_property
     def distance_matrix(self) -> tuple[float, ...]:
@@ -219,13 +219,15 @@ def generate_grid(n: int, m: int, seed: int) -> Instance:
 _JITTER_STEPS = 1 << 20
 
 
-def _convex_coords(n: int, m: int, rng: Xoshiro256StarStar) -> list[tuple[int, int]]:
+def _convex_instance(n: int, m: int, rng: Xoshiro256StarStar) -> Instance:
     """Place n grid points in convex position near a circle.
 
     Each point sits at an equally spaced angle plus a jitter of at most
-    pi/(4n), rounded to the grid. Offending points (duplicate, collinear,
-    or not a hull vertex) are redrawn until the configuration is strictly
-    convex or the retry budget runs out.
+    pi/(4n), rounded to the grid. The first offending point, as validate
+    finds it, is redrawn until the configuration is strictly convex or
+    the retry budget runs out: the later point of a duplicate, the last
+    of a collinear triple, else the first point off the hull. Returns
+    the validated instance.
     """
     radius = (m - 1) / 2.0
     center = (m - 1) / 2.0
@@ -240,16 +242,20 @@ def _convex_coords(n: int, m: int, rng: Xoshiro256StarStar) -> list[tuple[int, i
         y = math.floor(center + radius * math.sin(theta) + 0.5)
         return (x, y)
 
-    coords = []
-    draws = 0
-    for i in range(n):
-        coords.append(draw(i))
-        draws += 1
-
+    coords = [draw(i) for i in range(n)]
+    draws = n
     while True:
-        bad = _first_convex_offender(coords)
-        if bad is None:
-            return coords
+        try:
+            inst = validate(coords, grid_size=m)
+        except DuplicatePointError as exc:
+            bad = exc.labels[1] - 1
+        except CollinearTripleError as exc:
+            bad = exc.labels[2] - 1
+        else:
+            hull = set(inst.hull)
+            bad = next((i for i in range(n) if i + 1 not in hull), None)
+            if bad is None:
+                return inst
         if draws >= RETRY_BUDGET:
             raise GenerationExhaustedError(
                 f"could not place {n} convex grid points on a {m}x{m} grid "
@@ -257,25 +263,6 @@ def _convex_coords(n: int, m: int, rng: Xoshiro256StarStar) -> list[tuple[int, i
             )
         coords[bad] = draw(bad)
         draws += 1
-
-
-def _first_convex_offender(coords: list[tuple[int, int]]) -> int | None:
-    """Index of the first point breaking strict convex position, else None."""
-    n = len(coords)
-    seen: dict[tuple[int, int], int] = {}
-    for i, c in enumerate(coords):
-        if c in seen:
-            return i
-        seen[c] = i
-    triple = first_collinear_triple(coords)
-    if triple is not None:
-        return triple[2]
-    pts = [Point(i + 1, x, y) for i, (x, y) in enumerate(coords)]
-    hull = set(convex_hull(pts))
-    for i in range(n):
-        if i + 1 not in hull:
-            return i
-    return None
 
 
 def generate_convex(n: int, m: int, seed: int) -> Instance:
@@ -289,9 +276,7 @@ def generate_convex(n: int, m: int, seed: int) -> Instance:
     if m < 8 * n:
         raise ValueError(f"convex placement needs m >= 8n (m={m}, n={n})")
     _check_side(m)
-    rng = Xoshiro256StarStar(seed)
-    coords = _convex_coords(n, m, rng)
-    return validate(coords, grid_size=m)
+    return _convex_instance(n, m, Xoshiro256StarStar(seed))
 
 
 def generate_with_inner(h: int, k: int, m: int, seed: int) -> Instance:
@@ -310,8 +295,8 @@ def generate_with_inner(h: int, k: int, m: int, seed: int) -> Instance:
         raise ValueError(f"convex placement needs m >= 8h (m={m}, h={h})")
     _check_side(m)
     rng = Xoshiro256StarStar(seed)
-    coords = _convex_coords(h, m, rng)
-    hull_pts = [Point(i + 1, x, y) for i, (x, y) in enumerate(coords)]
+    hull_pts = _convex_instance(h, m, rng).points
+    coords = [(p.x, p.y) for p in hull_pts]
 
     def admissible(cand: tuple[int, int]) -> bool:
         return point_strictly_inside(hull_pts, Point(0, *cand)) and not collinear_with_any(coords, cand)

@@ -7,10 +7,10 @@ mutation. Both operators are defined once, by their draws, in
 _child_pricer; run_ea mutates through it and mutation_statistics samples
 it. A run is a sequential Markov chain driven by one seeded generator;
 identical (instance, parameters, seed) reproduce the trajectory bit for
-bit. run_rls makes long stretches of rejected steps in batches, from
-words it peeks from the generator, on the same trajectory: one kernel
-(_stretch_scanner) marks in numpy, once per cycle, which pairs of the
-tour are candidates, and runs the scalar rule on the words that pick one.
+bit. run_rls prices its steps from words it peeks from the generator,
+in one loop with one copy of the acceptance rule: once a cycle has stood
+a while, it marks in numpy, once per cycle, which pairs of the tour are
+candidates (_tour_marks), and prices only the words that pick one.
 
 Trajectory accounting: each executed step/generation is classified by
 the best-so-far tour before the step -- alpha if the tour has crossing
@@ -28,7 +28,6 @@ that keeps the cycle costs no geometry.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -45,12 +44,12 @@ _INV_E = float.fromhex("0x1.78b56362cef38p-2")  # 1/e correctly rounded, with no
 # the incremental float length is re-derived from scratch this often to
 # bound its drift; the crossing witness is exact and needs none
 _REVALIDATE_EVERY = 1 << 16
-# run_rls makes its steps in batches once the cycle has stood this many
-# steps, or npairs // 8 if more: the first batch marks every pair of the
-# tour, so a cycle that changes sooner is cheaper stepped one scalar step
-# at a time (npairs // 4 ran rls-grid-local's n = 128 runs about 1.06x
-# slower). A batch takes at most _BATCH_MAX words, which bounds its
-# temporaries to a few hundred KiB.
+# run_rls marks a cycle's candidate pairs once it has stood this many
+# steps, or npairs // 8 if more, and then prices only the words that pick
+# one: marking prices every pair of the tour, so a cycle that changes
+# sooner is cheaper priced word by word (npairs // 4 ran rls-grid-local's
+# n = 128 runs about 1.06x slower). A round peeks at most _BATCH_MAX
+# words, which bounds its temporaries to a few hundred KiB.
 _BATCH_AFTER = 64
 _BATCH_MAX = 2048
 # relative slack when comparing a recomputed length against the optimum
@@ -177,7 +176,7 @@ def _tour_marks(instance: Instance, perm) -> np.ndarray:
     perm: a bool per pair, False where is_two_opt_local_optimum's
     prefilter, fl(d_ab + d_ce) < fl(fl(d_ac + d_be) * _SHRINK), proves the
     inversion rejected. It is computed in slices of _BATCH_MAX pairs, so
-    that its temporaries are a batch's.
+    that its temporaries are a round's.
 
     Both sums are order-free, so a pair's mark depends only on the two
     edges it removes, not on the tour's orientation, and the two indices
@@ -204,106 +203,6 @@ def _tour_marks(instance: Instance, perm) -> np.ndarray:
         ac, be = dist[ends.take(a, axis=1), ends.take(c, axis=1)]
         marks.append(edges.take(a) + edges.take(c) >= (ac + be) * _SHRINK)
     return np.concatenate(marks)
-
-
-def _stretch_scanner(instance: Instance):
-    """run_rls's batch kernel, walk.
-
-    walk(perm, words, cur_len, accepted, opt_hi, certify_every) makes the
-    steps that the raw 64-bit words (a uint64 array) make on the 0-based
-    tour perm, as run_rls does, and may move perm: a word >= the
-    rejection limit is sampled away and is no step; any other picks the
-    inversion words % npairs. It looks up which words pick a candidate
-    pair (_tour_marks) and runs the scalar rule on those words alone, in
-    order, with the same 4-term delta from the same stored doubles:
-
-    - a candidate with delta > 0.0 is rejected;
-    - the full reversal, and (2, n) or (1, n-1) with delta <= 0.0, is
-      taken: perm moves, the words' marks are read again for the new
-      facing (the cycle, hence every pair's mark, is the same), and the
-      walk goes on;
-    - it stops before any other accepted pair, and before a (2, n) or
-      (1, n-1) on which run_rls's optimum check (cur_len + delta <=
-      opt_hi) or its certification ((accepted + 1) % certify_every == 0,
-      without an optimum) would run, leaving that step to the scalar loop.
-
-    Every pair of the tour is marked once per tour (_tour_marks) and kept
-    for the next batch, the marks follow a move through _reflection_table,
-    and each facing's words read theirs from them.
-
-    It returns (steps, used, taken): the number of steps made, the number
-    of words they use (a sampled-away word belongs to the step after it),
-    and the (word index, delta) of each move taken, delta 0.0 for the full
-    reversal, in order.
-    """
-    n = instance.n
-    d = instance.distance_matrix
-    pairs = _slice_table(n)
-    npairs = len(pairs)
-    limit = (1 << 64) - (1 << 64) % npairs
-    marked = marked_for = None
-
-    def walk(perm, words, cur_len, accepted, opt_hi, certify_every):
-        nonlocal marked, marked_for
-        kept = None
-        if words.max() >= limit:  # each word is over with probability < npairs / 2^64
-            kept = np.flatnonzero(words < limit)
-            words = words[kept]
-        picks = words % npairs
-        tour = marked if perm == marked_for else _tour_marks(instance, perm)
-
-        def candidates(tour):
-            """The indices of the words that pick a candidate on perm."""
-            return tour.take(picks).nonzero()[0].tolist()
-
-        # per facing of the cycle met in this batch, keyed by the tour's
-        # first two labels: its marks and the words that pick a candidate
-        facing = (perm[0], perm[1])
-        seen = {facing: (tour, candidates(tour))}
-        taken = []
-        last = -1
-        steps = None
-        while steps is None:
-            tour, hits = seen[facing]
-            for h in hits[bisect.bisect(hits, last) :]:
-                i0, j0, jmod = pairs[int(picks[h])]
-                if j0 - i0 == n:
-                    perm.reverse()
-                    delta = 0.0
-                    move = 0
-                else:
-                    a = perm[i0 - 1]
-                    b = perm[i0]
-                    c = perm[j0 - 1]
-                    e = perm[jmod]
-                    delta = d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e]
-                    if delta > 0.0:
-                        continue
-                    if j0 - i0 < n - 1 or (
-                        cur_len + delta <= opt_hi if opt_hi is not None else (accepted + 1) % certify_every == 0
-                    ):
-                        steps = h
-                        break
-                    perm[i0:j0] = perm[i0:j0][::-1]
-                    cur_len += delta
-                    move = 1 if i0 else 2
-                accepted += 1
-                taken.append((h, delta))
-                last = h
-                facing = (perm[0], perm[1])
-                if facing not in seen:
-                    tour = tour.take(_reflection_table(n)[move])
-                    seen[facing] = tour, candidates(tour)
-                break
-            else:
-                steps = len(picks)
-        marked, marked_for = tour, perm[:]
-        used = steps
-        if kept is not None and steps:
-            used = int(kept[steps - 1]) + 1
-        return steps, used, taken
-
-    return walk
 
 
 def _check_optimum(optimum_value: Optional[float]) -> None:
@@ -394,35 +293,32 @@ def run_rls(
     runs until the budget or until a full neighborhood scan (every n^2
     accepted steps) certifies a 2-opt local optimum.
 
-    Rejected stretches are made in batches (_stretch_scanner's walk),
-    from words peeked from the generator; the rng then skips exactly the
-    words of the steps a batch made, and the next scalar step takes the
-    one it stopped before. Once the cycle has stood max(_BATCH_AFTER,
-    npairs // 8) steps (the full reversal and the cycle-preserving (2, n)
-    and (1, n-1) keep it), every scalar step is followed by a batch of
-    _BATCH_MAX words, never past the budget or the step before the next
-    revalidation. A batch runs the scalar rule on the words that pick one
-    of the cycle's candidate pairs, and no other; every pair of the tour
-    is marked once and kept while the cycle stands. It takes the full
-    reversal and an accepted (2, n) or (1, n-1) itself, and stops before
-    any other accepted step, and before a cycle-preserving one on which
-    the optimum check or the certification would run.
+    One loop makes every step, in rounds of at most _BATCH_MAX words
+    peeked from the generator, never past the budget or the next
+    revalidation. A word >= the rejection limit is sampled away, as
+    randbelow would; any other picks the pair word % npairs. While the
+    cycle is younger than max(_BATCH_AFTER, npairs // 8) steps every word
+    is priced; once it has stood that long, _tour_marks marks its
+    candidate pairs, once, and only the words that pick one are priced.
+    An accepted step is made where it falls:
 
-    This is the same trajectory, bit for bit:
+    - the full reversal, (2, n) and (1, n-1) keep the cycle, and its
+      marks follow the moved tour through _reflection_table;
+    - any other accepted step makes a new cycle and drops the marks;
+    - the optimum check, or the every-n^2 certification, follows each
+      accepted step but the full reversal.
 
-    - between the moves a batch takes the tour and cur_len do not change,
-      so the alpha count, the series samples and the step count follow in
-      closed form; a move it takes keeps the edge set, hence the crossing
-      status, and adds its delta to cur_len (0.0 for the full reversal),
-      as the scalar step does;
-    - a batch prices each candidate by the scalar delta, from the same
-      stored doubles in the same order, so every accept decision is the
-      scalar one; a pair it leaves unmarked has a delta > 0 in every
-      term order (_tour_marks);
-    - revalidation and the optimum and local-optimum checks happen only
-      in scalar steps, at the same steps as before;
-    - the words consumed, through next_u64, are the ones the scalar loop
-      draws, so a draw-counting override counts the same draws.
+    This is the trajectory of drawing one word per step, bit for bit:
+
+    - every priced word runs the one acceptance rule, on the same stored
+      doubles in the same order; an unmarked pair has a delta > 0 in
+      every term order (_tour_marks), so leaving it unpriced rejects it;
+    - between accepted steps the tour and cur_len do not change, so the
+      alpha count and the series samples follow in closed form;
+    - the generator then skips the words the round used, each through
+      next_u64, so a draw-counting override counts the same draws;
+    - a round ends at the step on which a revalidation falls due, and the
+      revalidation follows it.
 
     Alpha/beta accounting reads a crossing witness (see _witness). An
     accepted inversion that swaps the edges ab and ce for the new edges
@@ -435,8 +331,7 @@ def run_rls(
       edge is crossed, a rescan that stops at the first crossing.
 
     The full reversal, (2, n) and (1, n-1) remove and re-add the same
-    edges, so the witness stands and no geometry runs, in a batch or in a
-    scalar step.
+    edges, so the witness stands and no geometry runs.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -450,7 +345,6 @@ def run_rls(
     pairs = _slice_table(n)
     npairs = len(pairs)
     limit = (1 << 64) - (1 << 64) % npairs
-    next_u64 = rng.next_u64
 
     cur_len = _fsum_length(d, n, perm)
     witness = _witness(xs, ys, perm, (), True)
@@ -461,17 +355,15 @@ def run_rls(
     certify_every = n * n
 
     gens = alpha = accepted = 0
-    reached_optimum = False
     certified_local = False
     series: Optional[list[float]] = [] if record_series else None
     stride = max(1, budget // 1024) if record_series else 0
     revalidate_at = _REVALIDATE_EVERY
-    walk = None  # built at the first batch
     batch_after = max(_BATCH_AFTER, npairs // 8)
-    # the step at which the current cycle has stood batch_after steps; a
-    # step at or past check_at looks at revalidation and batching
-    batch_at = batch_after
-    check_at = min(revalidate_at, batch_at)
+    # the cycle's candidate marks, once it has stood batch_after steps: from
+    # the step count marks_at on
+    marks = None
+    marks_at = batch_after
 
     def _confirm_optimum() -> bool:
         length = _fsum_length(d, n, perm)
@@ -479,76 +371,85 @@ def run_rls(
             raise _below_optimum(optimum_value, length)
         return length - optimum_value <= opt_tol
 
-    if opt_hi is not None and cur_len <= opt_hi and _confirm_optimum():
-        reached_optimum = True
-    else:
-        while gens < budget:
-            alpha += has_cross
-            gens += 1
-            if series is not None and gens % stride == 0:
-                series.append(cur_len)
-
-            u = next_u64()
-            while u >= limit:
-                u = next_u64()
-            i0, j0, jmod = pairs[u % npairs]
-
-            if i0 == 0 and j0 == n:
-                # full reversal: same cycle, fitness tie, always accepted
-                perm.reverse()
-                accepted += 1
+    stop = reached_optimum = opt_hi is not None and cur_len <= opt_hi and _confirm_optimum()
+    while not stop and gens < budget:
+        k = min(_BATCH_MAX, budget - gens, revalidate_at - gens)
+        words = rng.peek(k)
+        kept = None
+        if words.max() >= limit:  # each word is over with probability < npairs / 2^64
+            kept = np.flatnonzero(words < limit)
+            words = words[kept]
+        picks = words % npairs
+        plist = picks.tolist()
+        base = gens  # word t makes step base + t + 1
+        end = len(plist)
+        h = 0  # the next word to price
+        while h < end:
+            if marks is None and base + h >= marks_at:
+                marks = _tour_marks(instance, perm)
+            young = marks is None
+            if young:
+                # an accepted step only moves marks_at later: the pass goes on
+                todo = range(h, min(end, marks_at - base))
+                h = todo.stop
             else:
-                a = perm[i0 - 1]
-                b = perm[i0]
-                c = perm[j0 - 1]
-                e = perm[jmod]
-                delta = d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e]
-                if delta <= 0.0:
+                todo = (marks.take(picks[h:]).nonzero()[0] + h).tolist()
+                h = end
+            for t in todo:
+                i0, j0, jmod = pairs[plist[t]]
+                if j0 - i0 == n:
+                    # full reversal: same cycle, fitness tie, always accepted
+                    perm.reverse()
+                    delta = 0.0
+                else:
+                    a = perm[i0 - 1]
+                    b = perm[i0]
+                    c = perm[j0 - 1]
+                    e = perm[jmod]
+                    delta = d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e]
+                    if delta > 0.0:
+                        continue
                     perm[i0:j0] = perm[i0:j0][::-1]
-                    cur_len += delta
-                    accepted += 1
-                    if j0 - i0 < n - 1:  # not (2, n) or (1, n-1): a new cycle
-                        witness = _update_witness(
-                            xs, ys, perm, witness, (1 << a | 1 << b, 1 << c | 1 << e), ((a, c), (b, e))
-                        )
-                        has_cross = 0 if witness is None else 1
-                        batch_at = gens + batch_after
-                        check_at = min(revalidate_at, batch_at)
+                step = base + t + 1
+                alpha += has_cross * (step - gens)
+                if series is not None:
+                    series.extend([cur_len] * (step // stride - gens // stride))
+                gens = step
+                cur_len += delta
+                accepted += 1
+                if j0 - i0 < n - 1:  # not (1, n), (2, n) or (1, n-1): a new cycle
+                    witness = _update_witness(
+                        xs, ys, perm, witness, (1 << a | 1 << b, 1 << c | 1 << e), ((a, c), (b, e))
+                    )
+                    has_cross = 0 if witness is None else 1
+                    marks = None
+                    marks_at = step + batch_after
+                elif marks is not None:
+                    marks = marks.take(_reflection_table(n)[0 if j0 - i0 == n else 1 if i0 else 2])
+                if j0 - i0 < n:
                     if opt_hi is not None:
-                        if cur_len <= opt_hi and _confirm_optimum():
-                            reached_optimum = True
-                            break
+                        stop = reached_optimum = cur_len <= opt_hi and _confirm_optimum()
                     elif accepted % certify_every == 0:
-                        if is_two_opt_local_optimum(instance, tuple(v + 1 for v in perm)):
-                            certified_local = True
-                            break
-
-            if gens >= check_at:
-                if gens >= revalidate_at:
-                    revalidate_at += _REVALIDATE_EVERY
-                    cur_len = _fsum_length(d, n, perm)
-                    if opt_hi is not None and cur_len <= opt_hi and _confirm_optimum():
-                        reached_optimum = True
+                        stop = certified_local = is_two_opt_local_optimum(instance, tuple(v + 1 for v in perm))
+                    if stop:
+                        h = end = t + 1
                         break
-                if gens >= batch_at:
-                    k = min(_BATCH_MAX, budget - gens, revalidate_at - 1 - gens)
-                    if k > 0:
-                        if walk is None:
-                            walk = _stretch_scanner(instance)
-                        steps, used, taken = walk(perm, rng.peek(k), cur_len, accepted, opt_hi, certify_every)
-                        rng.skip(used)
-                        alpha += has_cross * steps
-                        sampled = gens  # the series holds the samples of the steps up to here
-                        for h, delta in taken:
-                            if series is not None:
-                                series.extend([cur_len] * ((gens + h + 1) // stride - sampled // stride))
-                                sampled = gens + h + 1
-                            cur_len += delta
-                        accepted += len(taken)
-                        if series is not None:
-                            series.extend([cur_len] * ((gens + steps) // stride - sampled // stride))
-                        gens += steps
-                check_at = min(revalidate_at, batch_at)
+                if not young:
+                    # the marks moved or were dropped: the words left read them anew
+                    h = t + 1
+                    break
+        step = base + end
+        alpha += has_cross * (step - gens)
+        if series is not None:
+            series.extend([cur_len] * (step // stride - gens // stride))
+        gens = step
+        # a sampled-away word belongs to the step after it: one the round
+        # ends on is used only when the round made no step
+        rng.skip(end if kept is None else int(kept[end - 1]) + 1 if end else k)
+        if not stop and gens >= revalidate_at:
+            revalidate_at += _REVALIDATE_EVERY
+            cur_len = _fsum_length(d, n, perm)
+            stop = reached_optimum = opt_hi is not None and cur_len <= opt_hi and _confirm_optimum()
 
     final = tuple(v + 1 for v in perm)
     return Trajectory(

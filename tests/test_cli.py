@@ -18,7 +18,9 @@ from tsplab.experiment import CSV_COLUMNS, make_instance, parse_config, run_expe
 from conftest import SRC_DIR, cli_env
 
 
-def cli(*args, cwd=None, timeout=None):
+def cli(*args, cwd=None, timeout=120):
+    """Run the CLI in a fresh interpreter; a hang fails the calling test
+    after `timeout` seconds instead of stalling the suite."""
     return subprocess.run(
         [sys.executable, "-m", "tsplab.cli", *args],
         capture_output=True,

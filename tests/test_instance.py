@@ -399,7 +399,7 @@ class TestMetrics:
         monkeypatch.setattr(tsplab.instance, "instance_metrics", spy)
         assert inst.metrics == "spied"
         assert len(calls) == 1
-        assert calls[0][0] is inst.points and calls[0][1] is inst.distance_matrix
+        assert calls[0][0] is inst.points and calls[0][1] is inst.distance_array
 
 
 class TestDistanceMatrix:

@@ -198,49 +198,42 @@ class TestOverrideContract:
         assert fast == slow == run_rls(inst, 1500, seed)
         assert fast_draws == slow_draws >= fast.generations + inst.n - 1
 
+    def marked_run(self, monkeypatch, inst, budget, seed, optimum_value=None):
+        """check_marking's run, drawing through counting_class, and its
+        draw count, which must be reference_rls's."""
+        counter = [0]
+        with monkeypatch.context() as m:
+            m.setattr(tsplab.search, "Xoshiro256StarStar", counting_class(counter))
+            result = test_search_reference.check_marking(m, inst, budget, seed, optimum_value, draws=counter)
+        slow, slow_draws = self.counted(
+            monkeypatch, test_search_reference, lambda: reference_rls(inst, budget, seed, optimum_value)
+        )
+        assert counter[0] == slow_draws >= slow.generations + inst.n - 1
+        return result
+
     def test_rls_draw_count_on_a_batched_run(self, monkeypatch):
         inst = generate_grid(64, 1024, 305)
-        (fast, fast_draws), priced = test_search_reference.batched_steps(
-            monkeypatch, lambda: self.counted(monkeypatch, tsplab.search, lambda: run_rls(inst, 25000, 6))
-        )
-        slow, slow_draws = self.counted(
-            monkeypatch, test_search_reference, lambda: reference_rls(inst, 25000, 6)
-        )
-        assert fast == slow and priced > 12500
-        assert fast_draws == slow_draws >= fast.generations + inst.n - 1
+        _, _, marked = self.marked_run(monkeypatch, inst, 25000, 6)
+        assert test_search_reference.steps_on_marks(marked) > 12500
 
     def test_rls_draw_count_on_a_walked_run(self, monkeypatch):
-        # an idle n = 12 run: nearly every step is made by walks, which
-        # take the full reversal, (2, n) and (1, n-1) themselves
+        # an idle n = 12 run: nearly every step is priced from marks, and
+        # many of them take the full reversal, (2, n) and (1, n-1)
         inst = generate_grid(12, 64, 7)
-        (fast, fast_draws), made = test_search_reference.batches(
-            monkeypatch, lambda: self.counted(monkeypatch, tsplab.search, lambda: run_rls(inst, 20000, 2))
-        )
-        slow, slow_draws = self.counted(
-            monkeypatch, test_search_reference, lambda: reference_rls(inst, 20000, 2)
-        )
-        walked = sum(batch.steps for batch in made)
-        assert fast == slow and walked > fast.generations // 2
-        assert sum(len(batch.taken) for batch in made) > 100
-        assert fast_draws == slow_draws >= fast.generations + inst.n - 1
+        fast, made, marked = self.marked_run(monkeypatch, inst, 20000, 2)
+        assert test_search_reference.steps_on_marks(marked) > fast.generations // 2
+        kept = test_search_reference.cycle_kept(inst.n, test_search_reference.marked_steps(made, marked))
+        assert len(kept) > 100
 
     def test_rls_draw_count_on_young_batches(self, monkeypatch):
         # n = 24, parked on the optimal cycle by a value just below the
-        # optimum: batches take moves that keep the cycle and stop before
-        # those on which the optimum check runs
+        # optimum: marked stretches take moves that keep the cycle, and
+        # the optimum check runs on the (2, n) and (1, n-1) among them
         inst, value = test_search_reference.parked_below(20, 4, 1)
         n = inst.n
-        (fast, fast_draws), made = test_search_reference.batches(
-            monkeypatch,
-            lambda: self.counted(monkeypatch, tsplab.search, lambda: run_rls(inst, 20000, 2, optimum_value=value)),
-        )
-        slow, slow_draws = self.counted(
-            monkeypatch, test_search_reference, lambda: reference_rls(inst, 20000, 2, optimum_value=value)
-        )
-        assert fast == slow
-        assert any((1, n) in batch.moves for batch in made)
-        assert any(batch.stop in ((2, n), (1, n - 1)) for batch in made)
-        assert fast_draws == slow_draws >= fast.generations + inst.n - 1
+        _, made, marked = self.marked_run(monkeypatch, inst, 20000, 2, optimum_value=value)
+        moves = {move for move, _ in test_search_reference.cycle_kept(n, test_search_reference.marked_steps(made, marked))}
+        assert (1, n) in moves and moves & {(2, n), (1, n - 1)}
 
     @pytest.mark.parametrize("mu,lam,kind", [(1, 1, "two_opt"), (1, 1, "mixed"), (4, 8, "mixed")])
     @pytest.mark.parametrize("seed", [4, 5])

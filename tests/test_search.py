@@ -17,6 +17,7 @@ from tsplab import (
     generate_grid,
     generate_with_inner,
     is_intersection_free,
+    is_two_opt_local_optimum,
     apply_inversion,
     apply_jump,
     crossing_pairs,
@@ -34,13 +35,19 @@ from tsplab.search import (
     _child_pricer,
     _ea_margin_unit,
     _reflection_table,
-    _stretch_scanner,
     _tour_marks,
 )
 
 import test_search_reference
 from conftest import ForcedRng, cycle_edges, inversion_pairs, reference_mutation
-from test_search_reference import batched_steps, reference_ea, reference_rls
+from test_search_reference import (
+    check_marking,
+    marks_threshold,
+    reference_ea,
+    reference_rls,
+    reference_steps,
+    steps_on_marks,
+)
 
 
 class TestPoissonPlusOne:
@@ -283,18 +290,23 @@ class TestRunEA:
 
 
 class ScriptedRng(Xoshiro256StarStar):
-    """Returns the raw draws in `script` (a class attribute set per test)."""
+    """Returns the raw draws in `script` (a class attribute set per test),
+    through next_u64 and peek alike; `at` counts the draws made."""
 
     script: list[int] = []
 
     def __init__(self, seed):
         super().__init__(seed)
-        self._draws = iter(self.script)
+        self.at = 0
 
     def next_u64(self):
-        v = next(self._draws, None)
-        assert v is not None, "script exhausted"
-        return v
+        assert self.at < len(self.script), "script exhausted"
+        self.at += 1
+        return self.script[self.at - 1]
+
+    def peek(self, k):
+        assert self.at + k <= len(self.script), "script exhausted"
+        return np.array(self.script[self.at : self.at + k], dtype=np.uint64)
 
 
 def identity_shuffle(n):
@@ -493,10 +505,6 @@ def scalar_accepts(instance, perm, i, j):
     return d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e] <= 0.0
 
 
-def words(*values):
-    return np.array(values, dtype=np.uint64)
-
-
 def rejection_limit(n):
     return 2**64 - 2**64 % (n * (n - 1) // 2)
 
@@ -530,52 +538,55 @@ def local_optimum(inst, seed):
     return [v - 1 for v in run_rls(inst, 3000, seed).final_tour]
 
 
-def walk_by_scalar_rule(instance, perm, values, cur_len, accepted, opt_hi, certify_every):
-    """What walk must return for the raw words `values` on the 0-based perm
-    (which it moves): run_rls's scalar rule word by word, taking the full
-    reversal and an accepted (2, n) or (1, n-1) unless the optimum check
-    or the certification would run on it, and stopping before any other
-    accepted step."""
-    n = instance.n
-    d = instance.distance_matrix
-    pairs = inversion_pairs(n)
-    limit = rejection_limit(n)
-    steps = used = 0
-    taken = []
-    for k, u in enumerate(values):
-        if u >= limit:
-            continue
-        i, j = pairs[u % len(pairs)]
-        if (i, j) == (1, n):
-            perm.reverse()
-            delta = 0.0
-        else:
-            a, b, c, e = perm[i - 2], perm[i - 1], perm[j - 1], perm[j % n]
-            delta = d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e]
-            if delta > 0.0:
-                steps, used = steps + 1, k + 1
-                continue
-            fires = cur_len + delta <= opt_hi if opt_hi is not None else (accepted + 1) % certify_every == 0
-            if j - i < n - 2 or fires:
-                break
-            perm[i - 1 : j] = perm[i - 1 : j][::-1]
-            cur_len += delta
-        accepted += 1
-        taken.append((steps, delta))
-        steps, used = steps + 1, k + 1
-    return steps, used, taken
+def shuffle_draws(perm):
+    """Draws that make Fisher-Yates shuffle range(n) into the 0-based perm."""
+    items = list(range(len(perm)))
+    draws = []
+    for i in range(len(perm) - 1, 0, -1):
+        j = items.index(perm[i])
+        draws.append(j)
+        items[i], items[j] = items[j], items[i]
+    return draws
 
 
-def check_walk(inst, perm, values, cur_len=1e9, accepted=1, opt_hi=None, certify_every=10**9):
-    """walk's (steps, used, taken) for the raw words `values` on the
-    0-based perm: it must be walk_by_scalar_rule's, and move a copy of
-    perm as it does."""
-    expected_perm = perm[:]
-    expected = walk_by_scalar_rule(inst, expected_perm, values, cur_len, accepted, opt_hi, certify_every)
-    moved = perm[:]
-    got = _stretch_scanner(inst)(moved, words(*values), cur_len, accepted, opt_hi, certify_every)
-    assert (got, moved) == (expected, expected_perm)
-    return expected
+def scripted_rls(monkeypatch, inst, perm, values, optimum_value=None):
+    """run_rls from the 0-based perm on the raw words `values` (a
+    ScriptedRng), for as many steps as they hold words below the
+    rejection limit: it must be reference_rls's run on the same words,
+    and draw as many of them. Returns the run and the number of words of
+    `values` it drew."""
+    n = inst.n
+    made = []
+
+    class Recorded(ScriptedRng):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(ScriptedRng, "script", shuffle_draws(perm) + list(values))
+    budget = sum(v < rejection_limit(n) for v in values)
+    runs = []
+    for module, run in ((test_search_reference, reference_rls), (tsplab.search, run_rls)):
+        with monkeypatch.context() as m:
+            m.setattr(module, "Xoshiro256StarStar", Recorded)
+            runs.append(run(inst, budget, 0, optimum_value))
+    assert runs[0] == runs[1] and made[0].at == made[1].at
+    return runs[1], made[1].at - (n - 1)
+
+
+def rejected_words(inst, *perms):
+    """The pair indices that the scalar rule rejects on every 0-based tour
+    in perms."""
+    return [
+        t for t, (i, j) in enumerate(inversion_pairs(inst.n)) if not any(scalar_accepts(inst, p, i, j) for p in perms)
+    ]
+
+
+def standing(inst, *perms):
+    """marks_threshold(n) words that the scalar rule rejects on every tour
+    in perms: a cycle that has stood them is marked."""
+    threshold = marks_threshold(inst.n)
+    return (rejected_words(inst, *perms) * threshold)[:threshold]
 
 
 def cycle_preserving_draws(n):
@@ -583,134 +594,134 @@ def cycle_preserving_draws(n):
 
 
 class TestStretchScanner:
-    """run_rls's batch kernel on a few synthetic words: it runs the scalar
-    rule on the words that pick a candidate, takes the full reversal and
-    an accepted (2, n) or (1, n-1), and stops before any other accepted
-    step."""
+    """run_rls on a few scripted words, on a young cycle and on a marked
+    one (after `standing` words): the same run and the same draws as
+    reference_rls on the same words. A marked cycle prices only the words
+    that pick a marked pair; the full reversal, (2, n) and (1, n-1) carry
+    its marks, and any other accepted step drops them."""
 
-    check = staticmethod(check_walk)
-
-    def test_words_over_the_limit_are_no_steps(self):
+    def test_words_over_the_limit_are_no_steps(self, monkeypatch):
         inst = generate_grid(10, 64, 5)
         n = inst.n
         perm = local_optimum(inst, 1)
-        turned = perm[::-1]
-        rejected = [
-            t for t, (i, j) in enumerate(inversion_pairs(n))
-            if not scalar_accepts(inst, perm, i, j) and not scalar_accepts(inst, turned, i, j)
-        ]
-        r, s = rejected[:2]
+        r, s = rejected_words(inst, perm, perm[::-1])[:2]
         rev = inversion_draw(n, 1, n)
         limit = rejection_limit(n)
-        # (steps, words they use, moves taken): a sampled-away word is part
-        # of the step after it, so words after the last step are not used
-        assert self.check(inst, perm, [limit, r, limit + 1, s, 2**64 - 1, rev, r]) == (4, 7, [(2, 0.0)])
-        assert self.check(inst, perm, [r, limit, s, limit]) == (2, 3, [])
-        assert self.check(inst, perm, [limit, 2**64 - 1]) == (0, 0, [])
-        assert self.check(inst, perm, [limit, rev, limit]) == (1, 2, [(0, 0.0)])
-        # a word picks its pair modulo the pair count
         npairs = n * (n - 1) // 2
-        assert self.check(inst, perm, [r + 7 * npairs, rev + 5 * npairs, s]) == (3, 3, [(1, 0.0)])
+        for head in ([], standing(inst, perm)):
+
+            def run(*values):
+                fast, drawn = scripted_rls(monkeypatch, inst, perm, head + list(values))
+                return fast.generations - len(head), drawn - len(head)
+
+            # (steps, words drawn): a sampled-away word is part of the step
+            # after it, so words after the last step are not drawn
+            assert run(limit, r, limit + 1, s, 2**64 - 1, rev, r) == (4, 7)
+            assert run(r, limit, s, limit) == (2, 3)
+            assert run(limit, rev, limit) == (1, 2)
+            # rounds of one word, each over the limit
+            assert run(r, limit, limit, s) == (2, 4)
+            # a word picks its pair modulo the pair count
+            fast, _ = scripted_rls(monkeypatch, inst, perm, head + [r + 7 * npairs, rev + 5 * npairs, s])
+            assert fast.final_tour == tuple(v + 1 for v in perm[::-1])
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-    def test_full_reversal_always_hits(self, seed):
-        # the full reversal keeps the cycle, so the batch takes it and the
-        # next words read their marks on the reversed tour
+    def test_full_reversal_always_hits(self, monkeypatch, seed):
+        # the full reversal keeps the cycle, so a marked cycle's marks
+        # follow it, and every pair picked after it reads them
         inst = generate_grid(12, 32, seed)
         n = inst.n
         rev = inversion_draw(n, 1, n)
         shuffled = list(range(n))
         Xoshiro256StarStar(seed).shuffle(shuffled)
         for perm in (local_optimum(inst, seed), list(range(n)), shuffled):
-            assert self.check(inst, perm, [rev]) == (1, 1, [(0, 0.0)])
-            assert self.check(inst, perm, [rev, rev, rev]) == (3, 3, [(0, 0.0), (1, 0.0), (2, 0.0)])
+            for head in ([], standing(inst, perm)):
+                for reps in (1, 3):
+                    fast, _ = scripted_rls(monkeypatch, inst, perm, head + [rev] * reps)
+                    assert fast.final_tour == tuple(v + 1 for v in perm[::-1])
+                scripted_rls(monkeypatch, inst, perm, head + [rev] + list(range(n * (n - 1) // 2)))
 
-    def test_exact_zero_delta_is_accepted(self):
+    def test_exact_zero_delta_is_accepted(self, monkeypatch):
         # a, b, c, e at the corners of a unit square: inverting (2, 4) of
         # (a, b, x, c, e) swaps ab, ce for ac, be, all of length 1
         inst = validate([(0, 0), (1, 0), (0, 1), (1, 1), (3, 7)])
         perm = [0, 1, 4, 2, 3]
         d = inst.distance_matrix
         assert d[0 * 5 + 2] + d[1 * 5 + 3] - d[0 * 5 + 1] - d[2 * 5 + 3] == 0.0
-        zero = inversion_draw(5, 2, 4)
-        rejected = [t for t, (i, j) in enumerate(inversion_pairs(5)) if not scalar_accepts(inst, perm, i, j)]
-        assert self.check(inst, perm, [zero]) == (0, 0, [])
-        assert self.check(inst, perm, [*rejected, zero, *rejected]) == (len(rejected), len(rejected), [])
+        for head in ([], standing(inst, perm)):
+            fast, _ = scripted_rls(monkeypatch, inst, perm, head + [inversion_draw(5, 2, 4)])
+            assert fast.final_tour == (1, 3, 5, 2, 4)
 
     @pytest.mark.parametrize("instance_seed,scale", [(1, 1), (2, 1), (217, 1), (1, WIDE_SCALE)], ids=["1", "2", "217", "wide"])
-    def test_agrees_with_scalar_rule_on_every_pair_of_a_tie_heavy_grid(self, instance_seed, scale):
+    def test_agrees_with_scalar_rule_on_every_pair_of_a_tie_heavy_grid(self, monkeypatch, instance_seed, scale):
         # a 7 x 7 grid makes equal edge lengths, so deltas that cancel to
         # 0.0 or round around it are common; scaled to the 32-bit range it
         # keeps its ties, and its squared lengths pass 2^53
         inst = scaled(generate_grid(11, 7, instance_seed), scale)
         n = inst.n
+        d = inst.distance_matrix
         pairs = inversion_pairs(n)
         rng = Xoshiro256StarStar(instance_seed)
         perms = [local_optimum(inst, seed) for seed in (1, 2)]
-        for _ in range(20):
+        for _ in range(4):
             perm = list(range(n))
             rng.shuffle(perm)
             perms.append(perm)
         ties = 0
         for perm in perms:
+            head = standing(inst, perm)
+            tour = tuple(v + 1 for v in perm)
             for t, (i, j) in enumerate(pairs):
-                steps, used, taken = self.check(inst, perm, [t])
-                if not scalar_accepts(inst, perm, i, j):
-                    assert (steps, used, taken) == (1, 1, [])
-                elif j - i < n - 2:  # a new cycle: left to the scalar loop
-                    assert (steps, used, taken) == (0, 0, [])
-                else:
-                    assert (steps, used, len(taken)) == (1, 1, 1)
-            order = list(range(len(pairs)))
-            rng.shuffle(order)
-            self.check(inst, perm, order)
-            d = inst.distance_matrix
-            for i, j in pairs:
+                fast, _ = scripted_rls(monkeypatch, inst, perm, head + [t])
+                assert fast.final_tour == (apply_inversion(tour, i, j) if scalar_accepts(inst, perm, i, j) else tour)
                 if (i, j) != (1, n):
                     a, b, c, e = perm[i - 2], perm[i - 1], perm[j - 1], perm[j % n]
                     ties += d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e] == 0.0
+            order = list(range(len(pairs)))
+            rng.shuffle(order)
+            scripted_rls(monkeypatch, inst, perm, head + order)
         assert ties > 0
 
     @pytest.mark.parametrize("instance_seed", [1, 2, 3])
     def test_wide_coordinates_are_batched(self, monkeypatch, instance_seed):
         inst = wide_instance(24, instance_seed)
         assert max(max(map(abs, xs)) for xs in inst.coords) > 2**31 - 2**28
-        result, priced = batched_steps(monkeypatch, lambda: run_rls(inst, 8000, instance_seed))
-        assert priced > result.generations // 2
-        assert result == reference_rls(inst, 8000, instance_seed)
+        result, _, marked = check_marking(monkeypatch, inst, 8000, instance_seed)
+        assert steps_on_marks(marked) > result.generations // 2
 
 
 class TestWalk:
-    """run_rls's batch kernel on many synthetic words, against the scalar
-    rule applied word by word."""
+    """run_rls on many scripted words, young and marked cycles in turn,
+    against reference_rls on the same words."""
 
-    check = staticmethod(check_walk)
-
-    def test_words_over_the_limit_are_no_steps(self):
+    def test_words_over_the_limit_are_no_steps(self, monkeypatch):
         inst = generate_grid(10, 64, 5)
         n = inst.n
         perm = local_optimum(inst, 1)
-        rejected = [t for t, (i, j) in enumerate(inversion_pairs(n)) if not scalar_accepts(inst, perm, i, j)]
-        r, s = rejected[:2]
+        r, s = rejected_words(inst, perm, perm[::-1])[:2]
         rev = inversion_draw(n, 1, n)
         limit = rejection_limit(n)
-        # (steps, words they use, moves taken): words after the last step
-        # are not used
-        assert self.check(inst, perm, [limit, r, limit + 1, rev, 2**64 - 1, s]) == (3, 6, [(1, 0.0)])
-        assert self.check(inst, perm, [r, limit, 2**64 - 1]) == (1, 1, [])
-        assert self.check(inst, perm, [limit, 2**64 - 1, limit]) == (0, 0, [])
-        # a word over the limit just before the step the walk stops at is
-        # left for the scalar step, which draws it first
         shuffled = list(range(n))
         Xoshiro256StarStar(5).shuffle(shuffled)
         improving = next(
             t for t, (i, j) in enumerate(inversion_pairs(n)) if j - i < n - 2 and scalar_accepts(inst, shuffled, i, j)
         )
-        r = next(t for t, (i, j) in enumerate(inversion_pairs(n)) if not scalar_accepts(inst, shuffled, i, j))
-        assert self.check(inst, shuffled, [r, limit, improving, r]) == (1, 1, [])
+        for head in ([], standing(inst, perm)):
+
+            def run(*values, perm=perm):
+                fast, drawn = scripted_rls(monkeypatch, inst, perm, head + list(values))
+                return fast.generations - len(head), drawn - len(head)
+
+            assert run(limit, r, limit + 1, rev, 2**64 - 1, s) == (3, 6)
+            assert run(r, limit, 2**64 - 1) == (1, 1)
+            assert run(limit, 2**64 - 1, limit, r) == (1, 4)
+        # a word over the limit just before a step that changes the cycle
+        r = rejected_words(inst, shuffled)[0]
+        for head in ([], standing(inst, shuffled)):
+            assert run(r, limit, improving, r, perm=shuffled) == (3, 4)
 
     @pytest.mark.parametrize("instance_seed,scale", [(1, 1), (2, 1), (217, 1), (1, WIDE_SCALE)], ids=["1", "2", "217", "wide"])
-    def test_agrees_with_scalar_rule_on_a_tie_heavy_grid(self, instance_seed, scale):
+    def test_agrees_with_scalar_rule_on_a_tie_heavy_grid(self, monkeypatch, instance_seed, scale):
         inst = scaled(generate_grid(11, 7, instance_seed), scale)
         n = inst.n
         rng = Xoshiro256StarStar(instance_seed)
@@ -722,37 +733,57 @@ class TestWalk:
             tours.append(shuffled)
         cps = cycle_preserving_draws(n)
         for perm in tours:
-            for _ in range(30):
-                # many cycle-preserving words, so that the walk moves the
-                # tour often, and a few words over the limit
+            head = standing(inst, perm)
+            for _ in range(5):
+                # many cycle-preserving words, so that marked cycles move
+                # their marks often, and a few words over the limit
                 values = [cps[rng.randbelow(3)] if rng.randbelow(4) == 0 else rng.randbelow(npairs) for _ in range(300)]
                 values[rng.randbelow(300)] = rejection_limit(n) + rng.randbelow(2**64 - rejection_limit(n))
-                self.check(inst, perm, values)
+                scripted_rls(monkeypatch, inst, perm, head + values)
 
-    def test_stops_before_the_certification_and_the_optimum_check(self):
+    def test_stops_before_the_certification_and_the_optimum_check(self, monkeypatch):
+        # the certification and the optimum check run after an accepted
+        # (2, n) or (1, n-1) priced from the marks, as after any accepted
+        # step but the full reversal
         inst = generate_grid(11, 7, 2)
         n = inst.n
-        stops = Counter()
+        rev = inversion_draw(n, 1, n)
+        limit = rejection_limit(n)
+        summed = [0]
+        fsum = tsplab.search._fsum_length
+
+        def spy(d, n, perm):
+            summed[0] += 1
+            return fsum(d, n, perm)
+
+        monkeypatch.setattr(tsplab.search, "_fsum_length", spy)
+        checked = Counter()
         for seed in range(1, 9):
             perm = local_optimum(inst, seed)
-            turned = perm[::-1]  # the tour after the walk's full reversal
-            d = inst.distance_matrix
+            assert is_two_opt_local_optimum(inst, tuple(v + 1 for v in perm))
+            head = standing(inst, perm)
             for draw, (i, j) in zip(cycle_preserving_draws(n)[1:], [(2, n), (1, n - 1)]):
-                a, b, c, e = turned[i - 2], turned[i - 1], turned[j - 1], turned[j % n]
-                delta = d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e]
-                if delta > 0.0:
+                if not scalar_accepts(inst, perm, i, j):
                     continue
-                values = [cycle_preserving_draws(n)[0], draw]
-                # the certification runs at the third accepted move: the
-                # walk takes the full reversal and stops before the move
-                assert self.check(inst, perm, values, accepted=1, certify_every=3) == (1, 1, [(0, 0.0)])
-                assert len(self.check(inst, perm, values, accepted=0, certify_every=3)[2]) == 2
-                # the optimum check runs when the new length is within opt_hi
-                length = tour_length(inst, tuple(v + 1 for v in perm))
-                assert self.check(inst, perm, values, cur_len=length, opt_hi=length + delta) == (1, 1, [(0, 0.0)])
-                assert len(self.check(inst, perm, values, cur_len=length, opt_hi=length + delta - 1e-9)[2]) == 2
-                stops[i, j] += 1
-        assert stops[2, n] > 0 and stops[1, n - 1] > 0
+                # the move after n^2 - 1 full reversals (an even number at
+                # n = 11) is the n^2-th accepted step, whose certification
+                # stops the run before the word over the limit after it is
+                # drawn; after n^2 - 3 it is not
+                for reversals, stops in ((n * n - 1, True), (n * n - 3, False)):
+                    values = [rev] * reversals + head + [draw, limit, head[0]]
+                    fast, drawn = scripted_rls(monkeypatch, inst, perm, values)
+                    moved = reversals + len(head) + 1
+                    assert (fast.generations, drawn) == ((moved, moved) if stops else (moved + 1, moved + 2))
+                # with a value just below the tour's length, the optimum
+                # check sums the tour after the move: once more than at the
+                # start, which sums it twice
+                value = tour_length(inst, tuple(v + 1 for v in perm)) * (1 - 1e-11)
+                for tail, sums in (([draw, head[0]], 3), ([head[0]], 2)):
+                    summed[0] = 0
+                    fast, _ = scripted_rls(monkeypatch, inst, perm, head + tail, optimum_value=value)
+                    assert not fast.reached_optimum and summed[0] == sums
+                checked[i, j] += 1
+        assert checked[2, n] > 0 and checked[1, n - 1] > 0
 
 
 def all_orders(terms):
@@ -792,8 +823,8 @@ def tie_heavy_tours(draw):
 
 
 class TestCandidateMarks:
-    """The walk looks only at marked pairs: every other pair must be
-    rejected by the scalar rule on every tour of the same cycle."""
+    """run_rls prices only the marked pairs of a marked cycle: every other
+    pair must be rejected by the scalar rule on every tour of the cycle."""
 
     @pytest.mark.parametrize("n", [5, 11, 70, 200])
     def test_picked_pairs_get_the_tour_marks(self, n):
@@ -855,24 +886,14 @@ class TestCandidateMarks:
 def accepted_inversions(instance, steps, seed):
     """(tour before, tour after) of each accepted inversion but the full
     reversal in the first `steps` steps of run_rls(instance, _, seed),
-    replayed by the reference rule (draws as in reference_rls)."""
-    n = instance.n
-    d = instance.distance_matrix
-    rng = Xoshiro256StarStar(seed)
-    perm = list(range(n))
-    rng.shuffle(perm)
-    tour = tuple(v + 1 for v in perm)
-    pairs = inversion_pairs(n)
-    for _ in range(steps):
-        i, j = pairs[rng.randbelow(len(pairs))]
-        if (i, j) == (1, n):
-            tour = tour[::-1]
-            continue
-        a, b, c, e = (v - 1 for v in (tour[i - 2], tour[i - 1], tour[j - 1], tour[j % n]))
-        if d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e] <= 0.0:
-            after = apply_inversion(tour, i, j)
-            yield tour, after
-            tour = after
+    replayed by reference_steps."""
+    perm = list(range(instance.n))
+    Xoshiro256StarStar(seed).shuffle(perm)
+    before = tuple(v + 1 for v in perm)
+    for i, j, delta, after in reference_steps(instance, steps, seed):
+        if delta <= 0.0 and (i, j) != (1, instance.n):
+            yield before, after
+        before = after
 
 
 def spy_witness_kernels(monkeypatch):

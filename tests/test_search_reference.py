@@ -7,10 +7,9 @@ frozen reference_mutation, so run_ea's operator (_child_pricer) is held
 to an independent copy of the draw order.
 """
 
-import bisect
+import dataclasses
 import hashlib
 import itertools
-from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,7 +34,7 @@ from tsplab.rng import Xoshiro256StarStar
 import tsplab.search
 from tsplab.search import _REVALIDATE_EVERY, Trajectory
 
-from conftest import cycle_edges, inversion_pairs, reference_mutation
+from conftest import inversion_pairs, reference_mutation
 
 
 def reference_rls(instance, budget, seed, optimum_value=None):
@@ -175,64 +174,10 @@ def test_rls_matches_reference_past_revalidation():
     assert fast == slow
 
 
-class Batch(NamedTuple):
-    """One call of run_rls's batch kernel."""
-
-    steps: int
-    taken: list  # the (word index, delta) of each move the batch took
-    moves: list  # the 1-based (i, j) of each move the batch took
-    stop: Optional[tuple]  # the (i, j) of the step it stopped before, if a word picked one
-
-
-def batches(monkeypatch, run):
-    """run()'s result and its batches, in order (see Batch)."""
-    made = []
-    make = tsplab.search._stretch_scanner
-
-    def counting_scanner(instance):
-        walk = make(instance)
-        pairs = inversion_pairs(instance.n)
-        limit = 2**64 - 2**64 % len(pairs)
-
-        def counted_walk(perm, words, *rest):
-            result = walk(perm, words, *rest)
-            steps, _, taken = result
-            picked = [pairs[w % len(pairs)] for w in words.tolist() if w < limit]
-            moves = [picked[h] for h, _ in taken]
-            stop = picked[steps] if steps < len(picked) else None
-            made.append(Batch(steps, taken, moves, stop))
-            return result
-
-        return counted_walk
-
-    with monkeypatch.context() as m:
-        m.setattr(tsplab.search, "_stretch_scanner", counting_scanner)
-        result = run()
-    return result, made
-
-
-def batched_steps(monkeypatch, run):
-    """run()'s result and the number of steps its batches made."""
-    result, made = batches(monkeypatch, run)
-    return result, sum(batch.steps for batch in made)
-
-
-@pytest.mark.parametrize(
-    "n,budget,instance_seed", [(32, 20000, 221), (32, 30000, 222), (64, 25000, 223), (64, 30000, 224)]
-)
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_rls_matches_reference_on_idle_runs(monkeypatch, n, budget, instance_seed, seed):
-    # no optimum: past the first local optimum nearly every step is
-    # rejected, so most steps are priced in batches
-    inst = generate_grid(n, 1024, instance_seed)
-    fast, priced = batched_steps(monkeypatch, lambda: run_rls(inst, budget, seed))
-    assert fast == reference_rls(inst, budget, seed)
-    assert fast.generations == budget and priced > budget // 2
-
-
-def test_rls_batches_match_reference_past_revalidation(monkeypatch):
-    budget = _REVALIDATE_EVERY + 5000
-    inst = generate_grid(32, 1024, 219)
+def counting_generator(patch):
+    """Make run_rls draw through a subclass that counts its draws, the way
+    a tracing wrapper does: overriding next_u64 and delegating. Returns
+    the counter, [draws]."""
     draws = [0]
 
     class Counting(Xoshiro256StarStar):
@@ -242,6 +187,128 @@ def test_rls_batches_match_reference_past_revalidation(monkeypatch):
             draws[0] += 1
             return Xoshiro256StarStar.next_u64(self)
 
+    patch.setattr(tsplab.search, "Xoshiro256StarStar", Counting)
+    return draws
+
+
+def reference_steps(instance, steps, seed):
+    """The first `steps` steps of run_rls(instance, _, seed), replayed by
+    the reference rule (draws as in reference_rls): per step, the 1-based
+    (i, j) it picked, its float delta (0.0 for the full reversal; the
+    step is accepted iff delta <= 0.0) and the tour after it."""
+    n = instance.n
+    d = instance.distance_matrix
+    rng = Xoshiro256StarStar(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    tour = tuple(perm)
+    pairs = inversion_pairs(n)
+    made = []
+    for _ in range(steps):
+        i, j = pairs[rng.randbelow(len(pairs))]
+        a, b, c, e = tour[i - 2], tour[i - 1], tour[j - 1], tour[j % n]
+        delta = 0.0 if (i, j) == (1, n) else d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e]
+        if delta <= 0.0:
+            tour = apply_inversion(tour, i, j)
+        made.append((i, j, delta, tuple(v + 1 for v in tour)))
+    return made
+
+
+def marks_threshold(n):
+    """The steps a cycle stands before run_rls marks it."""
+    return max(tsplab.search._BATCH_AFTER, n * (n - 1) // 2 // 8)
+
+
+def check_marking(monkeypatch, instance, budget, seed, optimum_value=None, batch_max=None, draws=None):
+    """run_rls(instance, budget, seed, optimum_value), with a series,
+    checked against reference_rls, and where it marked checked against
+    the reference replay (reference_steps).
+
+    A cycle made at step c (0 for the start) that stands threshold =
+    max(_BATCH_AFTER, npairs // 8) steps, with a step after them, is
+    marked once by _tour_marks: on the tour after step p = c + threshold,
+    in the round that makes step p + 1, which starts at most batch_max
+    (default _BATCH_MAX) steps before it, counted in draws (so no word of
+    the run may be sampled away). Its steps p + 1 .. end, up to the one
+    that changes it or the run's last, are priced from the marks, which
+    follow each accepted full reversal, (2, n) and (1, n-1) among them
+    through one _reflection_table row. `draws` is the counter of a
+    counting_generator already in place, if any.
+
+    Returns the run, its steps (reference_steps) and the (round start, p,
+    end) of each marking."""
+    n = instance.n
+    threshold = marks_threshold(n)
+    calls = []
+    reflected = [0]
+    marks = tsplab.search._tour_marks
+    table = tsplab.search._reflection_table
+
+    def marking(instance, perm):
+        calls.append((draws[0] - (n - 1), tuple(v + 1 for v in perm)))
+        return marks(instance, perm)
+
+    def reflecting(n):
+        reflected[0] += 1
+        return table(n)
+
+    with monkeypatch.context() as m:
+        if draws is None:
+            draws = counting_generator(m)
+        if batch_max is not None:
+            m.setattr(tsplab.search, "_BATCH_MAX", batch_max)
+        m.setattr(tsplab.search, "_tour_marks", marking)
+        m.setattr(tsplab.search, "_reflection_table", reflecting)
+        fast = run_rls(instance, budget, seed, optimum_value=optimum_value, record_series=True)
+    assert dataclasses.replace(fast, best_fitness_series=None) == reference_rls(instance, budget, seed, optimum_value)
+    assert draws[0] == n - 1 + fast.generations
+    made = reference_steps(instance, fast.generations, seed)
+    spans = []
+    start = 0
+    for s, (i, j, delta, _) in enumerate(made, 1):
+        if s == len(made) or delta <= 0.0 and j - i < n - 2:
+            if s > start + threshold:
+                spans.append((start + threshold, s))
+            start = s
+    assert [tour for _, tour in calls] == [made[p - 1][3] for p, _ in spans]
+    marked = [(first, p, end) for (first, _), (p, end) in zip(calls, spans)]
+    assert all(first <= p < first + (batch_max or tsplab.search._BATCH_MAX) for first, p, _ in marked)
+    assert reflected[0] == len(cycle_kept(n, marked_steps(made, marked)))
+    return fast, made, marked
+
+
+def marked_steps(made, marked):
+    """The steps of `made` that check_marking's `marked` prices from marks."""
+    return [made[s - 1] for _, p, end in marked for s in range(p + 1, end + 1)]
+
+
+def steps_on_marks(marked):
+    """How many steps check_marking's `marked` prices from marks."""
+    return sum(end - p for _, p, end in marked)
+
+
+def cycle_kept(n, made):
+    """The (i, j) of the accepted full reversals, (2, n) and (1, n-1) in
+    the steps `made`, and their deltas."""
+    return [((i, j), delta) for i, j, delta, _ in made if j - i >= n - 2 and delta <= 0.0]
+
+
+@pytest.mark.parametrize(
+    "n,budget,instance_seed", [(32, 20000, 221), (32, 30000, 222), (64, 25000, 223), (64, 30000, 224)]
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rls_matches_reference_on_idle_runs(monkeypatch, n, budget, instance_seed, seed):
+    # no optimum: past the first local optimum nearly every step is
+    # rejected, so most steps are priced from the cycle's marks
+    inst = generate_grid(n, 1024, instance_seed)
+    fast, _, marked = check_marking(monkeypatch, inst, budget, seed)
+    assert fast.generations == budget and steps_on_marks(marked) > budget // 2
+
+
+def test_rls_batches_match_reference_past_revalidation(monkeypatch):
+    budget = _REVALIDATE_EVERY + 5000
+    inst = generate_grid(32, 1024, 219)
+    draws = counting_generator(monkeypatch)
     fsum = tsplab.search._fsum_length
     recomputed = []  # draws made when run_rls recomputes its length
 
@@ -249,13 +316,11 @@ def test_rls_batches_match_reference_past_revalidation(monkeypatch):
         recomputed.append(draws[0])
         return fsum(d, n, perm)
 
-    monkeypatch.setattr(tsplab.search, "Xoshiro256StarStar", Counting)
     monkeypatch.setattr(tsplab.search, "_fsum_length", spy)
-    fast, priced = batched_steps(monkeypatch, lambda: run_rls(inst, budget, 4))
-    assert fast == reference_rls(inst, budget, 4)
-    assert priced > budget // 2
+    fast, _, marked = check_marking(monkeypatch, inst, budget, 4, draws=draws)
+    assert steps_on_marks(marked) > budget // 2
     # after the shuffle, and after exactly _REVALIDATE_EVERY steps of one
-    # draw each (no word of this run is sampled away)
+    # draw each
     assert recomputed == [inst.n - 1, inst.n - 1 + _REVALIDATE_EVERY]
 
 
@@ -272,15 +337,9 @@ def test_rls_batches_match_reference_past_revalidation(monkeypatch):
 def test_rls_reaches_optimum_after_a_batched_stretch(monkeypatch, make, seed):
     inst = make()
     opt = held_karp_optimum(inst).optimum_value
-    fast, priced = batched_steps(monkeypatch, lambda: run_rls(inst, 20000, seed, optimum_value=opt))
-    assert fast == reference_rls(inst, 20000, seed, optimum_value=opt)
-    assert fast.reached_optimum and priced > 0
-    # the cycle stood for the 128 steps before the one that reached the
-    # optimum, so a batch found that step
-    g = fast.generations
-    before = [run_rls(inst, budget, seed, optimum_value=opt) for budget in (g - 129, g - 1)]
-    assert not before[1].reached_optimum
-    assert cycle_edges(before[0].final_tour) == cycle_edges(before[1].final_tour)
+    fast, _, marked = check_marking(monkeypatch, inst, 20000, seed, optimum_value=opt)
+    # the step that reached the optimum was priced from its cycle's marks
+    assert fast.reached_optimum and marked[-1][2] == fast.generations
 
 
 def test_rls_series_unchanged():
@@ -304,17 +363,13 @@ def test_rls_series_unchanged():
 @pytest.mark.parametrize("n,seed", [(6, 1), (6, 3), (7, 1), (7, 2), (8, 2), (8, 3), (9, 1), (9, 3)])
 def test_rls_certifies_on_a_cycle_preserving_step_a_walk_met(monkeypatch, n, seed):
     # no optimum: the every-n^2 certification falls on a (2, n) or
-    # (1, n-1), which the walk that met it leaves to the scalar loop
+    # (1, n-1), which kept the cycle but moved the tour, priced from the
+    # cycle's marks
     inst = generate_grid(n, 64, 1)
-    fast, made = batches(monkeypatch, lambda: run_rls(inst, 20000, seed))
-    assert fast == reference_rls(inst, 20000, seed)
+    fast, made, marked = check_marking(monkeypatch, inst, 20000, seed)
     assert fast.generations < 20000 and fast.reached_local_optimum
-    assert any(batch.taken for batch in made)
-    # the run's last batch stopped just before the last step, which kept
-    # the cycle but moved the tour
-    assert made[-1].stop in ((2, n), (1, n - 1))
-    before = run_rls(inst, fast.generations - 1, seed).final_tour
-    assert cycle_edges(before) == cycle_edges(fast.final_tour) and before != fast.final_tour
+    assert cycle_kept(n, made[-1:]) and made[-1][:2] != (1, n)
+    assert marked[-1][2] == fast.generations
     assert run_rls(inst, fast.generations - 1, seed) == reference_rls(inst, fast.generations - 1, seed)
 
 
@@ -324,21 +379,21 @@ def test_rls_certifies_on_a_cycle_preserving_step_a_walk_met(monkeypatch, n, see
 )
 def test_rls_walks_move_the_length_of_a_parked_run(monkeypatch, n, m, instance_seed, seed, moves_length):
     # a Held-Karp optimum the run never reaches: it parks at a local
-    # optimum, where walks take (2, n) and (1, n-1) with float deltas
-    # below 0, which cur_len, the series and the optimum checks see
+    # optimum, where it takes (2, n) and (1, n-1) with float deltas below
+    # 0 on marked cycles, which cur_len, the series and the optimum
+    # checks see
     inst = generate_grid(n, m, instance_seed)
     opt = held_karp_optimum(inst).optimum_value
-    fast, made = batches(monkeypatch, lambda: run_rls(inst, 5000, seed, optimum_value=opt, record_series=True))
-    series, fast.best_fitness_series = fast.best_fitness_series, None
-    assert fast == reference_rls(inst, 5000, seed, optimum_value=opt)
+    fast, made, marked = check_marking(monkeypatch, inst, 5000, seed, optimum_value=opt)
     assert not fast.reached_optimum and fast.generations == 5000
-    assert any(delta != 0.0 for batch in made for _, delta in batch.taken)
+    assert any(delta < 0.0 for _, delta in cycle_kept(n, marked_steps(made, marked)))
     with monkeypatch.context() as m:
-        m.setattr(tsplab.search, "_BATCH_AFTER", 5001)  # no batch at all
-        scalar = run_rls(inst, 5000, seed, optimum_value=opt, record_series=True)
-    assert scalar.best_fitness_series == series
+        m.setattr(tsplab.search, "_BATCH_AFTER", 5001)  # no marks at all
+        unmarked = run_rls(inst, 5000, seed, optimum_value=opt, record_series=True)
+    assert unmarked == fast
     if moves_length:
         # a delta of half an ulp of cur_len, rounded to even, moves it
+        series = fast.best_fitness_series
         assert any(0 < x - y < 1e-9 * x for x, y in zip(series, series[1:]))
 
 
@@ -348,33 +403,32 @@ def test_rls_walks_move_the_length_of_a_parked_run(monkeypatch, n, m, instance_s
     ids=["6x6-a", "7x7", "6x6-b", "7x7-wide"],
 )
 def test_rls_walks_match_reference_with_candidates(monkeypatch, n, m, instance_seed, seed, scale):
-    # tie-heavy grids: walks meet cycles with marked pairs besides the
-    # three cycle-preserving ones, and run the scalar rule on them
+    # tie-heavy grids: marked cycles with candidates besides the three
+    # cycle-preserving pairs, which the scalar rule prices
     grid = generate_grid(n, m, instance_seed)
     inst = validate([((p.x - 3) * scale, (p.y - 3) * scale) for p in grid.points]) if scale > 1 else grid
-    marked = []
+    candidates = []
     marks = tsplab.search._tour_marks
 
     def counting(instance, perm):
         result = marks(instance, perm)
-        marked.append(int(result.sum()) - 3)
+        candidates.append(int(result.sum()) - 3)
         return result
 
     monkeypatch.setattr(tsplab.search, "_tour_marks", counting)
-    fast, made = batches(monkeypatch, lambda: run_rls(inst, 8000, seed))
-    assert fast == reference_rls(inst, 8000, seed)
-    assert max(marked) > 0 and made
+    fast, _, marked = check_marking(monkeypatch, inst, 8000, seed)
+    assert max(candidates) > 0 and marked
 
 
 @pytest.mark.parametrize("instance_seed,seed", [(5, 2), (18, 2), (19, 2)])
 def test_rls_young_batches_take_cycle_preserving_moves(monkeypatch, instance_seed, seed):
-    # n = 24: one batch takes the full reversal and an accepted (2, n) or
-    # (1, n-1), and reads the moved tour's marks through _reflection_table
+    # n = 24: the full reversal and an accepted (2, n) or (1, n-1) on a
+    # marked cycle, whose marks follow them through _reflection_table
     inst = generate_grid(24, 1024, instance_seed)
     n = inst.n
-    fast, made = batches(monkeypatch, lambda: run_rls(inst, 20000, seed))
-    assert fast == reference_rls(inst, 20000, seed)
-    assert any((1, n) in batch.moves and ((2, n) in batch.moves or (1, n - 1) in batch.moves) for batch in made)
+    fast, made, marked = check_marking(monkeypatch, inst, 20000, seed)
+    moves = {move for move, _ in cycle_kept(n, marked_steps(made, marked))}
+    assert (1, n) in moves and moves & {(2, n), (1, n - 1)}
 
 
 def parked_below(h, k, instance_seed):
@@ -388,57 +442,45 @@ def parked_below(h, k, instance_seed):
 
 @pytest.mark.parametrize("h,k,instance_seed,seed", [(20, 4, 1, 2), (20, 4, 9, 2), (21, 3, 10, 1), (21, 3, 14, 3)])
 def test_rls_young_batch_stops_before_an_optimum_check(monkeypatch, h, k, instance_seed, seed):
+    # the optimum check runs, through a full length, after each accepted
+    # step but the full reversal whose tour is within the trigger band:
+    # here every (2, n) and (1, n-1) on the optimal cycle, marked or not
     inst, value = parked_below(h, k, instance_seed)
     n = inst.n
-    fast, made = batches(monkeypatch, lambda: run_rls(inst, 20000, seed, optimum_value=value))
-    assert fast == reference_rls(inst, 20000, seed, optimum_value=value)
+    summed = []
+    fsum = tsplab.search._fsum_length
+
+    def spy(d, n, perm):
+        summed.append(tuple(v + 1 for v in perm))
+        return fsum(d, n, perm)
+
+    monkeypatch.setattr(tsplab.search, "_fsum_length", spy)
+    fast, made, marked = check_marking(monkeypatch, inst, 20000, seed, optimum_value=value)
     assert not fast.reached_optimum and fast.final_length == pytest.approx(value, rel=1e-10)
-    assert any(batch.stop in ((2, n), (1, n - 1)) for batch in made)
+    opt_hi = value * (1 + tsplab.search._OPT_TRIGGER)
+    checked = [t for i, j, delta, t in made if delta <= 0.0 and (i, j) != (1, n) and tour_length(inst, t) <= opt_hi]
+    assert summed[1:] == checked
+    assert {(2, n), (1, n - 1)} & {move for move, _ in cycle_kept(n, marked_steps(made, marked))}
 
 
 @pytest.mark.parametrize("n,budget,instance_seed,seed", [(24, 20000, 5, 2), (48, 20000, 221, 3), (64, 25000, 223, 1)])
 def test_rls_batches_start_once_the_cycle_has_stood_the_threshold(monkeypatch, n, budget, instance_seed, seed):
-    # every cycle change is a scalar step, which updates the witness; a
-    # batch comes only once the cycle has stood max(_BATCH_AFTER, npairs // 8)
-    # steps, counted in draws (no word of these runs is sampled away)
+    # one-word rounds: each cycle is marked exactly once it has stood
+    # max(_BATCH_AFTER, npairs // 8) steps (check_marking), in the round
+    # that starts there
     inst = generate_grid(n, 1024, instance_seed)
-    threshold = max(tsplab.search._BATCH_AFTER, n * (n - 1) // 2 // 8)
-    draws = [0]
+    fast, _, marked = check_marking(monkeypatch, inst, budget, seed, batch_max=1)
+    assert len(marked) > 3
 
-    class Counting(Xoshiro256StarStar):
-        __slots__ = ()
 
-        def next_u64(self):
-            draws[0] += 1
-            return Xoshiro256StarStar.next_u64(self)
-
-    changed = [n - 1]  # draws after the shuffle and after each cycle change
-    update = tsplab.search._update_witness
-
-    def spy(*args):
-        changed.append(draws[0])
-        return update(*args)
-
-    monkeypatch.setattr(tsplab.search, "Xoshiro256StarStar", Counting)
-    monkeypatch.setattr(tsplab.search, "_update_witness", spy)
-    starts = []  # draws before each batch
-    make = tsplab.search._stretch_scanner
-
-    def scanner(instance):
-        walk = make(instance)
-
-        def spied(*args):
-            starts.append(draws[0])
-            return walk(*args)
-
-        return spied
-
-    monkeypatch.setattr(tsplab.search, "_stretch_scanner", scanner)
-    fast = run_rls(inst, budget, seed)
-    assert draws[0] == n - 1 + fast.generations
-    assert fast == reference_rls(inst, budget, seed)
-    stood = [start - changed[bisect.bisect(changed, start) - 1] for start in starts]
-    assert len(stood) > 5 and min(stood) == threshold
+@pytest.mark.parametrize("n,budget,instance_seed,seed", [(24, 20000, 5, 2), (48, 20000, 221, 3)])
+def test_rls_round_crosses_from_unmarked_to_marked(monkeypatch, n, budget, instance_seed, seed):
+    # a cycle reaches the threshold inside a round: the round prices its
+    # first words one by one, marks the tour, and prices the rest from
+    # the marks
+    inst = generate_grid(n, 1024, instance_seed)
+    fast, _, marked = check_marking(monkeypatch, inst, budget, seed)
+    assert any(first < p for first, p, _ in marked)
 
 
 def test_rls_series_unchanged_on_walked_runs():
