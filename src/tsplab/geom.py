@@ -268,11 +268,10 @@ def _exact_angle_key(u: tuple[int, int], w: tuple[int, int]) -> int:
     return hu - hw if hu != hw else (cross < 0) - (cross > 0)
 
 
-def instance_metrics(points: Sequence[Point], distances) -> InstanceMetrics:
+def instance_metrics(points: Sequence[Point], distances: np.ndarray) -> InstanceMetrics:
     """d_min, d_max, the minimum angle, and derived factors of a validated
     point set (three or more distinct points, no three collinear) and its
-    row-major distance matrix, flat or (n, n), from which d_min and d_max
-    are read as float64.
+    float64 (n, n) distance matrix, from which d_min and d_max are read.
 
     Each vertex sorts its directions to the other points by angle and
     measures only circular neighbours: any other pair spans two gaps or
@@ -302,9 +301,8 @@ def instance_metrics(points: Sequence[Point], distances) -> InstanceMetrics:
       kept pairs: the float the per-vertex scalar sweep took.
     """
     n = len(points)
-    dist = np.asarray(distances, dtype=np.float64).reshape(n, n)
-    d_min = float(dist[np.triu_indices(n, 1)].min())
-    d_max = float(dist.max())
+    d_min = float(distances[np.triu_indices(n, 1)].min())
+    d_max = float(distances.max())
     xy = _exact_coords([p.x for p in points], [p.y for p in points])
     after = np.arange(1, n)
     least = math.inf

@@ -648,9 +648,13 @@ class TestStretchScanner:
         perm = [0, 1, 4, 2, 3]
         d = inst.distance_matrix
         assert d[0 * 5 + 2] + d[1 * 5 + 3] - d[0 * 5 + 1] - d[2 * 5 + 3] == 0.0
+        zero = inversion_draw(5, 2, 4)
+        rejected = rejected_words(inst, perm)
         for head in ([], standing(inst, perm)):
-            fast, _ = scripted_rls(monkeypatch, inst, perm, head + [inversion_draw(5, 2, 4)])
+            fast, _ = scripted_rls(monkeypatch, inst, perm, head + [zero])
             assert fast.final_tour == (1, 3, 5, 2, 4)
+            fast, drawn = scripted_rls(monkeypatch, inst, perm, head + [*rejected, zero, *rejected])
+            assert (fast.generations, drawn) == (len(head) + 2 * len(rejected) + 1,) * 2
 
     @pytest.mark.parametrize("instance_seed,scale", [(1, 1), (2, 1), (217, 1), (1, WIDE_SCALE)], ids=["1", "2", "217", "wide"])
     def test_agrees_with_scalar_rule_on_every_pair_of_a_tie_heavy_grid(self, monkeypatch, instance_seed, scale):
@@ -663,23 +667,24 @@ class TestStretchScanner:
         pairs = inversion_pairs(n)
         rng = Xoshiro256StarStar(instance_seed)
         perms = [local_optimum(inst, seed) for seed in (1, 2)]
-        for _ in range(4):
+        for _ in range(20):
             perm = list(range(n))
             rng.shuffle(perm)
             perms.append(perm)
         ties = 0
         for perm in perms:
-            head = standing(inst, perm)
             tour = tuple(v + 1 for v in perm)
-            for t, (i, j) in enumerate(pairs):
-                fast, _ = scripted_rls(monkeypatch, inst, perm, head + [t])
-                assert fast.final_tour == (apply_inversion(tour, i, j) if scalar_accepts(inst, perm, i, j) else tour)
+            for head in ([], standing(inst, perm)):
+                for t, (i, j) in enumerate(pairs):
+                    fast, _ = scripted_rls(monkeypatch, inst, perm, head + [t])
+                    assert fast.final_tour == (apply_inversion(tour, i, j) if scalar_accepts(inst, perm, i, j) else tour)
+                order = list(range(len(pairs)))
+                rng.shuffle(order)
+                scripted_rls(monkeypatch, inst, perm, head + order)
+            for i, j in pairs:
                 if (i, j) != (1, n):
                     a, b, c, e = perm[i - 2], perm[i - 1], perm[j - 1], perm[j % n]
                     ties += d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e] == 0.0
-            order = list(range(len(pairs)))
-            rng.shuffle(order)
-            scripted_rls(monkeypatch, inst, perm, head + order)
         assert ties > 0
 
     @pytest.mark.parametrize("instance_seed", [1, 2, 3])
@@ -733,13 +738,14 @@ class TestWalk:
             tours.append(shuffled)
         cps = cycle_preserving_draws(n)
         for perm in tours:
-            head = standing(inst, perm)
-            for _ in range(5):
+            marked = standing(inst, perm)
+            for _ in range(30):
                 # many cycle-preserving words, so that marked cycles move
                 # their marks often, and a few words over the limit
                 values = [cps[rng.randbelow(3)] if rng.randbelow(4) == 0 else rng.randbelow(npairs) for _ in range(300)]
                 values[rng.randbelow(300)] = rejection_limit(n) + rng.randbelow(2**64 - rejection_limit(n))
-                scripted_rls(monkeypatch, inst, perm, head + values)
+                for head in ([], marked):
+                    scripted_rls(monkeypatch, inst, perm, head + values)
 
     def test_stops_before_the_certification_and_the_optimum_check(self, monkeypatch):
         # the certification and the optimum check run after an accepted
