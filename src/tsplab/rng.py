@@ -42,9 +42,9 @@ one list iterator per block. `next_u64` is a class-level descriptor that
 hands out that `__next__` on an instance, so `rng.next_u64()` runs no
 Python frame, and that stays callable on the class, so
 `Xoshiro256StarStar.next_u64(self)` works in a subclass that overrides
-the method (a draw-counting wrapper, say). `randbelow`, `uniform`,
-`shuffle` and `skip` draw through `self.next_u64`, so such an override
-sees every draw.
+the method (a draw-counting wrapper, say). `randbelow`, `uniform` and
+`shuffle` draw through `self.next_u64`, and so does `skip` in a class
+that overrides it, so such an override sees every draw.
 
 Peeking. `peek(k)` returns the next k words, as a uint64 array, without
 consuming them. A `_Source` keeps the block the draw chain reads, with
@@ -55,6 +55,14 @@ nothing more. A caller can price words in numpy, then consume exactly
 the ones it used through `skip`. `peek` bypasses `next_u64`, so an
 override of `next_u64` may observe draws but must not alter them: `peek`
 would still show the unaltered words.
+
+Skipping. Where the class does not override `next_u64`, `skip(m)` makes
+no Python int of the words it consumes. It moves the list iterator of
+the block the chain reads forward by index, drops whole blocks `peek`
+computed ahead without a `tolist`, and computes and drops any further
+whole blocks. A block the skip ends inside goes back to the front of
+the blocks ahead as the array of its words left, and the first draw
+after the skip enters it through the draw chain.
 """
 
 from __future__ import annotations
@@ -137,8 +145,9 @@ class _Source:
     `feed` gives the chain one list iterator per block, taking the blocks
     `peek` computed ahead first; `now` and `now_words` are the block the
     chain reads and its list iterator, whose length hint is the number
-    of its words not yet drawn. It holds no reference to the generator
-    object (see the module docstring)."""
+    of its words not yet drawn. `skip` makes no list of a block it
+    passes whole. It holds no reference to the generator object (see
+    the module docstring)."""
 
     __slots__ = ("blocks", "ahead", "now", "now_words")
 
@@ -166,6 +175,19 @@ class _Source:
             have += len(self.ahead[i])
             i += 1
         return np.concatenate(parts)[:k] if parts else np.empty(0, dtype=_U64)
+
+    def skip(self, m: int) -> None:
+        left = operator.length_hint(self.now_words)
+        if left:
+            used = min(m, left)
+            self.now_words.__setstate__(len(self.now) - left + used)
+            m -= used
+        while m:
+            block = self.ahead.popleft() if self.ahead else next(self.blocks)
+            if m < len(block):
+                self.ahead.appendleft(block[m:])
+                return
+            m -= len(block)
 
 
 class _Draw(property):
@@ -218,10 +240,14 @@ class Xoshiro256StarStar:
         return self._source.peek(k)
 
     def skip(self, m: int) -> None:
-        """Consume the next m raw outputs, each through `self.next_u64`."""
+        """Consume the next m raw outputs: each through `self.next_u64` if
+        the class overrides it, else by block (see the module docstring)."""
         if m < 0:
             raise ValueError(f"count must be >= 0, got {m}")
-        collections.deque(itertools.islice(iter(self.next_u64, None), m), 0)
+        if type(self).next_u64 is Xoshiro256StarStar.next_u64:
+            self._source.skip(m)
+        else:
+            collections.deque(itertools.islice(iter(self.next_u64, None), m), 0)
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection (no modulo bias).

@@ -315,8 +315,9 @@ def run_rls(
       every term order (_tour_marks), so leaving it unpriced rejects it;
     - between accepted steps the tour and cur_len do not change, so the
       alpha count and the series samples follow in closed form;
-    - the generator then skips the words the round used, each through
-      next_u64, so a draw-counting override counts the same draws;
+    - the generator then skips the words the round used, through
+      next_u64 where its class overrides that, so a draw-counting
+      override counts the same draws;
     - a round ends at the step on which a revalidation falls due, and the
       revalidation follows it.
 
@@ -380,23 +381,25 @@ def run_rls(
             kept = np.flatnonzero(words < limit)
             words = words[kept]
         picks = words % npairs
-        plist = picks.tolist()
         base = gens  # word t makes step base + t + 1
-        end = len(plist)
+        end = len(picks)
         h = 0  # the next word to price
         while h < end:
             if marks is None and base + h >= marks_at:
                 marks = _tour_marks(instance, perm)
             young = marks is None
+            # only the words priced become Python ints
             if young:
                 # an accepted step only moves marks_at later: the pass goes on
-                todo = range(h, min(end, marks_at - base))
-                h = todo.stop
+                young_end = min(end, marks_at - base)
+                todo = enumerate(picks[h:young_end].tolist(), h)
+                h = young_end
             else:
-                todo = (marks.take(picks[h:]).nonzero()[0] + h).tolist()
+                idx = marks.take(picks[h:]).nonzero()[0] + h
+                todo = zip(idx.tolist(), picks.take(idx).tolist())
                 h = end
-            for t in todo:
-                i0, j0, jmod = pairs[plist[t]]
+            for t, pick in todo:
+                i0, j0, jmod = pairs[pick]
                 if j0 - i0 == n:
                     # full reversal: same cycle, fitness tie, always accepted
                     perm.reverse()

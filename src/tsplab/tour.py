@@ -192,7 +192,9 @@ def is_two_opt_local_optimum(instance: Instance, tour: Sequence[int]) -> bool:
       correctly rounded, and a nonzero sum of doubles is at least the
       smallest subnormal);
     - (1, n), (2, n) and (1, n-1) leave the cycle, hence the fsum,
-      unchanged.
+      unchanged;
+    - (1, j) removes and adds the edges (j+1, n) does, with the same
+      stored values, so row 1 is left to those pairs.
 
     Any other pair is confirmed with the neighbour's full fsum and the
     strict <, and the scan goes on if the confirm fails.
@@ -206,12 +208,12 @@ def is_two_opt_local_optimum(instance: Instance, tour: Sequence[int]) -> bool:
     edge = [d[u * n + v] for u, v in zip(perm, succ)]
     fsum = math.fsum
     base = fsum(edge)
-    for i0 in range(n - 1):
+    for i0 in range(1, n - 1):
         a_row = perm[i0 - 1] * n
         b_row = perm[i0] * n
         d_ab = edge[i0 - 1]
-        # j0 = n-1 is (i, n); skip (1, n), (1, n-1) and (2, n)
-        stop = n - 2 if i0 == 0 else n - 1 if i0 == 1 else n
+        # j0 = n-1 is (i, n); skip (2, n)
+        stop = n - 1 if i0 == 1 else n
         for j0 in range(i0 + 1, stop):
             d_ac = d[a_row + perm[j0]]
             d_be = d[b_row + succ[j0]]

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import subprocess
@@ -249,6 +250,16 @@ class TestOverrideContract:
         assert fast_draws == slow_draws > fast.generations * lam
 
 
+# skip counts around the first block's two pieces and the block size
+SKIP_COUNTS = [0, 255, 256, 257, 508, 509, 2048, 5000]
+
+
+@functools.cache
+def interleaved_stream() -> list[int]:
+    """Enough words of seed 31 for any of test_skip_interleaved's op lists."""
+    return take(scalar_xoshiro_stream(*splitmix64_state(31)), 16000)
+
+
 class TestPeekAndSkip:
     @pytest.mark.parametrize("consumed", [0, 1, 63, 64, 255, 256, 507, 508, 900])
     @pytest.mark.parametrize("count", [0, 1, 65, 700])
@@ -272,6 +283,63 @@ class TestPeekAndSkip:
         rng.skip(count)
         assert [rng.next_u64(), rng.next_u64()] == expected[consumed + count:]
 
+    @pytest.mark.parametrize("count", SKIP_COUNTS)
+    def test_fresh_skip_by_block(self, count):
+        expected = take(scalar_xoshiro_stream(*splitmix64_state(23)), count + 600)
+        rng = Xoshiro256StarStar(23)
+        rng.skip(count)
+        # a skip by block hands no block to the draw chain
+        assert rng._source.now is None
+        assert rng.peek(3).tolist() == expected[count:count + 3]
+        assert [rng.next_u64() for _ in range(600)] == expected[count:]
+
+    @pytest.mark.parametrize("consumed", [0, 10, 300, 508])
+    @pytest.mark.parametrize("count", [255, 256, 600, 1016, 1300, 3000])
+    def test_skip_into_and_past_peeked_blocks(self, consumed, count):
+        # from a fresh generator, peek(700) computes the blocks up to word
+        # 1016 ahead: the skips end inside, at the end of and past them
+        expected = take(scalar_xoshiro_stream(*splitmix64_state(29)), consumed + count + 600)
+        rng = Xoshiro256StarStar(29)
+        for _ in range(consumed):
+            rng.next_u64()
+        rng.peek(700)
+        rng.skip(count)
+        assert rng.peek(5).tolist() == expected[consumed + count:consumed + count + 5]
+        assert [rng.next_u64() for _ in range(600)] == expected[consumed + count:]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["skip", "next_u64", "randbelow", "peek"]),
+                st.sampled_from([0, 1, 2, 3, 255, 256, 257, 508, 509, 700, 1300]),
+            ),
+            max_size=12,
+        )
+    )
+    def test_skip_interleaved(self, ops):
+        expected = interleaved_stream()
+        rng = Xoshiro256StarStar(31)
+        pos = 0
+        for op, k in ops:
+            if op == "skip":
+                rng.skip(k)
+                pos += k
+            elif op == "next_u64":
+                for _ in range(k % 300):
+                    assert rng.next_u64() == expected[pos]
+                    pos += 1
+            elif op == "randbelow":
+                bound = k + 2
+                limit = 2**64 - 2**64 % bound
+                while expected[pos] >= limit:
+                    pos += 1
+                assert rng.randbelow(bound) == expected[pos] % bound
+                pos += 1
+            else:
+                assert rng.peek(k).tolist() == expected[pos:pos + k]
+        assert rng.next_u64() == expected[pos]
+
     @pytest.mark.parametrize("consumed", [0, 1])
     def test_negative_counts_rejected(self, consumed):
         rng = Xoshiro256StarStar(19)
@@ -283,16 +351,17 @@ class TestPeekAndSkip:
         assert rng.next_u64() == Xoshiro256StarStar(19).peek(consumed + 1)[-1]
 
     def test_counting_override_counts_what_skip_consumes(self):
-        counter = [0]
-        rng = counting_class(counter)(17)
-        plain = Xoshiro256StarStar(17)
-        assert rng.peek(300).tolist() == plain.peek(300).tolist()
-        assert counter == [0]
-        rng.skip(250)
-        assert counter == [250]
-        plain.skip(250)
-        assert rng.next_u64() == plain.next_u64()
-        assert counter == [251]
+        for count in [250, *SKIP_COUNTS]:
+            counter = [0]
+            rng = counting_class(counter)(17)
+            plain = Xoshiro256StarStar(17)
+            assert rng.peek(300).tolist() == plain.peek(300).tolist()
+            assert counter == [0]
+            rng.skip(count)
+            assert counter == [count]
+            plain.skip(count)
+            assert rng.next_u64() == plain.next_u64()
+            assert counter == [count + 1]
 
 
 class TestMemory:
@@ -321,6 +390,9 @@ class TestMemory:
             rng = Weak(5)
             rng.peek(700)
             rng.skip(100)
+            # a skip by block, past the blocks peeked and into two more
+            rng.skip(1900)
+            rng.next_u64()
             ref = weakref.ref(rng)
             del rng
             assert ref() is None
