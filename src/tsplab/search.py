@@ -12,6 +12,12 @@ in one loop with one copy of the acceptance rule: once a cycle has stood
 a while, it marks in numpy, once per cycle, which pairs of the tour are
 candidates (_tour_marks), and prices only the words that pick one.
 
+The inversion neighbourhood itself -- the one enumeration of the pairs,
+its slices, the marks and how pair indices move under the
+cycle-preserving moves -- lives in tour.py, beside the local-optimum
+scan that shares its prefilter; this module keeps the two loops, the
+mutation operator and the crossing witness.
+
 Trajectory accounting: each executed step/generation is classified by
 the best-so-far tour before the step -- alpha if the tour has crossing
 edges, beta if it is crossing-free but not optimal. The run stops as
@@ -28,7 +34,6 @@ that keeps the cycle costs no geometry.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -37,8 +42,8 @@ import numpy as np
 
 from .instance import Instance
 from .rng import _INV_2_53, Xoshiro256StarStar
-from .tour import Tour, _crossings0, _fsum_length, _segment_crossing, tour_length
-from .tour import _SHRINK, is_two_opt_local_optimum
+from .tour import Tour, _crossings0, _fsum_length, _segment_crossing, is_two_opt_local_optimum, tour_length
+from .tour import _BATCH_MAX, _reflection_table, _slice_table, _tour_marks
 
 _INV_E = float.fromhex("0x1.78b56362cef38p-2")  # 1/e correctly rounded, with no libm call
 # the incremental float length is re-derived from scratch this often to
@@ -49,9 +54,8 @@ _REVALIDATE_EVERY = 1 << 16
 # one: marking prices every pair of the tour, so a cycle that changes
 # sooner is cheaper priced word by word (npairs // 4 ran rls-grid-local's
 # n = 128 runs about 1.06x slower). A round peeks at most _BATCH_MAX
-# words, which bounds its temporaries to a few hundred KiB.
+# words (tour.py).
 _BATCH_AFTER = 64
-_BATCH_MAX = 2048
 # relative slack when comparing a recomputed length against the optimum
 _OPT_REL_TOL = 1e-12
 # wider trigger band for the cheap incremental comparison; full
@@ -98,111 +102,6 @@ class Trajectory:
     final_tour: Tour
     final_length: float
     best_fitness_series: Optional[list[float]] = None
-
-
-_SLICES: dict[int, tuple[tuple[int, int, int], ...]] = {}
-
-
-def _slice_table(n: int) -> tuple[tuple[int, int, int], ...]:
-    """Every position pair (i, j), 1 <= i < j <= n, in lexicographic order,
-    as the 0-based slice (i - 1, j, j % n): inverting the pair reverses
-    lst[i - 1:j], between lst[i - 2] and lst[j % n]. A uniform index into
-    it is a uniform inversion.
-
-    Only the last n's table is kept, so a process that runs many sizes
-    holds one table, not one per size. The old table is dropped before
-    the new one is built: functools.lru_cache(maxsize=1) evicts only after
-    the call returns, so both tables would be alive at the peak."""
-    table = _SLICES.get(n)
-    if table is None:
-        _SLICES.clear()
-        table = _SLICES[n] = tuple((i0, j, j % n) for i0 in range(n - 1) for j in range(i0 + 2, n + 1))
-    return table
-
-
-@functools.lru_cache(maxsize=1)
-def _position_table(n: int) -> np.ndarray:
-    """_slice_table(n) as tour positions, for numpy: column t holds, for
-    the t-th pair, the positions i0 - 1 and j0 - 1 of the end points a
-    and c of the two removed edges; b and e follow them on the cycle.
-    i0 - 1 is -1 for i0 = 0, which numpy reads as the last position, as
-    Python does. At two int16 per pair (127 KiB at n = 256) it is small
-    enough for lru_cache to hold the old table while it builds the new."""
-    dtype = np.int16 if n < 1 << 15 else np.int32
-    table = np.stack((
-        np.repeat(np.arange(-1, n - 2, dtype=dtype), np.arange(n - 1, 0, -1)),
-        np.concatenate([np.arange(i0 + 1, n, dtype=dtype) for i0 in range(n - 1)]),
-    ))
-    table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(maxsize=1)
-def _reflection_table(n: int) -> np.ndarray:
-    """How pair indices move under the three cycle-preserving moves: row
-    m is for the full reversal (m = 0), (2, n) (m = 1) and (1, n-1)
-    (m = 2). Entry t of row m is a pair index, on the tour before move m,
-    that removes the same two edges as pair t on the tour after it; for
-    the three cycle-preserving pairs it is the full reversal's index.
-
-    Each move reflects the cycle's edge positions: edge k of the new tour
-    is edge (c - k) mod n of the old, with c = -2, -1 and -3. An edge
-    pair {k1 < k2} has the index of (k1 + 2, k2 + 1) in 1-based positions,
-    or of (1, k1 + 1) when k2 = n - 1; a pair with edge n - 1 has a second
-    index, (k1 + 2, n), which the table never names, so a mask read
-    through it must hold both indices of such a pair."""
-    npairs = n * (n - 1) // 2
-    dtype = np.int16 if npairs < 1 << 15 else np.int32
-    k1, k2 = _position_table(n).astype(np.int32) % n
-    rows = []
-    for c in (-2, -1, -3):
-        e1 = (c - k1) % n
-        e2 = (c - k2) % n
-        lo = np.minimum(e1, e2)
-        hi = np.maximum(e1, e2)
-        wrap = hi == n - 1
-        i0 = np.where(wrap, 0, lo + 1)
-        j0 = np.where(wrap, lo + 1, hi + 1)
-        old = i0 * (n - 1) - i0 * (i0 - 1) // 2 + j0 - i0 - 2
-        old[[n - 2, 2 * n - 4, n - 3]] = n - 2  # (1, n), (2, n), (1, n-1)
-        rows.append(old.astype(dtype))
-    table = np.stack(rows)
-    table.flags.writeable = False
-    return table
-
-
-def _tour_marks(instance: Instance, perm) -> np.ndarray:
-    """Which pairs of _slice_table(n) are candidates on the 0-based tour
-    perm: a bool per pair, False where is_two_opt_local_optimum's
-    prefilter, fl(d_ab + d_ce) < fl(fl(d_ac + d_be) * _SHRINK), proves the
-    inversion rejected. It is computed in slices of _BATCH_MAX pairs, so
-    that its temporaries are a round's.
-
-    Both sums are order-free, so a pair's mark depends only on the two
-    edges it removes, not on the tour's orientation, and the two indices
-    of a pair with edge n - 1 (see _reflection_table) get the same mark.
-    An unmarked pair has a float delta > 0 in every order of its four
-    terms: with u = 2^-53 and A = d_ac + d_be, the prefilter puts the
-    exact d_ab + d_ce below A(1+u)^2(1 - 2^-48)/(1-u), more than
-    0.9 * 2^-48 * A below A, and summing the four signed terms in any
-    order errs by at most 3.01u(A + A) < 0.19 * 2^-48 * A. The three
-    cycle-preserving pairs are always marked: their two sums are equal,
-    or the added one is 0.
-    """
-    dist = instance.distance_array
-    positions = _position_table(instance.n)
-    # per position: its label and its successor's, and the edge between them
-    ends = np.empty((2, len(perm)), dtype=np.intp)
-    ends[0] = perm  # one list to convert: a tuple of two converts at half the speed
-    ends[1, :-1] = ends[0, 1:]
-    ends[1, -1] = perm[0]
-    edges = dist[ends[0], ends[1]]
-    marks = []
-    for lo in range(0, positions.shape[1], _BATCH_MAX):
-        a, c = positions[:, lo : lo + _BATCH_MAX]
-        ac, be = dist[ends.take(a, axis=1), ends.take(c, axis=1)]
-        marks.append(edges.take(a) + edges.take(c) >= (ac + be) * _SHRINK)
-    return np.concatenate(marks)
 
 
 def _check_optimum(optimum_value: Optional[float]) -> None:
@@ -547,7 +446,7 @@ def _child_pricer(d, n: int, mixed: bool, next_u64):
                 while u >= pair_limit:
                     u = next_u64()
                 i0, j0, jmod = pairs[u % npairs]
-                if i0 == 0 and j0 == n:
+                if j0 - i0 == n:
                     lst.reverse()
                     continue
                 a = lst[i0 - 1]

@@ -15,12 +15,22 @@ crossing witness with the last two, which run geom's crossing kernel
 (_crossings_along) along the cycle. They stay private, as does the
 kernel: perfbench/tracer.py wraps each public function bound across
 modules, which would make every kernel call of a traced scan a span.
+
+The inversion neighbourhood is known here only. _position_table
+enumerates its pairs once; _slice_table (the search loops' Python
+slices), _reflection_table (how pair indices move under the three
+cycle-preserving moves) and _tour_marks (the numpy prefilter over every
+pair of a tour) read that enumeration, and is_two_opt_local_optimum
+prefilters with the same margin, _SHRINK.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .geom import _crossings_along
 from .instance import Instance
@@ -166,9 +176,124 @@ def respects_hull_order(instance: Instance, tour: Sequence[int]) -> bool:
     return False
 
 
-# removed < added * _SHRINK in floats proves the exact 4-edge delta of an
-# inversion positive (see is_two_opt_local_optimum)
+# The prefilter margin. Let an inversion swap the edges ab and ce for ac
+# and be, let u = 2^-53 and A = d_ac + d_be exactly. The four stored lengths
+# are >= 0, so fl(d_ab + d_ce) < fl(fl(d_ac + d_be) * _SHRINK) puts the exact
+# d_ab + d_ce below A(1+u)^2(1 - 2^-48)/(1-u), more than 0.9 * 2^-48 * A
+# below A: the exact delta d_ac + d_be - d_ab - d_ce is > 0. Summing the four
+# signed terms in any order errs by at most 3.01u(A + A) < 0.19 * 2^-48 * A,
+# so every float delta of the pair is > 0 as well.
 _SHRINK = 1.0 - 2.0**-48
+# _tour_marks prices at most this many pairs at a time, and run_rls peeks
+# at most this many words per round: either bounds its temporaries to a few
+# hundred KiB
+_BATCH_MAX = 2048
+
+
+@functools.lru_cache(maxsize=1)
+def _position_table(n: int) -> np.ndarray:
+    """The inversion neighbourhood, enumerated once: every position pair
+    (i, j), 1 <= i < j <= n, in lexicographic order, a uniform index into
+    which is a uniform inversion. Column t holds, for the t-th pair, the
+    0-based positions i - 2 and j - 1 of the end points a and c of the two
+    edges it removes, ab and ce; b and e follow them on the cycle, and
+    those edges are edge (i - 2) mod n and edge j - 1 (edge k joins
+    positions k and k + 1).
+
+    i - 2 is -1 for i = 1, which numpy reads as the last position, as
+    Python does. So a pair (1, j), 2 <= j <= n-2, removes and adds the
+    same edges as (j+1, n), with the same stored values: each such edge
+    pair is listed twice. The three pairs with j - i >= n - 2, (1, n),
+    (2, n) and (1, n-1), keep the cycle.
+
+    At two int16 per pair (127 KiB at n = 256) it is small enough for
+    lru_cache to hold the old table while it builds the new."""
+    dtype = np.int16 if n < 1 << 15 else np.int32
+    table = np.stack((
+        np.repeat(np.arange(-1, n - 2, dtype=dtype), np.arange(n - 1, 0, -1)),
+        np.concatenate([np.arange(i0 + 1, n, dtype=dtype) for i0 in range(n - 1)]),
+    ))
+    table.flags.writeable = False
+    return table
+
+
+_SLICES: dict[int, tuple[tuple[int, int, int], ...]] = {}
+
+
+def _slice_table(n: int) -> tuple[tuple[int, int, int], ...]:
+    """_position_table(n) as Python slices: pair (i, j) is (i - 1, j,
+    j % n), and inverting it reverses lst[i - 1:j], between lst[i - 2] and
+    lst[j % n].
+
+    Only the last n's table is kept, so a process that runs many sizes
+    holds one table, not one per size. The old table is dropped before
+    the new one is built: functools.lru_cache(maxsize=1) evicts only after
+    the call returns, so both tables would be alive at the peak."""
+    table = _SLICES.get(n)
+    if table is None:
+        _SLICES.clear()
+        positions = _position_table(n) + 1
+        i, j = positions.tolist()
+        table = _SLICES[n] = tuple(zip(i, j, (positions[1] % n).tolist()))
+    return table
+
+
+@functools.lru_cache(maxsize=1)
+def _reflection_table(n: int) -> np.ndarray:
+    """How pair indices move under the three cycle-preserving moves: row
+    m is for the full reversal (m = 0), (2, n) (m = 1) and (1, n-1)
+    (m = 2). Entry t of row m is a pair index, on the tour before move m,
+    that removes the same two edges as pair t on the tour after it; for
+    the three cycle-preserving pairs it is the full reversal's index.
+
+    Each move reflects the cycle's edge positions: edge k of the new tour
+    is edge (c - k) mod n of the old, with c = -2, -1 and -3. An edge pair
+    listed twice (see _position_table) is named by its first index,
+    (1, j), never by (j+1, n), so a mask read through the table must hold
+    the same value at both."""
+    positions = _position_table(n)
+    npairs = positions.shape[1]
+    dtype = np.int16 if npairs < 1 << 15 else np.int32
+    k1, k2 = positions % n  # the two edges each pair removes
+    pairs = np.arange(npairs, dtype=dtype)
+    # the index of each edge pair, in both orders: the rows i >= 2 first,
+    # then the row i = 1 over them, so a pair listed twice keeps its first
+    index = np.zeros((n, n), dtype)
+    for rows in (slice(n - 1, None), slice(None, n - 1)):
+        index[k1[rows], k2[rows]] = index[k2[rows], k1[rows]] = pairs[rows]
+    table = np.stack([index[(c - k1) % n, (c - k2) % n] for c in (-2, -1, -3)])
+    span = positions[1] - positions[0]  # j - i + 1
+    table[:, span >= n - 1] = pairs[span == n]
+    table.flags.writeable = False
+    return table
+
+
+def _tour_marks(instance: Instance, perm) -> np.ndarray:
+    """Which pairs of _position_table(n) are candidates on the 0-based
+    tour perm: a bool per pair, False where the prefilter
+    fl(d_ab + d_ce) < fl(fl(d_ac + d_be) * _SHRINK) proves that every float
+    delta of the inversion, in any order of its four terms, is > 0 (see
+    _SHRINK). It is computed in slices of _BATCH_MAX pairs.
+
+    Both sums are order-free, so a pair's mark depends only on the two
+    edges it removes, not on the tour's orientation: the two indices of a
+    pair listed twice get the same mark. The three cycle-preserving pairs
+    are always marked: their two sums are equal, or the added one is 0.
+    """
+    dist = instance.distance_array
+    positions = _position_table(instance.n)
+    # per position: its label and its successor's, and the edge between them
+    ends = np.empty((2, len(perm)), dtype=np.intp)
+    ends[0] = perm  # one list to convert: a tuple of two converts at half the speed
+    ends[1, :-1] = ends[0, 1:]
+    ends[1, -1] = perm[0]
+    edges = dist[ends[0], ends[1]]
+    marks = []
+    for lo in range(0, positions.shape[1], _BATCH_MAX):
+        a, c = positions[:, lo : lo + _BATCH_MAX]
+        ac, be = dist[ends.take(a, axis=1), ends.take(c, axis=1)]
+        marks.append(edges.take(a) + edges.take(c) >= (ac + be) * _SHRINK)
+    return np.concatenate(marks)
 
 
 def is_two_opt_local_optimum(instance: Instance, tour: Sequence[int]) -> bool:
@@ -185,16 +310,14 @@ def is_two_opt_local_optimum(instance: Instance, tour: Sequence[int]) -> bool:
     rounded, hence monotone, so the neighbour can be strictly shorter
     only if delta < 0. A pair is skipped when that is ruled out:
 
-    - added = fl(d(a,c) + d(b,e)) and removed = fl(d(a,b) + d(c,e)) carry
-      relative error <= 2^-53 each (non-negative terms), so
-      removed < fl(added * (1 - 2^-48)) implies delta > 0;
+    - the prefilter with margin _SHRINK proves delta > 0;
     - else fsum of the four signed terms has the sign of delta (it is
       correctly rounded, and a nonzero sum of doubles is at least the
       smallest subnormal);
     - (1, n), (2, n) and (1, n-1) leave the cycle, hence the fsum,
       unchanged;
-    - (1, j) removes and adds the edges (j+1, n) does, with the same
-      stored values, so row 1 is left to those pairs.
+    - the pairs (1, j) are left to (j+1, n), which remove and add the
+      same edges (see _position_table).
 
     Any other pair is confirmed with the neighbour's full fsum and the
     strict <, and the scan goes on if the confirm fails.

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from tsplab import Instance, InstanceMetrics, Point, apply_inversion, apply_jump, canonical_form, tour_length, validate
+from tsplab import Instance, InstanceMetrics, apply_inversion, apply_jump, canonical_form, tour_length, validate
 from tsplab.errors import CollinearTripleError, TooSmallError
 from tsplab.geom import distance, gamma_of, min_uncross_gain_of
 from tsplab.oracle import OracleResult, _shortest, hull_order_tours
@@ -51,9 +51,16 @@ def square() -> Instance:
     return validate([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 
-@pytest.fixture
-def square_plus_center() -> Instance:
-    return validate([(0, 0), (4, 0), (4, 4), (0, 4), (2, 1)])
+# sizes a generator rejects before any draw: (family, sizes and m, message)
+BAD_SIZES = [
+    pytest.param("grid", {"n": 2, "m": 64}, "need n >= 3, got 2", id="grid-n"),
+    pytest.param("grid", {"n": 5, "m": 2}, "grid side must be >= 3, got 2", id="grid-m"),
+    pytest.param("convex", {"n": 2, "m": 64}, "need n >= 3, got 2", id="convex-n"),
+    pytest.param("convex", {"n": 10, "m": 64}, "convex placement needs m >= 8n (m=64, n=10)", id="convex-m"),
+    pytest.param("inner", {"h": 2, "k": 1, "m": 64}, "need h >= 3 hull points, got 2", id="inner-h"),
+    pytest.param("inner", {"h": 5, "k": -1, "m": 64}, "need k >= 0 inner points, got -1", id="inner-k"),
+    pytest.param("inner", {"h": 5, "k": 1, "m": 39}, "convex placement needs m >= 8h (m=39, h=5)", id="inner-m"),
+]
 
 
 class ForcedRng:
@@ -198,11 +205,10 @@ def full_scan_local_optimum(instance: Instance, tour) -> bool:
     comparing slow_tour_length values with a strict <."""
     n = len(tour)
     base = slow_tour_length(instance, tour)
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            neighbour = tour[: i - 1] + tour[i - 1 : j][::-1] + tour[j:]
-            if slow_tour_length(instance, neighbour) < base:
-                return False
+    for i, j in inversion_pairs(n):
+        neighbour = tour[: i - 1] + tour[i - 1 : j][::-1] + tour[j:]
+        if slow_tour_length(instance, neighbour) < base:
+            return False
     return True
 
 
@@ -235,6 +241,21 @@ def scalar_xoshiro_stream(s0: int, s1: int, s2: int, s3: int):
         s0 ^= s3
         s2 ^= t
         s3 = (s3 << 45 | s3 >> 19) & _MASK64
+
+
+def counting_class(counter: list[int]):
+    """A Xoshiro256StarStar subclass that adds each raw draw to counter[0]
+    the way a tracing wrapper does: it overrides next_u64 and delegates to
+    the base class."""
+
+    class Counting(Xoshiro256StarStar):
+        __slots__ = ()
+
+        def next_u64(self):
+            counter[0] += 1
+            return Xoshiro256StarStar.next_u64(self)
+
+    return Counting
 
 
 def random_tour(n: int, rng: Xoshiro256StarStar) -> tuple[int, ...]:

@@ -45,7 +45,7 @@ from tsplab.oracle import (
 from tsplab.rng import Xoshiro256StarStar
 from tsplab.search import mutation_statistics
 
-from conftest import cli_env, random_tour
+from conftest import cli_env, inversion_pairs, random_tour
 
 
 def report(cid: int, ok: bool, detail: str) -> None:
@@ -200,15 +200,14 @@ def test_c06_improving_neighbors_stay_intersection_free(small_inner_instances):
         n = inst.n
         for t in enumerate_intersection_free(inst):
             base = tour_length(inst, t)
-            for i in range(1, n):
-                for j in range(i + 1, n + 1):
-                    y = apply_inversion(t, i, j)
-                    if tour_length(inst, y) < base:
-                        checked += 1
-                        if not is_intersection_free(inst, y):
-                            violations += 1
-                            if witness is None:
-                                witness = (idx, t, (i, j))
+            for i, j in inversion_pairs(n):
+                y = apply_inversion(t, i, j)
+                if tour_length(inst, y) < base:
+                    checked += 1
+                    if not is_intersection_free(inst, y):
+                        violations += 1
+                        if witness is None:
+                            witness = (idx, t, (i, j))
     ok = violations == 0
     report(
         6,
@@ -369,11 +368,16 @@ def test_c12_accounting_and_reproducibility(tmp_path):
     # byte-identical reruns of every command
     child_failures = []
 
-    def run_cli(*args):
-        r = subprocess.run(
-            [sys.executable, "-m", "tsplab.cli", *args],
-            capture_output=True, cwd=tmp_path, env=cli_env(),
-        )
+    def run_cli(*args, timeout=120):
+        # a command that hangs fails the criterion by name after `timeout`
+        # seconds instead of stalling the suite
+        try:
+            r = subprocess.run(
+                [sys.executable, "-m", "tsplab.cli", *args],
+                capture_output=True, cwd=tmp_path, env=cli_env(), timeout=timeout,
+            )
+        except subprocess.TimeoutExpired:
+            r = subprocess.CompletedProcess(args, None, b"", f"timed out after {timeout} s".encode())
         if r.returncode != 0:
             tail = r.stderr.decode(errors="replace").strip().splitlines()[-3:]
             failure = f"`tsplab.cli {' '.join(args)}` exited {r.returncode}: {' | '.join(tail)}"

@@ -15,7 +15,7 @@ from tsplab import generate_with_inner, read_instance, read_tour
 from tsplab.errors import GenerationExhaustedError, ParseError, TsplabError
 from tsplab.experiment import CSV_COLUMNS, make_instance, parse_config, run_experiment, strongest_oracle, write_csv
 
-from conftest import SRC_DIR, cli_env
+from conftest import BAD_SIZES, SRC_DIR, cli_env
 
 
 def cli(*args, cwd=None, timeout=120):
@@ -31,12 +31,29 @@ def cli(*args, cwd=None, timeout=120):
     )
 
 
+def forbid(monkeypatch, module, *names, why="ran before the flags were checked"):
+    """Make each named function of module fail the test if it is called."""
+    for name in names:
+
+        def must_not_run(*_, name=name, **__):
+            raise AssertionError(f"{name} {why}")
+
+        monkeypatch.setattr(module, name, must_not_run)
+
+
 # the run CSV header, written out so that a change to the schema shows here
 CSV_HEADER = (
     "instance_id,n,k,m,epsilon,gamma,algorithm,mu,lambda,mutation,seed,generations,"
     "fitness_evals,alpha_steps,beta_steps,reached_optimum,reached_local_optimum,"
     "final_length,optimum_length"
 )
+
+
+@pytest.fixture
+def square_file(tmp_path):
+    path = tmp_path / "square.tsp"
+    path.write_text("4 2\n0 0\n1 0\n1 1\n0 1\n", encoding="utf-8")
+    return path
 
 
 class TestGenerate:
@@ -60,6 +77,14 @@ class TestGenerate:
         r = cli("generate", "--family", "grid", "--n", "5", "--m", "4294967296", "--seed", "1", "--out", str(tmp_path / "x.tsp"))
         assert r.returncode == 1
         assert "m=4294967296" in r.stderr and "coordinate" not in r.stderr
+
+    @pytest.mark.parametrize("family,sizes,message", BAD_SIZES)
+    def test_bad_size_exits_1_and_names_it(self, tmp_path, capsys, family, sizes, message):
+        out = tmp_path / "x.tsp"
+        args = [f"--{key}={value}" for key, value in sizes.items()]
+        assert tsplab.cli.main(["generate", "--family", family, *args, "--seed", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_grid_exhaustion_exit_code(self, tmp_path):
         r = cli("generate", "--family", "grid", "--n", "10", "--m", "3", "--seed", "1", "--out", str(tmp_path / "x.tsp"))
@@ -94,10 +119,7 @@ class TestGenerate:
         ],
     )
     def test_inapplicable_flag_rejected(self, tmp_path, monkeypatch, capsys, flag, args):
-        def must_not_run(*_):
-            raise AssertionError("ran before the flags were checked")
-
-        monkeypatch.setattr(tsplab.cli, "make_instance", must_not_run)
+        forbid(monkeypatch, tsplab.cli, "make_instance")
         out = tmp_path / "x.tsp"
         assert tsplab.cli.main(["generate", *args, "--m", "256", "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -111,12 +133,6 @@ class TestGenerate:
 
 
 class TestSolve:
-    @pytest.fixture
-    def square_file(self, tmp_path):
-        path = tmp_path / "square.tsp"
-        path.write_text("4 2\n0 0\n1 0\n1 1\n0 1\n", encoding="utf-8")
-        return path
-
     def test_rls_square(self, square_file):
         r = cli("solve", str(square_file), "--algorithm", "rls", "--budget", "10000", "--seed", "3")
         assert r.returncode == 0
@@ -192,11 +208,7 @@ class TestSolve:
         ],
     )
     def test_bad_counts_rejected_before_any_work(self, square_file, monkeypatch, capsys, flag, args):
-        def must_not_run(*_):
-            raise AssertionError("ran before the flags were checked")
-
-        monkeypatch.setattr(tsplab.cli, "read_instance", must_not_run)
-        monkeypatch.setattr(tsplab.cli, "strongest_oracle", must_not_run)
+        forbid(monkeypatch, tsplab.cli, "read_instance", "strongest_oracle")
         assert tsplab.cli.main(["solve", str(square_file), *args]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: ")
@@ -204,10 +216,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])
     def test_bad_optimum_rejected_before_any_work(self, square_file, monkeypatch, capsys, value):
-        def must_not_run(*_):
-            raise AssertionError("ran before the flags were checked")
-
-        monkeypatch.setattr(tsplab.cli, "read_instance", must_not_run)
+        forbid(monkeypatch, tsplab.cli, "read_instance")
         argv = ["solve", str(square_file), "--algorithm", "rls", "--budget", "10", f"--optimum={value}"]
         assert tsplab.cli.main(argv) == 1
         err = capsys.readouterr().err
@@ -217,10 +226,7 @@ class TestSolve:
         "flag, args", [("--mu", ("--mu", "4")), ("--lambda", ("--lambda", "2")), ("--mutation", ("--mutation", "mixed"))]
     )
     def test_ea_flags_rejected_for_rls(self, square_file, monkeypatch, capsys, flag, args):
-        def must_not_run(*_):
-            raise AssertionError("ran before the flags were checked")
-
-        monkeypatch.setattr(tsplab.cli, "read_instance", must_not_run)
+        forbid(monkeypatch, tsplab.cli, "read_instance")
         argv = ["solve", str(square_file), "--algorithm", "rls", "--budget", "10", *args]
         assert tsplab.cli.main(argv) == 1
         err = capsys.readouterr().err
@@ -235,10 +241,8 @@ class TestSolve:
 
 
 class TestOracleCmd:
-    def test_square_brute(self, tmp_path):
-        path = tmp_path / "square.tsp"
-        path.write_text("4 2\n0 0\n1 0\n1 1\n0 1\n", encoding="utf-8")
-        r = cli("oracle", str(path), "--method", "brute", "--tour-out", str(tmp_path / "opt.tour"))
+    def test_square_brute(self, tmp_path, square_file):
+        r = cli("oracle", str(square_file), "--method", "brute", "--tour-out", str(tmp_path / "opt.tour"))
         assert r.returncode == 0
         assert r.stdout.startswith("optimum=4.0")
         assert read_tour(tmp_path / "opt.tour") == (1, 2, 3, 4)
@@ -337,10 +341,7 @@ out = {out}
         ids=["missing_directory", "directory"],
     )
     def test_unwritable_out_rejected_before_any_instance(self, tmp_path, monkeypatch, capsys, out, message):
-        def must_not_run(*_):
-            raise AssertionError("built an instance before out was checked")
-
-        monkeypatch.setattr(tsplab.experiment, "make_instance", must_not_run)
+        forbid(monkeypatch, tsplab.experiment, "make_instance", why="ran before out was checked")
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(self.CONFIG.format(out=f"{tmp_path}/{out}"), encoding="utf-8")
         assert tsplab.cli.main(["experiment", str(cfg)]) == 1
@@ -371,10 +372,7 @@ class TestOutputPathCheckedFirst:
 
     def rejects(self, monkeypatch, capsys, spied, argv, name, bad_out):
         for module, attr in spied:
-            def must_not_run(*_, attr=attr, **__):
-                raise AssertionError(f"{attr} called before the output path was checked")
-
-            monkeypatch.setattr(module, attr, must_not_run)
+            forbid(monkeypatch, module, attr, why="ran before the output path was checked")
         assert tsplab.cli.main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
@@ -384,10 +382,8 @@ class TestOutputPathCheckedFirst:
         argv = ["generate", "--family", "grid", "--n", "6", "--m", "32", "--out", bad_out]
         self.rejects(monkeypatch, capsys, [(tsplab.cli, "make_instance")], argv, "--out", bad_out)
 
-    def test_oracle(self, monkeypatch, capsys, tmp_path, bad_out):
-        path = tmp_path / "g.tsp"
-        path.write_text("4 2\n0 0\n1 0\n1 1\n0 1\n", encoding="utf-8")
-        argv = ["oracle", str(path), "--method", "held_karp", "--tour-out", bad_out]
+    def test_oracle(self, monkeypatch, capsys, square_file, bad_out):
+        argv = ["oracle", str(square_file), "--method", "held_karp", "--tour-out", bad_out]
         spied = [
             (tsplab.cli, attr)
             for attr in ("read_instance", "brute_force_optimum", "held_karp_optimum", "hull_order_optimum")
@@ -464,10 +460,7 @@ class TestExperimentParts:
 
     def test_inner_paired_shape_runs_no_held_karp(self, monkeypatch):
         # h = 9, k = 3: hull order builds 990 tours, Held-Karp's table has 11 * 2^11 entries
-        def must_not_run(inst):
-            raise AssertionError("Held-Karp called")
-
-        monkeypatch.setattr(tsplab.experiment, "held_karp_optimum", must_not_run)
+        forbid(monkeypatch, tsplab.experiment, "held_karp_optimum", why="ran where hull order builds fewer tours")
         cfg = dataclasses.replace(parse_config(SRC_DIR.parent / "configs" / "inner_paired.cfg"), budget=50, runs=1)
         records = run_experiment(cfg)[0]
         assert len(records) == 2
@@ -561,6 +554,10 @@ class TestParseConfig:
             (INNER.replace("h = 6", "h = 6,7,6"), "line 2: repeated value 6 in 'h'"),
             (INNER.replace("k = 2", "k = 2,2"), "line 3: repeated value 2 in 'k'"),
             (INNER + "n = 8\n", "line 8: 'n' does not apply to family 'inner'"),
+            (BASE.replace("convex", "ring"), "^family must be grid, convex, or inner, got 'ring'$"),
+            (GRID.replace("grid", "Grid"), "^family must be grid, convex, or inner, got 'Grid'$"),
+            (BASE.replace("rls", "sa"), "^algorithm must be rls or ea, got 'sa'$"),
+            (INNER.replace("ea", "EA"), "^algorithm must be rls or ea, got 'EA'$"),
         ],
     )
     def test_rejected_config(self, tmp_path, text, message):

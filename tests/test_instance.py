@@ -29,34 +29,23 @@ from tsplab.errors import (
 )
 
 from tsplab.instance import RETRY_BUDGET, Instance
-from tsplab.rng import Xoshiro256StarStar
 
-from conftest import brute_hull
+from conftest import BAD_SIZES, brute_hull, counting_class
 
 
 def count_generator_work(monkeypatch, gen, *args):
     """gen(*args) with its raw draws and collinearity checks counted:
     (instance or the GenerationExhaustedError raised, draws, checks)."""
-    counts = {"draws": 0, "checks": 0}
+    draws, checks = [0], []
     check = tsplab.instance.collinear_with_any
-
-    class Counting(Xoshiro256StarStar):
-        def next_u64(self):
-            counts["draws"] += 1
-            return Xoshiro256StarStar.next_u64(self)
-
-    def counted_check(coords, cand):
-        counts["checks"] += 1
-        return check(coords, cand)
-
     with monkeypatch.context() as mp:
-        mp.setattr(tsplab.instance, "Xoshiro256StarStar", Counting)
-        mp.setattr(tsplab.instance, "collinear_with_any", counted_check)
+        mp.setattr(tsplab.instance, "Xoshiro256StarStar", counting_class(draws))
+        mp.setattr(tsplab.instance, "collinear_with_any", lambda coords, cand: checks.append(cand) or check(coords, cand))
         try:
             result = gen(*args)
         except GenerationExhaustedError as exc:
             result = exc
-    return result, counts["draws"], counts["checks"]
+    return result, draws[0], len(checks)
 
 
 class TestValidate:
@@ -138,6 +127,25 @@ def test_grid_side_above_2_31_rejected_before_any_draw(monkeypatch, generate, si
             generate(*sizes, m, 1)
 
 
+@pytest.mark.parametrize("family,sizes,message", BAD_SIZES)
+def test_bad_sizes_rejected_before_any_draw(monkeypatch, family, sizes, message):
+    draws = [0]
+    monkeypatch.setattr(tsplab.instance, "Xoshiro256StarStar", counting_class(draws))
+    generate = {"grid": generate_grid, "convex": generate_convex, "inner": generate_with_inner}[family]
+    with pytest.raises(ValueError) as err:
+        generate(*sizes.values(), 1)
+    assert str(err.value) == message and draws == [0]
+
+
+@pytest.mark.parametrize("budget", [1, 6])
+def test_placement_gives_up_after_the_draw_budget(monkeypatch, budget):
+    # two raw draws per candidate, one candidate per budgeted draw
+    monkeypatch.setattr(tsplab.instance, "RETRY_BUDGET", budget)
+    result, draws, _ = count_generator_work(monkeypatch, generate_grid, 10, 1024, 1)
+    assert str(result) == f"could not place 10 collinear-free points on a 1024x1024 grid within {budget} draws"
+    assert isinstance(result, GenerationExhaustedError) and draws == 2 * budget
+
+
 class TestGenerateGrid:
     def test_deterministic(self):
         a = generate_grid(10, 100, 1)
@@ -203,6 +211,30 @@ class TestGenerateConvex:
     def test_headroom_enforced(self):
         with pytest.raises(ValueError):
             generate_convex(10, 64, 0)
+
+    # a configuration validate rejects redraws one point, the offender:
+    # the last of a collinear triple, or the first point off the hull
+    @pytest.mark.parametrize("n,m,seed,judged", [(64, 512, 12, "collinear"), (80, 640, 2, "off the hull")])
+    def test_offending_point_is_redrawn(self, monkeypatch, n, m, seed, judged):
+        check = tsplab.instance.validate
+        calls = []  # (coords, verdict, offender)
+
+        def judging(coords, grid_size=None):
+            try:
+                inst = check(coords, grid_size=grid_size)
+            except CollinearTripleError as exc:
+                calls.append((list(coords), "collinear", [exc.labels[2] - 1]))
+                raise
+            off = [i for i in range(inst.n) if i + 1 not in inst.hull]
+            calls.append((list(coords), "off the hull" if off else "convex", off[:1]))
+            return inst
+
+        monkeypatch.setattr(tsplab.instance, "validate", judging)
+        inst = generate_convex(n, m, seed)
+        assert [verdict for _, verdict, _ in calls] == [judged, "convex"]
+        (before, _, offender), (after, _, _) = calls
+        assert [i for i in range(n) if before[i] != after[i]] == offender
+        assert inst.n == len(inst.hull) == n and generate_convex(n, m, seed) == inst
 
 
 class TestGenerateWithInner:

@@ -484,3 +484,12 @@ class TestJumpsToOptimum:
         t[1], t[3] = t[3], t[1]
         with pytest.raises(ValueError):
             jumps_to_optimum(inst, tuple(t), inst.hull)
+
+    @pytest.mark.parametrize("p,q", [(1, 3), (0, 2), (2, 5)])
+    def test_rejects_hull_breaking_target(self, p, q):
+        inst = generate_convex(6, 64, 9)
+        target = list(inst.hull)
+        target[p], target[q] = target[q], target[p]
+        assert not respects_hull_order(inst, target)
+        with pytest.raises(ValueError, match="^target does not respect hull order$"):
+            jumps_to_optimum(inst, inst.hull, tuple(target))

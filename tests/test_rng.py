@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 import test_search_reference
-from conftest import cli_env, scalar_xoshiro_stream, splitmix64_state
+from conftest import cli_env, counting_class, scalar_xoshiro_stream, splitmix64_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_search_reference import reference_ea, reference_rls
@@ -149,20 +149,6 @@ class TestBlockStream:
             Xoshiro256StarStar.from_state(*words)
 
 
-def counting_class(counter: list[int]):
-    """A subclass counting raw draws the way a tracing wrapper does: it
-    overrides the method and delegates to the base class."""
-
-    class Counting(Xoshiro256StarStar):
-        __slots__ = ()
-
-        def next_u64(self):
-            counter[0] += 1
-            return Xoshiro256StarStar.next_u64(self)
-
-    return Counting
-
-
 class TestOverrideContract:
     """An overriding subclass sees every draw of the library and keeps its
     trajectories."""
@@ -200,16 +186,13 @@ class TestOverrideContract:
         assert fast_draws == slow_draws >= fast.generations + inst.n - 1
 
     def marked_run(self, monkeypatch, inst, budget, seed, optimum_value=None):
-        """check_marking's run, drawing through counting_class, and its
-        draw count, which must be reference_rls's."""
-        counter = [0]
-        with monkeypatch.context() as m:
-            m.setattr(tsplab.search, "Xoshiro256StarStar", counting_class(counter))
-            result = test_search_reference.check_marking(m, inst, budget, seed, optimum_value, draws=counter)
-        slow, slow_draws = self.counted(
+        """check_marking's run, whose draw count (n - 1 + generations, which
+        check_marking counts through counting_class) must be reference_rls's."""
+        result = test_search_reference.check_marking(monkeypatch, inst, budget, seed, optimum_value)
+        _, slow_draws = self.counted(
             monkeypatch, test_search_reference, lambda: reference_rls(inst, budget, seed, optimum_value)
         )
-        assert counter[0] == slow_draws >= slow.generations + inst.n - 1
+        assert slow_draws == inst.n - 1 + result[0].generations
         return result
 
     def test_rls_draw_count_on_a_batched_run(self, monkeypatch):
@@ -405,6 +388,6 @@ class TestMemory:
             "print(r._table.cache_info().currsize)"
         )
         out = subprocess.run(
-            [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True, check=True, timeout=120
         )
         assert out.stdout.strip() == "0"

@@ -29,14 +29,8 @@ from tsplab import (
 from tsplab.errors import CollinearTripleError, DuplicatePointError, GenerationExhaustedError
 from tsplab.oracle import held_karp_optimum, hull_order_optimum
 from tsplab.rng import Xoshiro256StarStar
-from tsplab.search import (
-    _INV_E,
-    _SHRINK,
-    _child_pricer,
-    _ea_margin_unit,
-    _reflection_table,
-    _tour_marks,
-)
+from tsplab.search import _INV_E, _child_pricer, _ea_margin_unit
+from tsplab.tour import _SHRINK, _reflection_table, _tour_marks
 
 import test_search_reference
 from conftest import ForcedRng, cycle_edges, inversion_pairs, reference_mutation
@@ -45,7 +39,9 @@ from test_search_reference import (
     marks_threshold,
     reference_ea,
     reference_rls,
-    reference_steps,
+    reference_walk,
+    rls_delta,
+    spy_lengths,
     steps_on_marks,
 )
 
@@ -309,11 +305,6 @@ class ScriptedRng(Xoshiro256StarStar):
         return np.array(self.script[self.at : self.at + k], dtype=np.uint64)
 
 
-def identity_shuffle(n):
-    """Draws that make Fisher-Yates leave range(n) as it is."""
-    return list(range(n - 1, 0, -1))
-
-
 def uniform_draw(r):
     return int(r * 2**53) << 11
 
@@ -388,13 +379,6 @@ def price_child(inst, kind, moves, tour):
     return est, reps, tuple(v + 1 for v in lst)
 
 
-def run_scripted(monkeypatch, instance, cfg, script):
-    """run_ea on scripted raw draws."""
-    monkeypatch.setattr(ScriptedRng, "script", script)
-    monkeypatch.setattr(tsplab.search, "Xoshiro256StarStar", ScriptedRng)
-    return run_ea(instance, cfg)
-
-
 class TestEAChildPricing:
     """run_ea prices a child as parent fitness plus move deltas; the
     estimate must stay within the proven margin of the exact length."""
@@ -411,9 +395,10 @@ class TestEAChildPricing:
         exact = tour_length(inst, child)
         worst = tour_length(inst, parent)
         assert abs(est - exact) <= reps * _ea_margin_unit(inst.distance_matrix, n)
-        # run_ea on the same draws: ties prefer the offspring
+        # run_ea and reference_ea on the same draws: ties prefer the offspring
         cfg = EAConfig(mutation=MutationSpec(kind), max_generations=1)
-        traj = run_scripted(monkeypatch, inst, cfg, identity_shuffle(n) + child_draws(n, kind, moves))
+        script = shuffle_draws(range(n)) + child_draws(n, kind, moves)
+        traj, _ = scripted(monkeypatch, script, lambda: run_ea(inst, cfg), lambda: reference_ea(inst, cfg))
         assert traj.final_tour == (child if exact <= worst else parent)
         return est, exact, worst
 
@@ -462,13 +447,13 @@ class TestEAChildPricing:
         worse = max(inversion_pairs(n), key=lambda p: tour_length(inst, apply_inversion(tied, *p)))
         est, _, _ = price_child(inst, "two_opt", ("inversion", [worse]), tied)
         assert est > tour_length(inst, parent) + _ea_margin_unit(inst.distance_matrix, n)  # priced out
-        script = identity_shuffle(n) * 2
+        script = shuffle_draws(range(n)) * 2
         script += [0] + child_draws(n, "two_opt", ("inversion", [(1, n - 1)]))
         script += [0] + child_draws(n, "two_opt", ("inversion", [worse]))
-        one = run_scripted(monkeypatch, inst, EAConfig(mu=2, lam=1, max_generations=1), script)
-        assert one.final_tour == tied
-        two = run_scripted(monkeypatch, inst, EAConfig(mu=2, lam=1, max_generations=2), script)
-        assert two.final_tour == parent
+        for generations, survivor in ((1, tied), (2, parent)):
+            cfg = EAConfig(mu=2, lam=1, max_generations=generations)
+            run, _ = scripted(monkeypatch, script, lambda: run_ea(inst, cfg), lambda: reference_ea(inst, cfg))
+            assert run.final_tour == survivor
 
     @settings(max_examples=300)
     @given(data=st.data())
@@ -495,14 +480,25 @@ class TestEAChildPricing:
         assert abs(est - tour_length(inst, child)) <= reps * _ea_margin_unit(inst.distance_matrix, n)
 
 
+def test_run_ea_samples_away_words_over_the_limit(monkeypatch):
+    # a word at or over a rejection limit is drawn again, as randbelow
+    # does, for the parent, the pair and the jump; the reference draws
+    # each through randbelow
+    inst = generate_grid(9, 1024, 31)
+    n = inst.n
+    top = 2**64 - 1  # over the limits of 3 parents, 36 pairs and 72 jumps
+    script = shuffle_draws(range(n)) * 3
+    for parent, moves in ((2, ("inversion", [(2, 5)])), (1, ("jump", [(3, 7)]))):
+        child = child_draws(n, "mixed", moves)
+        script += [top, parent, *child[:-1], top, child[-1]]
+    cfg = EAConfig(mu=3, lam=1, mutation=MutationSpec("mixed"), max_generations=2)
+    _, drawn = scripted(monkeypatch, script, lambda: run_ea(inst, cfg), lambda: reference_ea(inst, cfg))
+    assert drawn == len(script)
+
+
 def scalar_accepts(instance, perm, i, j):
-    """run_rls's scalar rule for the inversion (i, j) of the 0-based perm."""
-    n = instance.n
-    if (i, j) == (1, n):
-        return True
-    d = instance.distance_matrix
-    a, b, c, e = perm[i - 2], perm[i - 1], perm[j - 1], perm[j % n]
-    return d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e] <= 0.0
+    """Whether run_rls's float rule accepts inversion (i, j) of the 0-based perm."""
+    return rls_delta(instance, tuple(v + 1 for v in perm), i, j) <= 0.0
 
 
 def rejection_limit(n):
@@ -549,13 +545,10 @@ def shuffle_draws(perm):
     return draws
 
 
-def scripted_rls(monkeypatch, inst, perm, values, optimum_value=None):
-    """run_rls from the 0-based perm on the raw words `values` (a
-    ScriptedRng), for as many steps as they hold words below the
-    rejection limit: it must be reference_rls's run on the same words,
-    and draw as many of them. Returns the run and the number of words of
-    `values` it drew."""
-    n = inst.n
+def scripted(monkeypatch, script, fast, slow):
+    """fast() and slow(), runs of tsplab.search and of its reference in
+    test_search_reference, each on the raw words `script` (a ScriptedRng):
+    the same result from as many words. Returns it and the words drawn."""
     made = []
 
     class Recorded(ScriptedRng):
@@ -563,15 +556,29 @@ def scripted_rls(monkeypatch, inst, perm, values, optimum_value=None):
             super().__init__(seed)
             made.append(self)
 
-    monkeypatch.setattr(ScriptedRng, "script", shuffle_draws(perm) + list(values))
-    budget = sum(v < rejection_limit(n) for v in values)
-    runs = []
-    for module, run in ((test_search_reference, reference_rls), (tsplab.search, run_rls)):
+    monkeypatch.setattr(ScriptedRng, "script", script)
+    results = []
+    for module, run in ((test_search_reference, slow), (tsplab.search, fast)):
         with monkeypatch.context() as m:
             m.setattr(module, "Xoshiro256StarStar", Recorded)
-            runs.append(run(inst, budget, 0, optimum_value))
-    assert runs[0] == runs[1] and made[0].at == made[1].at
-    return runs[1], made[1].at - (n - 1)
+            results.append(run())
+    assert results[0] == results[1] and made[0].at == made[1].at
+    return results[1], made[1].at
+
+
+def scripted_rls(monkeypatch, inst, perm, values, optimum_value=None):
+    """run_rls from the 0-based perm on the raw words `values`, for as
+    many steps as they hold words below the rejection limit, checked by
+    `scripted` against reference_rls. Returns the run and the number of
+    words of `values` it drew."""
+    budget = sum(v < rejection_limit(inst.n) for v in values)
+    run, drawn = scripted(
+        monkeypatch,
+        shuffle_draws(perm) + list(values),
+        lambda: run_rls(inst, budget, 0, optimum_value),
+        lambda: reference_rls(inst, budget, 0, optimum_value),
+    )
+    return run, drawn - (inst.n - 1)
 
 
 def rejected_words(inst, *perms):
@@ -593,37 +600,54 @@ def cycle_preserving_draws(n):
     return [inversion_draw(n, 1, n), inversion_draw(n, 2, n), inversion_draw(n, 1, n - 1)]
 
 
-class TestStretchScanner:
-    """run_rls on a few scripted words, on a young cycle and on a marked
-    one (after `standing` words): the same run and the same draws as
-    reference_rls on the same words. A marked cycle prices only the words
-    that pick a marked pair; the full reversal, (2, n) and (1, n-1) carry
-    its marks, and any other accepted step drops them."""
+class TestRlsOnScriptedWords:
+    """run_rls on scripted words (scripted_rls), on a young cycle and on a
+    marked one (after `standing` words): the same run and the same draws
+    as reference_rls on the same words. A marked cycle prices only the
+    words that pick a marked pair; the full reversal, (2, n) and (1, n-1)
+    carry its marks, and any other accepted step drops them."""
 
-    def test_words_over_the_limit_are_no_steps(self, monkeypatch):
+    # (script, steps, words drawn): L is the rejection limit, M = 2^64 - 1,
+    # P the pair count, rev the full reversal, r and s pairs the start tour
+    # rejects (and its reverse, but for the script with up, which starts
+    # from a shuffled tour and picks up a pair that changes the cycle)
+    OVER_THE_LIMIT = [
+        ("L r L+1 s M rev r", 4, 7),
+        ("r L s L", 2, 3),
+        ("L rev L", 1, 2),
+        ("r L L s", 2, 4),  # rounds of one word, each over the limit
+        ("r+7P rev+5P s", 3, 3),  # a word picks its pair modulo P
+        ("L r L+1 rev M s", 3, 6),
+        ("r L M", 1, 1),
+        ("L M L r", 1, 4),
+        ("r L up r", 3, 4),  # a word over the limit just before a new cycle
+    ]
+
+    @pytest.mark.parametrize("head", ["young", "marked"])
+    @pytest.mark.parametrize("script,steps,drawn", OVER_THE_LIMIT, ids=[c[0].replace(" ", ",") for c in OVER_THE_LIMIT])
+    def test_words_over_the_limit_are_no_steps(self, monkeypatch, script, steps, drawn, head):
+        # a sampled-away word is part of the step after it, so words after
+        # the last step are not drawn
         inst = generate_grid(10, 64, 5)
         n = inst.n
-        perm = local_optimum(inst, 1)
-        r, s = rejected_words(inst, perm, perm[::-1])[:2]
-        rev = inversion_draw(n, 1, n)
-        limit = rejection_limit(n)
         npairs = n * (n - 1) // 2
-        for head in ([], standing(inst, perm)):
-
-            def run(*values):
-                fast, drawn = scripted_rls(monkeypatch, inst, perm, head + list(values))
-                return fast.generations - len(head), drawn - len(head)
-
-            # (steps, words drawn): a sampled-away word is part of the step
-            # after it, so words after the last step are not drawn
-            assert run(limit, r, limit + 1, s, 2**64 - 1, rev, r) == (4, 7)
-            assert run(r, limit, s, limit) == (2, 3)
-            assert run(limit, rev, limit) == (1, 2)
-            # rounds of one word, each over the limit
-            assert run(r, limit, limit, s) == (2, 4)
-            # a word picks its pair modulo the pair count
-            fast, _ = scripted_rls(monkeypatch, inst, perm, head + [r + 7 * npairs, rev + 5 * npairs, s])
-            assert fast.final_tour == tuple(v + 1 for v in perm[::-1])
+        limit = rejection_limit(n)
+        rev = inversion_draw(n, 1, n)
+        if "up" in script:
+            perm = list(range(n))
+            Xoshiro256StarStar(5).shuffle(perm)
+            r, s = rejected_words(inst, perm)[0], None
+            up = next(t for t, (i, j) in enumerate(inversion_pairs(n)) if j - i < n - 2 and scalar_accepts(inst, perm, i, j))
+        else:
+            perm = local_optimum(inst, 1)
+            (r, s), up = rejected_words(inst, perm, perm[::-1])[:2], None
+        words = {"L": limit, "L+1": limit + 1, "M": 2**64 - 1, "rev": rev, "rev+5P": rev + 5 * npairs}
+        words.update({"r": r, "r+7P": r + 7 * npairs, "s": s, "up": up})
+        head = [] if head == "young" else standing(inst, perm)
+        fast, got = scripted_rls(monkeypatch, inst, perm, head + [words[w] for w in script.split()])
+        assert (fast.generations - len(head), got - len(head)) == (steps, drawn)
+        if "up" not in script:  # only rev moves the tour
+            assert fast.final_tour == tuple(v + 1 for v in (perm[::-1] if script.count("rev") % 2 else perm))
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_full_reversal_always_hits(self, monkeypatch, seed):
@@ -646,8 +670,7 @@ class TestStretchScanner:
         # (a, b, x, c, e) swaps ab, ce for ac, be, all of length 1
         inst = validate([(0, 0), (1, 0), (0, 1), (1, 1), (3, 7)])
         perm = [0, 1, 4, 2, 3]
-        d = inst.distance_matrix
-        assert d[0 * 5 + 2] + d[1 * 5 + 3] - d[0 * 5 + 1] - d[2 * 5 + 3] == 0.0
+        assert rls_delta(inst, (1, 2, 5, 3, 4), 2, 4) == 0.0
         zero = inversion_draw(5, 2, 4)
         rejected = rejected_words(inst, perm)
         for head in ([], standing(inst, perm)):
@@ -657,34 +680,44 @@ class TestStretchScanner:
             assert (fast.generations, drawn) == (len(head) + 2 * len(rejected) + 1,) * 2
 
     @pytest.mark.parametrize("instance_seed,scale", [(1, 1), (2, 1), (217, 1), (1, WIDE_SCALE)], ids=["1", "2", "217", "wide"])
-    def test_agrees_with_scalar_rule_on_every_pair_of_a_tie_heavy_grid(self, monkeypatch, instance_seed, scale):
+    @pytest.mark.parametrize("streams", [False, True], ids=["each-pair", "streams"])
+    def test_agrees_with_scalar_rule_on_a_tie_heavy_grid(self, monkeypatch, streams, instance_seed, scale):
         # a 7 x 7 grid makes equal edge lengths, so deltas that cancel to
         # 0.0 or round around it are common; scaled to the 32-bit range it
-        # keeps its ties, and its squared lengths pass 2^53
+        # keeps its ties, and its squared lengths pass 2^53. Each pair
+        # alone, then all in a shuffled order, from 2 local optima and 20
+        # shuffled tours; or 30 random 300-word streams from 3 and 3
         inst = scaled(generate_grid(11, 7, instance_seed), scale)
         n = inst.n
-        d = inst.distance_matrix
         pairs = inversion_pairs(n)
+        limit = rejection_limit(n)
+        cps = cycle_preserving_draws(n)
         rng = Xoshiro256StarStar(instance_seed)
-        perms = [local_optimum(inst, seed) for seed in (1, 2)]
-        for _ in range(20):
-            perm = list(range(n))
-            rng.shuffle(perm)
-            perms.append(perm)
+        perms = [local_optimum(inst, seed) for seed in ((1, 2, 3) if streams else (1, 2))]
+        for _ in range(3 if streams else 20):
+            perms.append(list(range(n)))
+            rng.shuffle(perms[-1])
         ties = 0
         for perm in perms:
             tour = tuple(v + 1 for v in perm)
-            for head in ([], standing(inst, perm)):
+            ties += sum(rls_delta(inst, tour, i, j) == 0.0 for i, j in pairs if (i, j) != (1, n))
+            heads = ([], standing(inst, perm))
+            if streams:
+                for _ in range(30):
+                    # many cycle-preserving words, so that marked cycles
+                    # move their marks often, and one over the limit
+                    words = [cps[rng.randbelow(3)] if rng.randbelow(4) == 0 else rng.randbelow(len(pairs)) for _ in range(300)]
+                    words[rng.randbelow(300)] = limit + rng.randbelow(2**64 - limit)
+                    for head in heads:
+                        scripted_rls(monkeypatch, inst, perm, head + words)
+                continue
+            for head in heads:
                 for t, (i, j) in enumerate(pairs):
                     fast, _ = scripted_rls(monkeypatch, inst, perm, head + [t])
                     assert fast.final_tour == (apply_inversion(tour, i, j) if scalar_accepts(inst, perm, i, j) else tour)
                 order = list(range(len(pairs)))
                 rng.shuffle(order)
                 scripted_rls(monkeypatch, inst, perm, head + order)
-            for i, j in pairs:
-                if (i, j) != (1, n):
-                    a, b, c, e = perm[i - 2], perm[i - 1], perm[j - 1], perm[j % n]
-                    ties += d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e] == 0.0
         assert ties > 0
 
     @pytest.mark.parametrize("instance_seed", [1, 2, 3])
@@ -694,59 +727,6 @@ class TestStretchScanner:
         result, _, marked = check_marking(monkeypatch, inst, 8000, instance_seed)
         assert steps_on_marks(marked) > result.generations // 2
 
-
-class TestWalk:
-    """run_rls on many scripted words, young and marked cycles in turn,
-    against reference_rls on the same words."""
-
-    def test_words_over_the_limit_are_no_steps(self, monkeypatch):
-        inst = generate_grid(10, 64, 5)
-        n = inst.n
-        perm = local_optimum(inst, 1)
-        r, s = rejected_words(inst, perm, perm[::-1])[:2]
-        rev = inversion_draw(n, 1, n)
-        limit = rejection_limit(n)
-        shuffled = list(range(n))
-        Xoshiro256StarStar(5).shuffle(shuffled)
-        improving = next(
-            t for t, (i, j) in enumerate(inversion_pairs(n)) if j - i < n - 2 and scalar_accepts(inst, shuffled, i, j)
-        )
-        for head in ([], standing(inst, perm)):
-
-            def run(*values, perm=perm):
-                fast, drawn = scripted_rls(monkeypatch, inst, perm, head + list(values))
-                return fast.generations - len(head), drawn - len(head)
-
-            assert run(limit, r, limit + 1, rev, 2**64 - 1, s) == (3, 6)
-            assert run(r, limit, 2**64 - 1) == (1, 1)
-            assert run(limit, 2**64 - 1, limit, r) == (1, 4)
-        # a word over the limit just before a step that changes the cycle
-        r = rejected_words(inst, shuffled)[0]
-        for head in ([], standing(inst, shuffled)):
-            assert run(r, limit, improving, r, perm=shuffled) == (3, 4)
-
-    @pytest.mark.parametrize("instance_seed,scale", [(1, 1), (2, 1), (217, 1), (1, WIDE_SCALE)], ids=["1", "2", "217", "wide"])
-    def test_agrees_with_scalar_rule_on_a_tie_heavy_grid(self, monkeypatch, instance_seed, scale):
-        inst = scaled(generate_grid(11, 7, instance_seed), scale)
-        n = inst.n
-        rng = Xoshiro256StarStar(instance_seed)
-        npairs = n * (n - 1) // 2
-        tours = [local_optimum(inst, seed) for seed in (1, 2, 3)]
-        for _ in range(3):
-            shuffled = list(range(n))
-            rng.shuffle(shuffled)
-            tours.append(shuffled)
-        cps = cycle_preserving_draws(n)
-        for perm in tours:
-            marked = standing(inst, perm)
-            for _ in range(30):
-                # many cycle-preserving words, so that marked cycles move
-                # their marks often, and a few words over the limit
-                values = [cps[rng.randbelow(3)] if rng.randbelow(4) == 0 else rng.randbelow(npairs) for _ in range(300)]
-                values[rng.randbelow(300)] = rejection_limit(n) + rng.randbelow(2**64 - rejection_limit(n))
-                for head in ([], marked):
-                    scripted_rls(monkeypatch, inst, perm, head + values)
-
     def test_stops_before_the_certification_and_the_optimum_check(self, monkeypatch):
         # the certification and the optimum check run after an accepted
         # (2, n) or (1, n-1) priced from the marks, as after any accepted
@@ -755,14 +735,8 @@ class TestWalk:
         n = inst.n
         rev = inversion_draw(n, 1, n)
         limit = rejection_limit(n)
-        summed = [0]
-        fsum = tsplab.search._fsum_length
-
-        def spy(d, n, perm):
-            summed[0] += 1
-            return fsum(d, n, perm)
-
-        monkeypatch.setattr(tsplab.search, "_fsum_length", spy)
+        summed = []
+        spy_lengths(monkeypatch, summed.append)
         checked = Counter()
         for seed in range(1, 9):
             perm = local_optimum(inst, seed)
@@ -785,9 +759,9 @@ class TestWalk:
                 # start, which sums it twice
                 value = tour_length(inst, tuple(v + 1 for v in perm)) * (1 - 1e-11)
                 for tail, sums in (([draw, head[0]], 3), ([head[0]], 2)):
-                    summed[0] = 0
+                    summed.clear()
                     fast, _ = scripted_rls(monkeypatch, inst, perm, head + tail, optimum_value=value)
-                    assert not fast.reached_optimum and summed[0] == sums
+                    assert not fast.reached_optimum and len(summed) == sums
                 checked[i, j] += 1
         assert checked[2, n] > 0 and checked[1, n - 1] > 0
 
@@ -834,9 +808,9 @@ class TestCandidateMarks:
 
     @pytest.mark.parametrize("n", [5, 11, 70, 200])
     def test_picked_pairs_get_the_tour_marks(self, n):
-        # the whole tour is marked in slices of _BATCH_MAX pairs, several at
-        # n = 70 and 200; a picked pair's mark is the prefilter on its four
-        # stored lengths
+        # _tour_marks marks the whole tour in slices of 2048 pairs
+        # (tour._BATCH_MAX), several at n = 70 and 200; a picked pair's mark
+        # is the prefilter on its four stored lengths
         inst = generate_grid(n, 1024, n)
         d = inst.distance_matrix
         pairs = inversion_pairs(n)
@@ -892,11 +866,9 @@ class TestCandidateMarks:
 def accepted_inversions(instance, steps, seed):
     """(tour before, tour after) of each accepted inversion but the full
     reversal in the first `steps` steps of run_rls(instance, _, seed),
-    replayed by reference_steps."""
-    perm = list(range(instance.n))
-    Xoshiro256StarStar(seed).shuffle(perm)
-    before = tuple(v + 1 for v in perm)
-    for i, j, delta, after in reference_steps(instance, steps, seed):
+    replayed by reference_walk."""
+    before, walk = reference_walk(instance, seed)
+    for i, j, delta, after in itertools.islice(walk, steps):
         if delta <= 0.0 and (i, j) != (1, instance.n):
             yield before, after
         before = after
@@ -914,6 +886,29 @@ def spy_witness_kernels(monkeypatch):
 
         monkeypatch.setattr(tsplab.search, name, spy)
     return calls
+
+
+def witness_path(inst, before, after, made):
+    """How a search loop kept its crossing witness from the tour `before`
+    to the tour `after`, given the kernel calls `made` on `after`; checks
+    that the calls follow _update_witness's rule."""
+    added = len(cycle_edges(after) - cycle_edges(before))
+    if added == 0:
+        assert made == []
+        return "same cycle"
+    if is_intersection_free(inst, before):
+        # only an added edge can cross: checked, no rescan
+        checked = made.count("_segment_crossing")
+        assert made == ["_segment_crossing"] * checked and 1 <= checked <= added
+        assert checked == added or not is_intersection_free(inst, after)
+        return "added edges on a crossing-free tour"
+    if not made:
+        return "witness kept"
+    if "_crossings0" in made:
+        assert made == ["_segment_crossing"] * added + ["_crossings0"]
+        return "rescan after the witness was removed"
+    assert set(made) == {"_segment_crossing"} and not is_intersection_free(inst, after)
+    return "an added edge crosses"
 
 
 class TestRlsCrossingWitness:
@@ -938,22 +933,11 @@ class TestRlsCrossingWitness:
                 made = []
                 while calls and calls[0][1] == after:
                     made.append(calls.pop(0)[0])
-                if cycle_edges(after) == cycle_edges(before):
-                    # (2, n) or (1, n-1): the same edges, the same witness
-                    assert made == []
-                    paths["cycle kept"] += 1
-                elif is_intersection_free(inst, before):
-                    # only an added edge can cross: checked, no rescan
-                    assert made and set(made) == {"_segment_crossing"}
-                    paths["added edges on a crossing-free tour"] += 1
-                elif not made:
-                    paths["witness kept"] += 1
-                elif "_crossings0" in made:
-                    assert made[-1] == "_crossings0" and made.count("_crossings0") == 1
-                    paths["rescan after the witness was removed"] += 1
+                # (2, n) and (1, n-1) keep the same edges, so the witness
+                paths[witness_path(inst, before, after, made)] += 1
             assert calls == []
         assert paths["witness kept"] > paths["rescan after the witness was removed"] > 0
-        assert paths["added edges on a crossing-free tour"] > 0 and paths["cycle kept"] > 0
+        assert paths["added edges on a crossing-free tour"] > 0 and paths["same cycle"] > 0
 
     # identity tours whose first crossing pair has an edge that the
     # cycle-preserving inversion removes and re-adds (its float delta is 0)
@@ -974,13 +958,8 @@ class TestRlsCrossingWitness:
             tour = apply_inversion(tour, *move)
         # a last full reversal, a beta step
         moves = [pair] + uncross + [(1, n)]
-        monkeypatch.setattr(ScriptedRng, "script", identity_shuffle(n) + [inversion_draw(n, i, j) for i, j in moves])
-        monkeypatch.setattr(test_search_reference, "Xoshiro256StarStar", ScriptedRng)
-        slow = reference_rls(inst, len(moves), 0)
-        monkeypatch.setattr(tsplab.search, "Xoshiro256StarStar", ScriptedRng)
         calls = spy_witness_kernels(monkeypatch)
-        fast = run_rls(inst, len(moves), 0)
-        assert fast == slow
+        fast, _ = scripted_rls(monkeypatch, inst, list(range(n)), [inversion_draw(n, i, j) for i, j in moves])
         assert (fast.alpha_steps, fast.beta_steps) == (1 + len(uncross), 1)
         assert fast.final_tour == tour[::-1]
         # the move was accepted and kept the witness: it ran no kernel
@@ -1042,24 +1021,9 @@ class TestEaCrossingWitness:
                     classified[-1][1].append(name)
             assert compressed([t for t, _ in classified]) == compressed(bests)
             for (before, _), (after, made) in zip(classified, classified[1:]):
-                added = len(cycle_edges(after) - cycle_edges(before))
-                if added == 0:
-                    assert made == []
-                    if before != after:
-                        paths["same cycle"] += 1
-                elif is_intersection_free(inst, before):
-                    # only an added edge can cross: checked, no rescan
-                    checked = made.count("_segment_crossing")
-                    assert made == ["_segment_crossing"] * checked and 1 <= checked <= added
-                    assert checked == added or not is_intersection_free(inst, after)
-                    paths["added edges on a crossing-free tour"] += 1
-                elif not made:
-                    paths["witness kept"] += 1
-                elif "_crossings0" in made:
-                    assert made == ["_segment_crossing"] * added + ["_crossings0"]
-                    paths["rescan after the witness was removed"] += 1
-                else:
-                    assert set(made) == {"_segment_crossing"} and not is_intersection_free(inst, after)
+                path = witness_path(inst, before, after, made)
+                if path != "same cycle" or before != after:
+                    paths[path] += 1
         assert set(paths) >= {
             "same cycle",
             "witness kept",
@@ -1076,3 +1040,11 @@ class TestMutationSpecValidation:
     def test_ea_config_checked(self):
         with pytest.raises(ValueError):
             EAConfig(mu=0)
+
+
+@pytest.mark.parametrize("bad", [0, -3])
+def test_budget_below_one_rejected(square, bad):
+    with pytest.raises(ValueError, match="^budget must be >= 1$"):
+        run_rls(square, bad, 1)
+    with pytest.raises(ValueError, match="^max_generations must be >= 1$"):
+        EAConfig(max_generations=bad)

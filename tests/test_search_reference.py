@@ -34,17 +34,48 @@ from tsplab.rng import Xoshiro256StarStar
 import tsplab.search
 from tsplab.search import _REVALIDATE_EVERY, Trajectory
 
-from conftest import inversion_pairs, reference_mutation
+from conftest import counting_class, inversion_pairs, reference_mutation
+
+
+def rls_delta(instance, tour, i, j):
+    """run_rls's float rule: the delta of the inversion (i, j) of the
+    1-based tour, d_ac + d_be - d_ab - d_ce summed left to right from the
+    stored lengths, or 0.0 for the full reversal (1, n). The step is
+    accepted iff it is <= 0.0."""
+    n = instance.n
+    if (i, j) == (1, n):
+        return 0.0
+    d = instance.distance_matrix
+    a, b, c, e = (tour[k] - 1 for k in (i - 2, i - 1, j - 1, j % n))
+    return d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e]
+
+
+def reference_walk(instance, seed):
+    """run_rls(instance, _, seed)'s start tour (1-based), and an endless
+    iterator of its steps by the reference rule: per step, the (i, j) it
+    picked, its rls_delta, and the tour after it (the same tuple if the
+    step was rejected). It draws as run_rls does: the shuffle, then one
+    randbelow per step taken from the iterator."""
+    rng = Xoshiro256StarStar(seed)
+    perm = list(range(instance.n))
+    rng.shuffle(perm)
+    start = tuple(v + 1 for v in perm)
+
+    def steps(tour=start):
+        pairs = inversion_pairs(instance.n)
+        while True:
+            i, j = pairs[rng.randbelow(len(pairs))]
+            delta = rls_delta(instance, tour, i, j)
+            if delta <= 0.0:
+                tour = apply_inversion(tour, i, j)
+            yield i, j, delta, tour
+
+    return start, steps()
 
 
 def reference_rls(instance, budget, seed, optimum_value=None):
     n = instance.n
-    d = instance.distance_matrix
-    rng = Xoshiro256StarStar(seed)
-    perm = list(range(n))
-    rng.shuffle(perm)
-    tour = tuple(v + 1 for v in perm)
-    pairs = inversion_pairs(n)
+    tour, walk = reference_walk(instance, seed)
     rel = None if optimum_value is None else optimum_value * 1e-12
 
     def optimal(t):
@@ -62,24 +93,11 @@ def reference_rls(instance, budget, seed, optimum_value=None):
                 checked, crossed = tour, bool(crossing_pairs(instance, tour))
             alpha += 1 if crossed else 0
             gens += 1
-            i, j = pairs[rng.randbelow(len(pairs))]
-            if (i, j) == (1, n):
-                tour = tour[::-1]
-                accepted += 1
-                continue
-            a = tour[i - 2]
-            b = tour[i - 1]
-            c = tour[j - 1]
-            e = tour[j % n]
-            delta = (
-                d[(a - 1) * n + (c - 1)]
-                + d[(b - 1) * n + (e - 1)]
-                - d[(a - 1) * n + (b - 1)]
-                - d[(c - 1) * n + (e - 1)]
-            )
+            i, j, delta, tour = next(walk)
             if delta <= 0.0:
-                tour = apply_inversion(tour, i, j)
                 accepted += 1
+                if (i, j) == (1, n):
+                    continue  # the full reversal: no check follows it
                 if optimum_value is not None:
                     if optimal(tour):
                         reached = True
@@ -174,44 +192,16 @@ def test_rls_matches_reference_past_revalidation():
     assert fast == slow
 
 
-def counting_generator(patch):
-    """Make run_rls draw through a subclass that counts its draws, the way
-    a tracing wrapper does: overriding next_u64 and delegating. Returns
-    the counter, [draws]."""
-    draws = [0]
+def spy_lengths(monkeypatch, record):
+    """Call record(perm) on each 0-based tour whose length the search
+    loops sum in full (_fsum_length)."""
+    fsum = tsplab.search._fsum_length
 
-    class Counting(Xoshiro256StarStar):
-        __slots__ = ()
+    def spy(d, n, perm):
+        record(perm)
+        return fsum(d, n, perm)
 
-        def next_u64(self):
-            draws[0] += 1
-            return Xoshiro256StarStar.next_u64(self)
-
-    patch.setattr(tsplab.search, "Xoshiro256StarStar", Counting)
-    return draws
-
-
-def reference_steps(instance, steps, seed):
-    """The first `steps` steps of run_rls(instance, _, seed), replayed by
-    the reference rule (draws as in reference_rls): per step, the 1-based
-    (i, j) it picked, its float delta (0.0 for the full reversal; the
-    step is accepted iff delta <= 0.0) and the tour after it."""
-    n = instance.n
-    d = instance.distance_matrix
-    rng = Xoshiro256StarStar(seed)
-    perm = list(range(n))
-    rng.shuffle(perm)
-    tour = tuple(perm)
-    pairs = inversion_pairs(n)
-    made = []
-    for _ in range(steps):
-        i, j = pairs[rng.randbelow(len(pairs))]
-        a, b, c, e = tour[i - 2], tour[i - 1], tour[j - 1], tour[j % n]
-        delta = 0.0 if (i, j) == (1, n) else d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e]
-        if delta <= 0.0:
-            tour = apply_inversion(tour, i, j)
-        made.append((i, j, delta, tuple(v + 1 for v in tour)))
-    return made
+    monkeypatch.setattr(tsplab.search, "_fsum_length", spy)
 
 
 def marks_threshold(n):
@@ -222,7 +212,7 @@ def marks_threshold(n):
 def check_marking(monkeypatch, instance, budget, seed, optimum_value=None, batch_max=None, draws=None):
     """run_rls(instance, budget, seed, optimum_value), with a series,
     checked against reference_rls, and where it marked checked against
-    the reference replay (reference_steps).
+    the reference replay (reference_walk).
 
     A cycle made at step c (0 for the start) that stands threshold =
     max(_BATCH_AFTER, npairs // 8) steps, with a step after them, is
@@ -233,9 +223,9 @@ def check_marking(monkeypatch, instance, budget, seed, optimum_value=None, batch
     that changes it or the run's last, are priced from the marks, which
     follow each accepted full reversal, (2, n) and (1, n-1) among them
     through one _reflection_table row. `draws` is the counter of a
-    counting_generator already in place, if any.
+    counting_class already in place, if any.
 
-    Returns the run, its steps (reference_steps) and the (round start, p,
+    Returns the run, its steps (reference_walk's) and the (round start, p,
     end) of each marking."""
     n = instance.n
     threshold = marks_threshold(n)
@@ -254,7 +244,8 @@ def check_marking(monkeypatch, instance, budget, seed, optimum_value=None, batch
 
     with monkeypatch.context() as m:
         if draws is None:
-            draws = counting_generator(m)
+            draws = [0]
+            m.setattr(tsplab.search, "Xoshiro256StarStar", counting_class(draws))
         if batch_max is not None:
             m.setattr(tsplab.search, "_BATCH_MAX", batch_max)
         m.setattr(tsplab.search, "_tour_marks", marking)
@@ -262,7 +253,7 @@ def check_marking(monkeypatch, instance, budget, seed, optimum_value=None, batch
         fast = run_rls(instance, budget, seed, optimum_value=optimum_value, record_series=True)
     assert dataclasses.replace(fast, best_fitness_series=None) == reference_rls(instance, budget, seed, optimum_value)
     assert draws[0] == n - 1 + fast.generations
-    made = reference_steps(instance, fast.generations, seed)
+    made = list(itertools.islice(reference_walk(instance, seed)[1], fast.generations))
     spans = []
     start = 0
     for s, (i, j, delta, _) in enumerate(made, 1):
@@ -308,15 +299,10 @@ def test_rls_matches_reference_on_idle_runs(monkeypatch, n, budget, instance_see
 def test_rls_batches_match_reference_past_revalidation(monkeypatch):
     budget = _REVALIDATE_EVERY + 5000
     inst = generate_grid(32, 1024, 219)
-    draws = counting_generator(monkeypatch)
-    fsum = tsplab.search._fsum_length
+    draws = [0]
+    monkeypatch.setattr(tsplab.search, "Xoshiro256StarStar", counting_class(draws))
     recomputed = []  # draws made when run_rls recomputes its length
-
-    def spy(d, n, perm):
-        recomputed.append(draws[0])
-        return fsum(d, n, perm)
-
-    monkeypatch.setattr(tsplab.search, "_fsum_length", spy)
+    spy_lengths(monkeypatch, lambda perm: recomputed.append(draws[0]))
     fast, _, marked = check_marking(monkeypatch, inst, budget, 4, draws=draws)
     assert steps_on_marks(marked) > budget // 2
     # after the shuffle, and after exactly _REVALIDATE_EVERY steps of one
@@ -342,6 +328,15 @@ def test_rls_reaches_optimum_after_a_batched_stretch(monkeypatch, make, seed):
     assert fast.reached_optimum and marked[-1][2] == fast.generations
 
 
+def series_sha256(runs):
+    """SHA-256 of the series run_rls records on each (instance, budget,
+    seed, optimum) of runs."""
+    h = hashlib.sha256()
+    for instance, budget, seed, optimum in runs:
+        h.update(repr(run_rls(instance, budget, seed, optimum, record_series=True).best_fitness_series).encode())
+    return h.hexdigest()
+
+
 def test_rls_series_unchanged():
     # SHA-256 of the series these runs recorded before rejected stretches
     # were priced in batches
@@ -353,11 +348,7 @@ def test_rls_series_unchanged():
         (generate_grid(32, 1024, 7), 70000, 3, None),
         (inst, 20000, 7, opt),
     ]
-    h = hashlib.sha256()
-    for instance, budget, seed, optimum in runs:
-        traj = run_rls(instance, budget, seed, optimum_value=optimum, record_series=True)
-        h.update(repr(traj.best_fitness_series).encode())
-    assert h.hexdigest() == "23eb5dab4d9a84d2d67241dafaa2dace8152b09e485533ab96c46499c0fc4064"
+    assert series_sha256(runs) == "23eb5dab4d9a84d2d67241dafaa2dace8152b09e485533ab96c46499c0fc4064"
 
 
 @pytest.mark.parametrize("n,seed", [(6, 1), (6, 3), (7, 1), (7, 2), (8, 2), (8, 3), (9, 1), (9, 3)])
@@ -448,13 +439,7 @@ def test_rls_young_batch_stops_before_an_optimum_check(monkeypatch, h, k, instan
     inst, value = parked_below(h, k, instance_seed)
     n = inst.n
     summed = []
-    fsum = tsplab.search._fsum_length
-
-    def spy(d, n, perm):
-        summed.append(tuple(v + 1 for v in perm))
-        return fsum(d, n, perm)
-
-    monkeypatch.setattr(tsplab.search, "_fsum_length", spy)
+    spy_lengths(monkeypatch, lambda perm: summed.append(tuple(v + 1 for v in perm)))
     fast, made, marked = check_marking(monkeypatch, inst, 20000, seed, optimum_value=value)
     assert not fast.reached_optimum and fast.final_length == pytest.approx(value, rel=1e-10)
     opt_hi = value * (1 + tsplab.search._OPT_TRIGGER)
@@ -494,11 +479,7 @@ def test_rls_series_unchanged_on_walked_runs():
         (parked, 5000, 2, held_karp_optimum(parked).optimum_value),
         (generate_grid(11, 6, 2), 8000, 3, None),
     ]
-    h = hashlib.sha256()
-    for instance, budget, seed, optimum in runs:
-        traj = run_rls(instance, budget, seed, optimum_value=optimum, record_series=True)
-        h.update(repr(traj.best_fitness_series).encode())
-    assert h.hexdigest() == "b7920b49ae05e317381125f4ddf98094afe79e031775d697aef7a6be6869df9e"
+    assert series_sha256(runs) == "b7920b49ae05e317381125f4ddf98094afe79e031775d697aef7a6be6869df9e"
 
 
 @pytest.mark.parametrize("mu,lam,kind", [(1, 1, "two_opt"), (3, 5, "mixed"), (2, 2, "two_opt")])

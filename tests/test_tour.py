@@ -36,6 +36,7 @@ from conftest import (
     cycle_edges,
     frac_segments_cross,
     full_scan_local_optimum,
+    inversion_pairs,
     random_tour,
     slow_tour_length,
 )
@@ -109,19 +110,18 @@ class TestApplyInversion:
         for _ in range(10):
             t = random_tour(n, rng)
             old = cycle_edges(t)
-            for i in range(1, n):
-                for j in range(i + 1, n + 1):
-                    new = cycle_edges(apply_inversion(t, i, j))
-                    if (i, j) in ((1, n), (2, n), (1, n - 1)):
-                        assert new == old
-                        continue
-                    removed = old - new
-                    added = new - old
-                    xi_1 = t[(i - 2) % n]
-                    xi, xj = t[i - 1], t[j - 1]
-                    xj1 = t[j % n]
-                    assert removed == {frozenset((xi_1, xi)), frozenset((xj, xj1))}
-                    assert added == {frozenset((xi_1, xj)), frozenset((xi, xj1))}
+            for i, j in inversion_pairs(n):
+                new = cycle_edges(apply_inversion(t, i, j))
+                if (i, j) in ((1, n), (2, n), (1, n - 1)):
+                    assert new == old
+                    continue
+                removed = old - new
+                added = new - old
+                xi_1 = t[(i - 2) % n]
+                xi, xj = t[i - 1], t[j - 1]
+                xj1 = t[j % n]
+                assert removed == {frozenset((xi_1, xi)), frozenset((xj, xj1))}
+                assert added == {frozenset((xi_1, xj)), frozenset((xi, xj1))}
 
 
 class TestApplyJump:
@@ -141,6 +141,11 @@ class TestApplyJump:
     def test_bad_indices(self):
         with pytest.raises(ValueError):
             apply_jump((1, 2, 3), 2, 2)
+
+    @pytest.mark.parametrize("i,j", [(0, 2), (2, 0), (6, 2), (2, 6), (-1, 3), (3, -1)])
+    def test_positions_out_of_range(self, i, j):
+        with pytest.raises(ValueError, match=rf"^positions out of range: \({i}, {j}\)$"):
+            apply_jump((1, 2, 3, 4, 5), i, j)
 
 
 class TestJumpAsInversions:
@@ -376,25 +381,19 @@ class TestImprovingNeighborsOfCrossingFreeTours:
         # an improving inversion's two replacement edges cannot cross
         # each other (the quadrangle inequality would contradict the
         # improvement); verified exhaustively
-        from tsplab import segments_properly_intersect
-        from conftest import cycle_edges
-
         for seed in (91, 92):
             inst = generate_with_inner(6, 2, 256, seed)
             pts = {p.id: p for p in inst.points}
             n = inst.n
             for t in enumerate_intersection_free(inst):
                 base = tour_length(inst, t)
-                for i in range(1, n):
-                    for j in range(i + 1, n + 1):
-                        y = apply_inversion(t, i, j)
-                        if tour_length(inst, y) < base:
-                            added = list(cycle_edges(y) - cycle_edges(t))
-                            if len(added) == 2:
-                                (a, b), (c, d) = [tuple(e) for e in added]
-                                assert not segments_properly_intersect(
-                                    pts[a], pts[b], pts[c], pts[d]
-                                )
+                for i, j in inversion_pairs(n):
+                    y = apply_inversion(t, i, j)
+                    if tour_length(inst, y) < base:
+                        added = list(cycle_edges(y) - cycle_edges(t))
+                        if len(added) == 2:
+                            (a, b), (c, d) = [tuple(e) for e in added]
+                            assert not segments_properly_intersect(pts[a], pts[b], pts[c], pts[d])
 
     def test_known_counterexample_new_edge_can_cross_old_edge(self):
         # a strictly improving inversion on a crossing-free tour CAN
