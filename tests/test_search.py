@@ -600,6 +600,52 @@ def cycle_preserving_draws(n):
     return [inversion_draw(n, 1, n), inversion_draw(n, 2, n), inversion_draw(n, 1, n - 1)]
 
 
+TIE_HEAVY_GRIDS = pytest.mark.parametrize(
+    "instance_seed,scale", [(1, 1), (2, 1), (217, 1), (1, WIDE_SCALE)], ids=["1", "2", "217", "wide"]
+)
+
+
+def agrees_on_a_tie_heavy_grid(monkeypatch, instance_seed, scale, streams):
+    """scripted_rls on a 7 x 7 grid, on a young cycle and on a marked one:
+    each pair alone, then all in a shuffled order, from 2 local optima and
+    20 shuffled tours; or, with streams, 30 random 300-word streams from 3
+    and 3. The grid makes equal edge lengths, so deltas that cancel to 0.0
+    or round around it are common; scaled to the 32-bit range it keeps its
+    ties, and its squared lengths pass 2^53."""
+    inst = scaled(generate_grid(11, 7, instance_seed), scale)
+    n = inst.n
+    pairs = inversion_pairs(n)
+    limit = rejection_limit(n)
+    cps = cycle_preserving_draws(n)
+    rng = Xoshiro256StarStar(instance_seed)
+    perms = [local_optimum(inst, seed) for seed in ((1, 2, 3) if streams else (1, 2))]
+    for _ in range(3 if streams else 20):
+        perms.append(list(range(n)))
+        rng.shuffle(perms[-1])
+    ties = 0
+    for perm in perms:
+        tour = tuple(v + 1 for v in perm)
+        ties += sum(rls_delta(inst, tour, i, j) == 0.0 for i, j in pairs if (i, j) != (1, n))
+        heads = ([], standing(inst, perm))
+        if streams:
+            for _ in range(30):
+                # many cycle-preserving words, so that marked cycles
+                # move their marks often, and one over the limit
+                words = [cps[rng.randbelow(3)] if rng.randbelow(4) == 0 else rng.randbelow(len(pairs)) for _ in range(300)]
+                words[rng.randbelow(300)] = limit + rng.randbelow(2**64 - limit)
+                for head in heads:
+                    scripted_rls(monkeypatch, inst, perm, head + words)
+            continue
+        for head in heads:
+            for t, (i, j) in enumerate(pairs):
+                fast, _ = scripted_rls(monkeypatch, inst, perm, head + [t])
+                assert fast.final_tour == (apply_inversion(tour, i, j) if scalar_accepts(inst, perm, i, j) else tour)
+            order = list(range(len(pairs)))
+            rng.shuffle(order)
+            scripted_rls(monkeypatch, inst, perm, head + order)
+    assert ties > 0
+
+
 class TestRlsOnScriptedWords:
     """run_rls on scripted words (scripted_rls), on a young cycle and on a
     marked one (after `standing` words): the same run and the same draws
@@ -679,46 +725,9 @@ class TestRlsOnScriptedWords:
             fast, drawn = scripted_rls(monkeypatch, inst, perm, head + [*rejected, zero, *rejected])
             assert (fast.generations, drawn) == (len(head) + 2 * len(rejected) + 1,) * 2
 
-    @pytest.mark.parametrize("instance_seed,scale", [(1, 1), (2, 1), (217, 1), (1, WIDE_SCALE)], ids=["1", "2", "217", "wide"])
-    @pytest.mark.parametrize("streams", [False, True], ids=["each-pair", "streams"])
-    def test_agrees_with_scalar_rule_on_a_tie_heavy_grid(self, monkeypatch, streams, instance_seed, scale):
-        # a 7 x 7 grid makes equal edge lengths, so deltas that cancel to
-        # 0.0 or round around it are common; scaled to the 32-bit range it
-        # keeps its ties, and its squared lengths pass 2^53. Each pair
-        # alone, then all in a shuffled order, from 2 local optima and 20
-        # shuffled tours; or 30 random 300-word streams from 3 and 3
-        inst = scaled(generate_grid(11, 7, instance_seed), scale)
-        n = inst.n
-        pairs = inversion_pairs(n)
-        limit = rejection_limit(n)
-        cps = cycle_preserving_draws(n)
-        rng = Xoshiro256StarStar(instance_seed)
-        perms = [local_optimum(inst, seed) for seed in ((1, 2, 3) if streams else (1, 2))]
-        for _ in range(3 if streams else 20):
-            perms.append(list(range(n)))
-            rng.shuffle(perms[-1])
-        ties = 0
-        for perm in perms:
-            tour = tuple(v + 1 for v in perm)
-            ties += sum(rls_delta(inst, tour, i, j) == 0.0 for i, j in pairs if (i, j) != (1, n))
-            heads = ([], standing(inst, perm))
-            if streams:
-                for _ in range(30):
-                    # many cycle-preserving words, so that marked cycles
-                    # move their marks often, and one over the limit
-                    words = [cps[rng.randbelow(3)] if rng.randbelow(4) == 0 else rng.randbelow(len(pairs)) for _ in range(300)]
-                    words[rng.randbelow(300)] = limit + rng.randbelow(2**64 - limit)
-                    for head in heads:
-                        scripted_rls(monkeypatch, inst, perm, head + words)
-                continue
-            for head in heads:
-                for t, (i, j) in enumerate(pairs):
-                    fast, _ = scripted_rls(monkeypatch, inst, perm, head + [t])
-                    assert fast.final_tour == (apply_inversion(tour, i, j) if scalar_accepts(inst, perm, i, j) else tour)
-                order = list(range(len(pairs)))
-                rng.shuffle(order)
-                scripted_rls(monkeypatch, inst, perm, head + order)
-        assert ties > 0
+    @TIE_HEAVY_GRIDS
+    def test_agrees_with_scalar_rule_on_every_pair_of_a_tie_heavy_grid(self, monkeypatch, instance_seed, scale):
+        agrees_on_a_tie_heavy_grid(monkeypatch, instance_seed, scale, streams=False)
 
     @pytest.mark.parametrize("instance_seed", [1, 2, 3])
     def test_wide_coordinates_are_batched(self, monkeypatch, instance_seed):
@@ -726,6 +735,15 @@ class TestRlsOnScriptedWords:
         assert max(max(map(abs, xs)) for xs in inst.coords) > 2**31 - 2**28
         result, _, marked = check_marking(monkeypatch, inst, 8000, instance_seed)
         assert steps_on_marks(marked) > result.generations // 2
+
+
+class TestWalk:
+    """run_rls on long scripted streams of words, young and marked cycles
+    in turn, against reference_rls on the same words."""
+
+    @TIE_HEAVY_GRIDS
+    def test_agrees_with_scalar_rule_on_a_tie_heavy_grid(self, monkeypatch, instance_seed, scale):
+        agrees_on_a_tie_heavy_grid(monkeypatch, instance_seed, scale, streams=True)
 
     def test_stops_before_the_certification_and_the_optimum_check(self, monkeypatch):
         # the certification and the optimum check run after an accepted
