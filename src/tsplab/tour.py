@@ -254,7 +254,7 @@ def _reflection_table(n: int) -> np.ndarray:
     positions = _position_table(n)
     npairs = positions.shape[1]
     dtype = np.int16 if npairs < 1 << 15 else np.int32
-    k1, k2 = positions % n  # the two edges each pair removes
+    k1, k2 = positions.astype(np.intp) % n  # the two edges each pair removes
     pairs = np.arange(npairs, dtype=dtype)
     # the index of each edge pair, in both orders: the rows i >= 2 first,
     # then the row i = 1 over them, so a pair listed twice keeps its first

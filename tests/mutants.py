@@ -1,7 +1,7 @@
 """Fault injection for the test suite: a table of one-edit mutants of the
 package, each run against the whole Tier-1 suite.
 
-    python tests/mutants.py [--root DIR] [--only NAME ...] [--out FILE] [--against OLD.json]
+    python tests/mutants.py [--root DIR] [--out FILE]
 
 Run it from anywhere; --root is the tree whose src/ and tests/ are used
 (default: the tree this file is in). pytest does not collect this file (it
@@ -12,9 +12,9 @@ failing there (criterion 6, which checks a false claim) kills no mutant.
 
 It writes FILE (default MUTANTS.json in the root): per mutant, the tests
 that kill it; per test, the mutants that only it kills; and the
-behaviour-changing mutants that survive. With --against, a MUTANTS.json
-from another tree (say, before a test edit), it also lists the
-behaviour-changing mutants killed there that survive here.
+behaviour-changing mutants that survive. Running it with --root on
+another tree (say, before a test edit) and comparing the two files'
+survivor lists shows whether an edit lets a mutant newly survive.
 
 A mutant names a file; if its old text has moved to another module of
 the package, the module that holds it exactly once is used. A mutant
@@ -217,15 +217,19 @@ def locate(package: Path, mutant: Mutant):
 # without its list of failures. Ignoring this one warning keeps the list.
 _WARNING = "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
 
+# Seconds one suite run may take before the mutant counts as killed by a
+# hang; an unmutated run takes two to three minutes.
+TIMEOUT = 900.0
 
-def run_suite(tree: Path, timeout: float):
+
+def run_suite(tree: Path):
     """The failing test ids of the suite in `tree` (None if it timed out),
     its summary line, and the seconds it took."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
     start = time.monotonic()
     try:
-        r = subprocess.run(cmd + ["-W", _WARNING], cwd=tree, env=env, capture_output=True, text=True, timeout=timeout)
+        r = subprocess.run(cmd + ["-W", _WARNING], cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return None, "timed out", time.monotonic() - start
     failed = set()
@@ -249,25 +253,21 @@ def copy_tree(root: Path, dest: Path) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
-    parser.add_argument("--only", nargs="*", help="run only these mutants")
     parser.add_argument("--out", type=Path, help="output file (default ROOT/MUTANTS.json)")
-    parser.add_argument("--against", type=Path, help="a MUTANTS.json of another tree to compare with")
-    parser.add_argument("--timeout", type=float, default=900.0, help="seconds per suite run")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     out = args.out or root / "MUTANTS.json"
-    chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
     started = time.monotonic()
     results = []
     with tempfile.TemporaryDirectory(prefix="tsplab-mutants-") as tmp:
         base = Path(tmp) / "base"
         copy_tree(root, base)
-        baseline, base_summary, seconds = run_suite(base, args.timeout)
+        baseline, base_summary, seconds = run_suite(base)
         if baseline is None:
             print("the unmutated suite timed out", file=sys.stderr)
             return 1
         print(f"unmutated: {base_summary}, {seconds:.0f} s", flush=True)
-        for mutant in chosen:
+        for mutant in MUTANTS:
             tree = Path(tmp) / "mutant"
             shutil.copytree(base, tree)
             target = locate(tree / "src" / "tsplab", mutant)
@@ -277,7 +277,7 @@ def main(argv=None) -> int:
                 entry.update(applicable=False, killed_by=[], summary="", seconds=0.0)
             else:
                 target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new), encoding="utf-8")
-                failed, summary, seconds = run_suite(tree, args.timeout)
+                failed, summary, seconds = run_suite(tree)
                 killed_by = ["(suite timed out)"] if failed is None else sorted(failed - baseline)
                 entry.update(applicable=True, killed_by=killed_by, summary=summary, seconds=round(seconds, 1))
             shutil.rmtree(tree)
@@ -298,13 +298,6 @@ def main(argv=None) -> int:
             e["name"] for e in results if e["applicable"] and not e["killed_by"] and not e["equivalent"]
         ],
     }
-    if args.against:
-        before = {e["name"]: e for e in json.loads(args.against.read_text(encoding="utf-8"))["mutants"]}
-        report["newly_surviving"] = [
-            e["name"]
-            for e in results
-            if e["applicable"] and not e["killed_by"] and not e["equivalent"] and before.get(e["name"], {}).get("killed_by")
-        ]
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}: {len(report['surviving_behaviour_changes'])} behaviour-changing survivors", flush=True)
     return 0

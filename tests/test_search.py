@@ -605,45 +605,22 @@ TIE_HEAVY_GRIDS = pytest.mark.parametrize(
 )
 
 
-def agrees_on_a_tie_heavy_grid(monkeypatch, instance_seed, scale, streams):
-    """scripted_rls on a 7 x 7 grid, on a young cycle and on a marked one:
-    each pair alone, then all in a shuffled order, from 2 local optima and
-    20 shuffled tours; or, with streams, 30 random 300-word streams from 3
-    and 3. The grid makes equal edge lengths, so deltas that cancel to 0.0
-    or round around it are common; scaled to the 32-bit range it keeps its
-    ties, and its squared lengths pass 2^53."""
+def tie_heavy_start(instance_seed, scale, optima, shuffled):
+    """A 7 x 7 grid scaled by `scale`, 0-based tours on it (local optima
+    from the seeds `optima`, then `shuffled` shuffled tours), and the
+    generator that shuffled them. Equal edge lengths make deltas that cancel
+    to 0.0 (one is checked) or round around it common; scaled to the 32-bit
+    range the grid keeps its ties, and its squared lengths pass 2^53."""
     inst = scaled(generate_grid(11, 7, instance_seed), scale)
     n = inst.n
-    pairs = inversion_pairs(n)
-    limit = rejection_limit(n)
-    cps = cycle_preserving_draws(n)
     rng = Xoshiro256StarStar(instance_seed)
-    perms = [local_optimum(inst, seed) for seed in ((1, 2, 3) if streams else (1, 2))]
-    for _ in range(3 if streams else 20):
+    perms = [local_optimum(inst, seed) for seed in optima]
+    for _ in range(shuffled):
         perms.append(list(range(n)))
         rng.shuffle(perms[-1])
-    ties = 0
-    for perm in perms:
-        tour = tuple(v + 1 for v in perm)
-        ties += sum(rls_delta(inst, tour, i, j) == 0.0 for i, j in pairs if (i, j) != (1, n))
-        heads = ([], standing(inst, perm))
-        if streams:
-            for _ in range(30):
-                # many cycle-preserving words, so that marked cycles
-                # move their marks often, and one over the limit
-                words = [cps[rng.randbelow(3)] if rng.randbelow(4) == 0 else rng.randbelow(len(pairs)) for _ in range(300)]
-                words[rng.randbelow(300)] = limit + rng.randbelow(2**64 - limit)
-                for head in heads:
-                    scripted_rls(monkeypatch, inst, perm, head + words)
-            continue
-        for head in heads:
-            for t, (i, j) in enumerate(pairs):
-                fast, _ = scripted_rls(monkeypatch, inst, perm, head + [t])
-                assert fast.final_tour == (apply_inversion(tour, i, j) if scalar_accepts(inst, perm, i, j) else tour)
-            order = list(range(len(pairs)))
-            rng.shuffle(order)
-            scripted_rls(monkeypatch, inst, perm, head + order)
-    assert ties > 0
+    tours = [tuple(v + 1 for v in perm) for perm in perms]
+    assert any(rls_delta(inst, t, i, j) == 0.0 for t in tours for i, j in inversion_pairs(n) if (i, j) != (1, n))
+    return inst, perms, rng
 
 
 class TestRlsOnScriptedWords:
@@ -654,9 +631,8 @@ class TestRlsOnScriptedWords:
     carry its marks, and any other accepted step drops them."""
 
     # (script, steps, words drawn): L is the rejection limit, M = 2^64 - 1,
-    # P the pair count, rev the full reversal, r and s pairs the start tour
-    # rejects (and its reverse, but for the script with up, which starts
-    # from a shuffled tour and picks up a pair that changes the cycle)
+    # P the pair count, rev the full reversal, r and s pairs that the
+    # start tour, a local optimum, and its reverse reject
     OVER_THE_LIMIT = [
         ("L r L+1 s M rev r", 4, 7),
         ("r L s L", 2, 3),
@@ -666,7 +642,6 @@ class TestRlsOnScriptedWords:
         ("L r L+1 rev M s", 3, 6),
         ("r L M", 1, 1),
         ("L M L r", 1, 4),
-        ("r L up r", 3, 4),  # a word over the limit just before a new cycle
     ]
 
     @pytest.mark.parametrize("head", ["young", "marked"])
@@ -679,21 +654,28 @@ class TestRlsOnScriptedWords:
         npairs = n * (n - 1) // 2
         limit = rejection_limit(n)
         rev = inversion_draw(n, 1, n)
-        if "up" in script:
-            perm = list(range(n))
-            Xoshiro256StarStar(5).shuffle(perm)
-            r, s = rejected_words(inst, perm)[0], None
-            up = next(t for t, (i, j) in enumerate(inversion_pairs(n)) if j - i < n - 2 and scalar_accepts(inst, perm, i, j))
-        else:
-            perm = local_optimum(inst, 1)
-            (r, s), up = rejected_words(inst, perm, perm[::-1])[:2], None
+        perm = local_optimum(inst, 1)
+        r, s = rejected_words(inst, perm, perm[::-1])[:2]
         words = {"L": limit, "L+1": limit + 1, "M": 2**64 - 1, "rev": rev, "rev+5P": rev + 5 * npairs}
-        words.update({"r": r, "r+7P": r + 7 * npairs, "s": s, "up": up})
+        words.update({"r": r, "r+7P": r + 7 * npairs, "s": s})
         head = [] if head == "young" else standing(inst, perm)
         fast, got = scripted_rls(monkeypatch, inst, perm, head + [words[w] for w in script.split()])
         assert (fast.generations - len(head), got - len(head)) == (steps, drawn)
-        if "up" not in script:  # only rev moves the tour
-            assert fast.final_tour == tuple(v + 1 for v in (perm[::-1] if script.count("rev") % 2 else perm))
+        # only rev moves the tour
+        assert fast.final_tour == tuple(v + 1 for v in (perm[::-1] if script.count("rev") % 2 else perm))
+
+    @pytest.mark.parametrize("head", ["young", "marked"])
+    def test_word_over_the_limit_before_a_new_cycle(self, monkeypatch, head):
+        # r, L, up, r from a shuffled tour that rejects r; up changes the cycle
+        inst = generate_grid(10, 64, 5)
+        n = inst.n
+        perm = list(range(n))
+        Xoshiro256StarStar(5).shuffle(perm)
+        r = rejected_words(inst, perm)[0]
+        up = next(t for t, (i, j) in enumerate(inversion_pairs(n)) if j - i < n - 2 and scalar_accepts(inst, perm, i, j))
+        head = [] if head == "young" else standing(inst, perm)
+        fast, got = scripted_rls(monkeypatch, inst, perm, head + [r, rejection_limit(n), up, r])
+        assert (fast.generations - len(head), got - len(head)) == (3, 4)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_full_reversal_always_hits(self, monkeypatch, seed):
@@ -727,7 +709,19 @@ class TestRlsOnScriptedWords:
 
     @TIE_HEAVY_GRIDS
     def test_agrees_with_scalar_rule_on_every_pair_of_a_tie_heavy_grid(self, monkeypatch, instance_seed, scale):
-        agrees_on_a_tie_heavy_grid(monkeypatch, instance_seed, scale, streams=False)
+        # each pair alone, then all in a shuffled order, from 2 local
+        # optima and 20 shuffled tours
+        inst, perms, rng = tie_heavy_start(instance_seed, scale, (1, 2), 20)
+        pairs = inversion_pairs(inst.n)
+        for perm in perms:
+            tour = tuple(v + 1 for v in perm)
+            for head in ([], standing(inst, perm)):
+                for t, (i, j) in enumerate(pairs):
+                    fast, _ = scripted_rls(monkeypatch, inst, perm, head + [t])
+                    assert fast.final_tour == (apply_inversion(tour, i, j) if scalar_accepts(inst, perm, i, j) else tour)
+                order = list(range(len(pairs)))
+                rng.shuffle(order)
+                scripted_rls(monkeypatch, inst, perm, head + order)
 
     @pytest.mark.parametrize("instance_seed", [1, 2, 3])
     def test_wide_coordinates_are_batched(self, monkeypatch, instance_seed):
@@ -743,7 +737,21 @@ class TestWalk:
 
     @TIE_HEAVY_GRIDS
     def test_agrees_with_scalar_rule_on_a_tie_heavy_grid(self, monkeypatch, instance_seed, scale):
-        agrees_on_a_tie_heavy_grid(monkeypatch, instance_seed, scale, streams=True)
+        # 30 random 300-word streams from 3 local optima and 3 shuffled
+        # tours
+        inst, perms, rng = tie_heavy_start(instance_seed, scale, (1, 2, 3), 3)
+        npairs = inst.n * (inst.n - 1) // 2
+        limit = rejection_limit(inst.n)
+        cps = cycle_preserving_draws(inst.n)
+        for perm in perms:
+            heads = ([], standing(inst, perm))
+            for _ in range(30):
+                # many cycle-preserving words, so that marked cycles
+                # move their marks often, and one over the limit
+                words = [cps[rng.randbelow(3)] if rng.randbelow(4) == 0 else rng.randbelow(npairs) for _ in range(300)]
+                words[rng.randbelow(300)] = limit + rng.randbelow(2**64 - limit)
+                for head in heads:
+                    scripted_rls(monkeypatch, inst, perm, head + words)
 
     def test_stops_before_the_certification_and_the_optimum_check(self, monkeypatch):
         # the certification and the optimum check run after an accepted
@@ -868,13 +876,10 @@ class TestCandidateMarks:
 
     @pytest.mark.parametrize("instance_seed,scale", [(1, 1), (217, 1), (1, WIDE_SCALE)], ids=["1", "217", "wide"])
     def test_reflections_carry_the_marks(self, instance_seed, scale):
-        inst = scaled(generate_grid(11, 7, instance_seed), scale)
+        inst, perms, _ = tie_heavy_start(instance_seed, scale, (), 20)
         n = inst.n
-        rng = Xoshiro256StarStar(instance_seed)
         table = _reflection_table(n)
-        for _ in range(20):
-            perm = list(range(n))
-            rng.shuffle(perm)
+        for perm in perms:
             marks = _tour_marks(inst, perm)
             for row, (i, j) in enumerate([(1, n), (2, n), (1, n - 1)]):
                 moved = list(apply_inversion(tuple(perm), i, j))
