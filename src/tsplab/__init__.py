@@ -47,8 +47,7 @@ from .oracle import (
 )
 from .rng import Xoshiro256StarStar
 from .search import (
-    EAConfig,
-    MutationSpec,
+    MUTATIONS,
     Trajectory,
     run_ea,
     run_rls,

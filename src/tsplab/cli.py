@@ -1,6 +1,9 @@
 """Command-line harness.
 
 Subcommands: generate, solve, oracle, experiment, mutation-stats.
+solve passes its flags to experiment.run_single, and so to run_rls or
+run_ea; an EA run defaults to mu = lambda = 1 and the first operator of
+search.MUTATIONS, as run_ea does.
 Exit codes: 0 success, 1 usage or parse errors, 2 generation or oracle
 infeasibility.
 """
@@ -17,7 +20,7 @@ from .experiment import FAMILY_SIZE_KEYS, SIZE_KEYS, format_csv, make_instance, 
 from .experiment import run_single, strongest_oracle, write_csv
 from .instance import read_instance, write_instance, write_tour
 from .oracle import brute_force_optimum, held_karp_optimum, hull_order_optimum
-from .search import mutation_statistics
+from .search import MUTATIONS, mutation_statistics
 
 
 class _UsageError(Exception):
@@ -51,7 +54,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mu", type=int, help="EA parent count (default 1)")
     p.add_argument("--lambda", dest="lam", type=int, help="EA offspring count (default 1)")
-    p.add_argument("--mutation", choices=["two_opt", "mixed"], help="EA mutation (default two_opt)")
+    p.add_argument("--mutation", choices=MUTATIONS, help=f"EA mutation (default {MUTATIONS[0]})")
     optimum = p.add_mutually_exclusive_group()
     optimum.add_argument("--optimum", type=float, default=None, help="known optimum value")
     optimum.add_argument("--no-oracle", action="store_true", help="skip automatic oracle lookup")
@@ -130,7 +133,7 @@ def cmd_solve(args) -> int:
         optimum = None if res is None else res.optimum_value
     instance_id = args.instance
     record = run_single(
-        inst, instance_id, args.algorithm, mu, lam, args.mutation or "two_opt",
+        inst, instance_id, args.algorithm, mu, lam, args.mutation or MUTATIONS[0],
         args.budget, args.seed, optimum,
     )
     sys.stdout.write(format_csv([record]))

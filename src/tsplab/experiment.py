@@ -27,7 +27,7 @@ from typing import Optional
 from .errors import ParseError, TooLargeError
 from .instance import Instance, generate_convex, generate_grid, generate_with_inner, parse_int
 from .oracle import OracleResult, held_karp_optimum, hull_order_count, hull_order_optimum
-from .search import EAConfig, MutationSpec, run_ea, run_rls
+from .search import MUTATIONS, run_ea, run_rls
 
 # instance seeds sit far away from run seeds (base_seed + run index)
 _INSTANCE_SEED_STRIDE = 100003
@@ -103,7 +103,11 @@ _STR_KEYS = {"family", "algorithm", "out"}
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse the flat `key = value` config format ('#' starts a comment)."""
+    """Parse the flat `key = value` config format ('#' starts a comment).
+
+    `mutation` lists operator names from search.MUTATIONS; an EA config
+    without it runs the first, and `mu` and `lambda` default to 1, as
+    run_ea's settings do."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     values: dict[str, object] = {}
@@ -130,7 +134,7 @@ def parse_config(path) -> ExperimentConfig:
             items = [s.strip() for s in val.split(",")]
             bad = f"line {lineno}: bad list value for {key}: {val!r}"
             if key == "mutation":
-                if any(s not in ("two_opt", "mixed") for s in items):
+                if any(s not in MUTATIONS for s in items):
                     raise ParseError(bad)
                 values[key] = items
             else:
@@ -235,8 +239,7 @@ def run_single(
         mu_out = lam_out = None
         mutation_out = ""
     else:
-        cfg = EAConfig(mu=mu, lam=lam, mutation=MutationSpec(kind=mutation), max_generations=budget, seed=seed)
-        traj = run_ea(instance, cfg, optimum_value=optimum)
+        traj = run_ea(instance, budget, seed, mu, lam, mutation, optimum_value=optimum)
         mu_out, lam_out = mu, lam
         mutation_out = mutation
     return RunRecord(
@@ -266,7 +269,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[RunRecord], str]:
     """All runs of a config, in deterministic order, plus the summary text."""
     keys = FAMILY_SIZE_KEYS[cfg.family]
     sizes = [dict(zip(keys, v)) for v in itertools.product(*(getattr(cfg, f"{key}_values") for key in keys))]
-    default_mutations = ["two_opt"] if cfg.algorithm == "ea" else [""]
+    default_mutations = [MUTATIONS[0]] if cfg.algorithm == "ea" else [""]
     mutations = default_mutations if cfg.mutations is None else cfg.mutations
     built = []
     for i, params in enumerate(sizes, start=1):

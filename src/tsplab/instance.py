@@ -225,9 +225,14 @@ def _convex_instance(n: int, m: int, rng: Xoshiro256StarStar) -> Instance:
     Each point sits at an equally spaced angle plus a jitter of at most
     pi/(4n), rounded to the grid. The first offending point, as validate
     finds it, is redrawn until the configuration is strictly convex or
-    the retry budget runs out: the later point of a duplicate, the last
-    of a collinear triple, else the first point off the hull. Returns
-    the validated instance.
+    the retry budget runs out: the last of a collinear triple, else the
+    first point off the hull. Returns the validated instance.
+
+    No two points can round to one grid point while m >= 8n, which both
+    generators require: neighbours are at least 1.5 pi/n apart in angle
+    on a circle of radius (m - 1)/2, and rounding moves each by at most
+    sqrt(2)/2, so they stay at least (8n - 1) sin(0.75 pi/n) - sqrt(2)
+    >= 14.85 grid units apart.
     """
     radius = (m - 1) / 2.0
     center = (m - 1) / 2.0
@@ -247,8 +252,6 @@ def _convex_instance(n: int, m: int, rng: Xoshiro256StarStar) -> Instance:
     while True:
         try:
             inst = validate(coords, grid_size=m)
-        except DuplicatePointError as exc:
-            bad = exc.labels[1] - 1
         except CollinearTripleError as exc:
             bad = exc.labels[2] - 1
         else:

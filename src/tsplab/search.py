@@ -5,7 +5,10 @@ not increasing fitness, and the (mu+lambda) EA with elitist selection and
 either Poisson-strength inversion mutation or a mixed inversion/jump
 mutation. Both operators are defined once, by their draws, in
 _child_pricer; run_ea mutates through it and mutation_statistics samples
-it. A run is a sequential Markov chain driven by one seeded generator;
+it. Both loops take the instance, a budget of steps or generations and
+a seed, then keyword settings; run_ea's own are mu, lam and a mutation
+named in MUTATIONS. Each checks its settings before its first draw. A
+run is a sequential Markov chain driven by one seeded generator;
 identical (instance, parameters, seed) reproduce the trajectory bit for
 bit. run_rls prices its steps from words it peeks from the generator,
 in one loop with one copy of the acceptance rule: once a cycle has stood
@@ -22,8 +25,10 @@ Trajectory accounting: each executed step/generation is classified by
 the best-so-far tour before the step -- alpha if the tour has crossing
 edges, beta if it is crossing-free but not optimal. The run stops as
 soon as the best-so-far tour matches a supplied optimum value, so
-generations always equals alpha_steps + beta_steps; a tour shorter than
-that value raises ValueError where it is compared. Neither loop counts
+generations always equals alpha_steps + beta_steps. Each loop compares
+a float it already has against the value with a wide band, and only a
+length inside the band goes to _at_optimum, which decides and raises
+ValueError for a tour shorter than the value. Neither loop counts
 crossings: each keeps a crossing witness (see _witness) and updates it
 from the edges that changed, by one rule (_update_witness). run_rls
 diffs its tour before and after an accepted inversion that changes the
@@ -35,7 +40,7 @@ that keeps the cycle costs no geometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -58,35 +63,11 @@ _REVALIDATE_EVERY = 1 << 16
 _BATCH_AFTER = 64
 # relative slack when comparing a recomputed length against the optimum
 _OPT_REL_TOL = 1e-12
-# wider trigger band for the cheap incremental comparison; full
-# recomputation decides
+# wider trigger band for each loop's cheap comparison; _at_optimum decides
 _OPT_TRIGGER = 1e-9
 
-
-@dataclass(frozen=True)
-class MutationSpec:
-    """Which mutation operator a run uses; its strength is 1 + Poisson(1)."""
-
-    kind: str = "two_opt"  # "two_opt" | "mixed"
-
-    def __post_init__(self):
-        if self.kind not in ("two_opt", "mixed"):
-            raise ValueError(f"unknown mutation kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class EAConfig:
-    mu: int = 1
-    lam: int = 1
-    mutation: MutationSpec = field(default_factory=MutationSpec)
-    max_generations: int = 10**6
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mu < 1 or self.lam < 1:
-            raise ValueError("mu and lambda must be >= 1")
-        if self.max_generations < 1:
-            raise ValueError("max_generations must be >= 1")
+# run_ea's mutation operators, its default first
+MUTATIONS = ("two_opt", "mixed")
 
 
 @dataclass
@@ -104,13 +85,21 @@ class Trajectory:
     best_fitness_series: Optional[list[float]] = None
 
 
-def _check_optimum(optimum_value: Optional[float]) -> None:
+def _check_run(budget: int, optimum_value: Optional[float]) -> None:
+    """The start check both loops make before any draw."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     if optimum_value is not None and not (math.isfinite(optimum_value) and optimum_value > 0):
         raise ValueError(f"optimum_value must be finite and > 0, got {optimum_value!r}")
 
 
-def _below_optimum(optimum_value: float, length: float) -> ValueError:
-    return ValueError(f"optimum_value {optimum_value!r} is above a tour of length {length!r}")
+def _at_optimum(length: float, optimum_value: float) -> bool:
+    """Whether a tour of this exact length matches optimum_value, within
+    _OPT_REL_TOL of it; ValueError if the tour is shorter than that."""
+    tol = optimum_value * _OPT_REL_TOL
+    if length - optimum_value < -tol:
+        raise ValueError(f"optimum_value {optimum_value!r} is above a tour of length {length!r}")
+    return length - optimum_value <= tol
 
 
 def _random_perm0(n: int, rng: Xoshiro256StarStar) -> list[int]:
@@ -233,9 +222,7 @@ def run_rls(
     The full reversal, (2, n) and (1, n-1) remove and re-add the same
     edges, so the witness stands and no geometry runs.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    _check_optimum(optimum_value)
+    _check_run(budget, optimum_value)
     n = instance.n
     rng = Xoshiro256StarStar(seed)
     perm = _random_perm0(n, rng)
@@ -251,7 +238,6 @@ def run_rls(
     has_cross = 0 if witness is None else 1
 
     opt_hi = None if optimum_value is None else optimum_value * (1.0 + _OPT_TRIGGER)
-    opt_tol = None if optimum_value is None else optimum_value * _OPT_REL_TOL
     certify_every = n * n
 
     gens = alpha = accepted = 0
@@ -265,13 +251,9 @@ def run_rls(
     marks = None
     marks_at = batch_after
 
-    def _confirm_optimum() -> bool:
-        length = _fsum_length(d, n, perm)
-        if length - optimum_value < -opt_tol:
-            raise _below_optimum(optimum_value, length)
-        return length - optimum_value <= opt_tol
-
-    stop = reached_optimum = opt_hi is not None and cur_len <= opt_hi and _confirm_optimum()
+    stop = reached_optimum = (
+        opt_hi is not None and cur_len <= opt_hi and _at_optimum(_fsum_length(d, n, perm), optimum_value)
+    )
     while not stop and gens < budget:
         k = min(_BATCH_MAX, budget - gens, revalidate_at - gens)
         words = rng.peek(k)
@@ -330,7 +312,9 @@ def run_rls(
                     marks = marks.take(_reflection_table(n)[0 if j0 - i0 == n else 1 if i0 else 2])
                 if j0 - i0 < n:
                     if opt_hi is not None:
-                        stop = reached_optimum = cur_len <= opt_hi and _confirm_optimum()
+                        stop = reached_optimum = cur_len <= opt_hi and _at_optimum(
+                            _fsum_length(d, n, perm), optimum_value
+                        )
                     elif accepted % certify_every == 0:
                         stop = certified_local = is_two_opt_local_optimum(instance, tuple(v + 1 for v in perm))
                     if stop:
@@ -351,7 +335,7 @@ def run_rls(
         if not stop and gens >= revalidate_at:
             revalidate_at += _REVALIDATE_EVERY
             cur_len = _fsum_length(d, n, perm)
-            stop = reached_optimum = opt_hi is not None and cur_len <= opt_hi and _confirm_optimum()
+            stop = reached_optimum = opt_hi is not None and cur_len <= opt_hi and _at_optimum(cur_len, optimum_value)
 
     final = tuple(v + 1 for v in perm)
     return Trajectory(
@@ -480,16 +464,21 @@ def _child_pricer(d, n: int, mixed: bool, next_u64):
 
 def run_ea(
     instance: Instance,
-    config: EAConfig,
+    budget: int,
+    seed: int,
+    mu: int = 1,
+    lam: int = 1,
+    mutation: str = MUTATIONS[0],
     optimum_value: Optional[float] = None,
     record_series: bool = False,
 ) -> Trajectory:
     """(mu+lambda) EA with elitist truncation selection.
 
     Each generation draws every offspring's parent uniformly at random
-    from the population, mutates it, and keeps the mu best of parents
-    plus offspring. Fitness ties prefer offspring over parents, then
-    lower creation index. The run stops at the budget, or as soon as the
+    from the population, mutates it with the named operator of MUTATIONS
+    (_child_pricer), and keeps the mu best of parents plus offspring.
+    Fitness ties prefer offspring over parents, then lower creation
+    index. The run stops after budget generations, or as soon as the
     population best matches a supplied optimum value.
 
     A child is priced first by its parent's fitness plus the float deltas
@@ -508,12 +497,13 @@ def run_ea(
     the classified tour's edges the new best lacks, and the new best's
     edges it lacked.
     """
-    _check_optimum(optimum_value)
+    _check_run(budget, optimum_value)
+    if mu < 1 or lam < 1:
+        raise ValueError("mu and lambda must be >= 1")
+    if mutation not in MUTATIONS:
+        raise ValueError(f"unknown mutation kind {mutation!r}")
     n = instance.n
-    mu = config.mu
-    lam = config.lam
-    budget = config.max_generations
-    rng = Xoshiro256StarStar(config.seed)
+    rng = Xoshiro256StarStar(seed)
     d = instance.distance_matrix
     xs, ys = instance.coords
     unit = _ea_margin_unit(d, n)
@@ -528,9 +518,9 @@ def run_ea(
         pop.append((_fsum_length(d, n, perm), 1, idx, tuple(perm)))
     pop.sort()
     next_idx = mu
-    price = _child_pricer(d, n, config.mutation.kind == "mixed", next_u64)
+    price = _child_pricer(d, n, mutation == "mixed", next_u64)
 
-    opt_tol = None if optimum_value is None else optimum_value * _OPT_REL_TOL
+    opt_hi = None if optimum_value is None else optimum_value * (1.0 + _OPT_TRIGGER)
 
     gens = alpha = 0
     reached_optimum = False
@@ -545,9 +535,7 @@ def run_ea(
 
     while True:
         best = pop[0]
-        if opt_tol is not None and best[0] - optimum_value <= opt_tol:
-            if best[0] - optimum_value < -opt_tol:
-                raise _below_optimum(optimum_value, best[0])
+        if opt_hi is not None and best[0] <= opt_hi and _at_optimum(best[0], optimum_value):
             reached_optimum = True
             break
         if gens >= budget:

@@ -16,8 +16,6 @@ import time
 import pytest
 
 from tsplab import (
-    EAConfig,
-    MutationSpec,
     apply_inversion,
     apply_jump,
     canonical_form,
@@ -322,8 +320,7 @@ def test_c10_ea_reaches_optimum_with_inner_points():
         for i in range(50):
             inst = generate_with_inner(8, k, 256, 70000 + 13 * (i // 10) + 1000 * k)
             opt = held_karp_optimum(inst).optimum_value
-            cfg = EAConfig(mu=1, lam=1, mutation=MutationSpec("two_opt"), max_generations=10**6, seed=71000 + i)
-            traj = run_ea(inst, cfg, optimum_value=opt)
+            traj = run_ea(inst, 10**6, 71000 + i, mu=1, lam=1, mutation="two_opt", optimum_value=opt)
             if traj.final_length <= opt * (1 + 1e-9):
                 successes += 1
         results[k] = successes
@@ -338,8 +335,7 @@ def test_c11_mixed_mutation_at_least_as_fast():
         inst = generate_with_inner(9, 3, 256, 80000 + 29 * (i // 10))
         opt = held_karp_optimum(inst).optimum_value
         for kind in ("two_opt", "mixed"):
-            cfg = EAConfig(mu=1, lam=1, mutation=MutationSpec(kind), max_generations=10**6, seed=81000 + i)
-            traj = run_ea(inst, cfg, optimum_value=opt)
+            traj = run_ea(inst, 10**6, 81000 + i, mu=1, lam=1, mutation=kind, optimum_value=opt)
             gens[kind].append(traj.generations)
     med_two = statistics.median(gens["two_opt"])
     med_mixed = statistics.median(gens["mixed"])
@@ -354,8 +350,7 @@ def test_c12_accounting_and_reproducibility(tmp_path):
     ok_evals = True
     ok_elitism = True
     for mu, lam, seed in ((1, 1, 1), (3, 5, 2), (2, 7, 3)):
-        cfg = EAConfig(mu=mu, lam=lam, mutation=MutationSpec("two_opt"), max_generations=1500, seed=seed)
-        traj = run_ea(inst, cfg, record_series=True)
+        traj = run_ea(inst, 1500, seed, mu=mu, lam=lam, mutation="two_opt", record_series=True)
         if traj.fitness_evals != mu + lam * traj.generations:
             ok_evals = False
         s = traj.best_fitness_series

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -29,6 +30,7 @@ from tsplab.errors import (
 )
 
 from tsplab.instance import RETRY_BUDGET, Instance
+from tsplab.rng import Xoshiro256StarStar
 
 from conftest import BAD_SIZES, brute_hull, counting_class
 
@@ -85,6 +87,10 @@ class TestValidate:
     def test_points_input_relabeled(self):
         inst = validate([Point(9, 0, 0), Point(9, 2, 0), Point(9, 1, 2)])
         assert [p.id for p in inst.points] == [1, 2, 3]
+
+    def test_not_equal_to_another_type(self):
+        inst = validate([(0, 0), (2, 0), (1, 2)])
+        assert (inst == object()) is False and inst != ((0, 0), (2, 0), (1, 2))
 
     def test_point_takes_labels_1_to_n_only(self):
         inst = validate([(0, 0), (2, 0), (1, 2)])
@@ -235,6 +241,44 @@ class TestGenerateConvex:
         (before, _, offender), (after, _, _) = calls
         assert [i for i in range(n) if before[i] != after[i]] == offender
         assert inst.n == len(inst.hull) == n and generate_convex(n, m, seed) == inst
+
+    def test_gives_up_after_the_draw_budget(self, monkeypatch):
+        # (64, 512, 12) redraws one point (above): 64 draws place the first configuration only
+        monkeypatch.setattr(tsplab.instance, "RETRY_BUDGET", 64)
+        with pytest.raises(GenerationExhaustedError, match="^could not place 64 convex grid points .* within 64 draws$"):
+            generate_convex(64, 512, 12)
+
+    def test_neighbours_cannot_round_to_one_point(self, monkeypatch):
+        # placement has no duplicate redraw: at m = 8n, the least headroom
+        # either generator takes, neighbours are at least 1.5 pi/n apart in
+        # angle on a circle of radius (m - 1)/2, and rounding moves each
+        # by at most sqrt(2)/2
+        def bound(n):
+            return (8 * n - 1) * math.sin(0.75 * math.pi / n) - math.sqrt(2)
+
+        assert min(bound(n) for n in range(3, 5001)) > 0
+
+        # the widest jitter, +span and -span in turn, pulls each point
+        # with an even index towards the next; the closest pair keeps the bound
+        class Pulled(Xoshiro256StarStar):
+            turn = False
+
+            def randbelow(self, bound):
+                self.turn = not self.turn
+                return bound - 1 if self.turn else 0
+
+        class Drawn(Exception):
+            pass
+
+        def drawn(coords, grid_size=None):
+            raise Drawn(list(coords))
+
+        monkeypatch.setattr(tsplab.instance, "validate", drawn)
+        for n in (3, 4, 5, 16, 64, 255):
+            with pytest.raises(Drawn) as placed:
+                tsplab.instance._convex_instance(n, 8 * n, Pulled(0))
+            coords = placed.value.args[0]
+            assert min(math.dist(p, q) for p, q in itertools.combinations(coords, 2)) >= bound(n)
 
 
 class TestGenerateWithInner:

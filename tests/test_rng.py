@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from test_search_reference import reference_ea, reference_rls
 
 import tsplab.search
-from tsplab import EAConfig, MutationSpec, generate_grid, generate_with_inner, run_ea, run_rls
+from tsplab import generate_grid, generate_with_inner, run_ea, run_rls
 from tsplab.oracle import held_karp_optimum
 from tsplab.rng import _BLOCK, _FIRST_PIECE, Xoshiro256StarStar
 
@@ -224,12 +224,10 @@ class TestOverrideContract:
     def test_ea_draw_count(self, monkeypatch, mu, lam, kind, seed):
         inst = generate_with_inner(7, 2, 256, 303)
         opt = held_karp_optimum(inst).optimum_value
-        cfg = EAConfig(mu=mu, lam=lam, mutation=MutationSpec(kind), max_generations=300, seed=seed)
-        fast, fast_draws = self.counted(monkeypatch, tsplab.search, lambda: run_ea(inst, cfg, optimum_value=opt))
-        slow, slow_draws = self.counted(
-            monkeypatch, test_search_reference, lambda: reference_ea(inst, cfg, optimum_value=opt)
-        )
-        assert fast == slow == run_ea(inst, cfg, optimum_value=opt)
+        ea = dict(budget=300, seed=seed, mu=mu, lam=lam, mutation=kind, optimum_value=opt)
+        fast, fast_draws = self.counted(monkeypatch, tsplab.search, lambda: run_ea(inst, **ea))
+        slow, slow_draws = self.counted(monkeypatch, test_search_reference, lambda: reference_ea(inst, **ea))
+        assert fast == slow == run_ea(inst, **ea)
         assert fast_draws == slow_draws > fast.generations * lam
 
 

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 import tsplab.search
 from tsplab import (
-    EAConfig,
-    MutationSpec,
     canonical_form,
     find_uncrossing_inversion,
     generate_convex,
@@ -33,7 +31,7 @@ from tsplab.search import _INV_E, _child_pricer, _ea_margin_unit
 from tsplab.tour import _SHRINK, _reflection_table, _tour_marks
 
 import test_search_reference
-from conftest import ForcedRng, cycle_edges, inversion_pairs, reference_mutation
+from conftest import ForcedRng, counting_class, cycle_edges, inversion_pairs, reference_mutation
 from test_search_reference import (
     check_marking,
     marks_threshold,
@@ -225,8 +223,7 @@ class TestRunRLS:
 
 class TestRunEA:
     def test_square_one_plus_one(self, square):
-        cfg = EAConfig(mu=1, lam=1, mutation=MutationSpec("two_opt"), max_generations=10**4, seed=5)
-        traj = run_ea(square, cfg, optimum_value=4.0, record_series=True)
+        traj = run_ea(square, 10**4, 5, mu=1, lam=1, mutation="two_opt", optimum_value=4.0, record_series=True)
         assert traj.reached_optimum
         s = traj.best_fitness_series
         assert all(s[i + 1] <= s[i] for i in range(len(s) - 1))
@@ -234,29 +231,26 @@ class TestRunEA:
     def test_mu4_lambda8_reaches_exact_optimum(self):
         inst = generate_with_inner(7, 1, 256, 9)
         opt = held_karp_optimum(inst).optimum_value
-        cfg = EAConfig(mu=4, lam=8, mutation=MutationSpec("two_opt"), max_generations=2 * 10**5, seed=2)
-        traj = run_ea(inst, cfg, optimum_value=opt)
+        traj = run_ea(inst, 2 * 10**5, 2, mu=4, lam=8, mutation="two_opt", optimum_value=opt)
         assert traj.reached_optimum
         assert abs(traj.final_length - opt) <= opt * 1e-9
         assert traj.fitness_evals == 4 + 8 * traj.generations
 
     def test_elitism_never_regresses(self):
         inst = generate_grid(10, 64, 103)
-        cfg = EAConfig(mu=3, lam=5, mutation=MutationSpec("mixed"), max_generations=2000, seed=8)
-        traj = run_ea(inst, cfg, record_series=True)
+        traj = run_ea(inst, 2000, 8, mu=3, lam=5, mutation="mixed", record_series=True)
         s = traj.best_fitness_series
         assert len(s) == traj.generations
         assert all(s[i + 1] <= s[i] for i in range(len(s) - 1))
 
     def test_deterministic(self):
         inst = generate_grid(9, 64, 97)
-        cfg = EAConfig(mu=2, lam=3, mutation=MutationSpec("mixed"), max_generations=500, seed=12)
-        assert run_ea(inst, cfg) == run_ea(inst, cfg)
+        ea = dict(budget=500, seed=12, mu=2, lam=3, mutation="mixed")
+        assert run_ea(inst, **ea) == run_ea(inst, **ea)
 
     def test_accounting(self):
         inst = generate_grid(9, 64, 97)
-        cfg = EAConfig(mu=2, lam=3, mutation=MutationSpec("two_opt"), max_generations=400, seed=13)
-        traj = run_ea(inst, cfg)
+        traj = run_ea(inst, 400, 13, mu=2, lam=3, mutation="two_opt")
         assert traj.fitness_evals == 2 + 3 * traj.generations
         assert traj.alpha_steps + traj.beta_steps == traj.generations
         assert traj.reached_local_optimum is None
@@ -265,24 +259,20 @@ class TestRunEA:
         inst = generate_grid(16, 64, 9)
         opt = held_karp_optimum(inst).optimum_value
         for seed in range(3):
-            cfg = EAConfig(mu=1, lam=1, mutation=MutationSpec("two_opt"), max_generations=3000, seed=seed)
-            traj = run_ea(inst, cfg, optimum_value=opt)
+            traj = run_ea(inst, 3000, seed, mu=1, lam=1, mutation="two_opt", optimum_value=opt)
             assert traj.final_length >= opt * (1 - 1e-12)
 
     def test_optimum_above_a_found_tour_raises(self, square):
-        cfg = EAConfig(mu=1, lam=1, max_generations=100, seed=1)
         with pytest.raises(ValueError, match=r"optimum_value 5\.0 is above a tour of length"):
-            run_ea(square, cfg, optimum_value=5.0)
+            run_ea(square, 100, 1, mu=1, lam=1, optimum_value=5.0)
         inst = generate_grid(8, 64, 1)  # optimum 134.9922578862372
-        cfg = EAConfig(mu=1, lam=1, mutation=MutationSpec("two_opt"), max_generations=2000, seed=3)
         with pytest.raises(ValueError, match=r"optimum_value 142\.5 is above a tour of length 142\.382120125503"):
-            run_ea(inst, cfg, optimum_value=142.5)
+            run_ea(inst, 2000, 3, mu=1, lam=1, mutation="two_opt", optimum_value=142.5)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -5.0])
     def test_optimum_must_be_finite_and_positive(self, square, bad):
-        cfg = EAConfig(mu=1, lam=1, max_generations=100, seed=1)
         with pytest.raises(ValueError, match="optimum_value must be finite and > 0"):
-            run_ea(square, cfg, optimum_value=bad)
+            run_ea(square, 100, 1, mu=1, lam=1, optimum_value=bad)
 
 
 class ScriptedRng(Xoshiro256StarStar):
@@ -396,9 +386,9 @@ class TestEAChildPricing:
         worst = tour_length(inst, parent)
         assert abs(est - exact) <= reps * _ea_margin_unit(inst.distance_matrix, n)
         # run_ea and reference_ea on the same draws: ties prefer the offspring
-        cfg = EAConfig(mutation=MutationSpec(kind), max_generations=1)
+        ea = dict(budget=1, seed=0, mutation=kind)
         script = shuffle_draws(range(n)) + child_draws(n, kind, moves)
-        traj, _ = scripted(monkeypatch, script, lambda: run_ea(inst, cfg), lambda: reference_ea(inst, cfg))
+        traj, _ = scripted(monkeypatch, script, lambda: run_ea(inst, **ea), lambda: reference_ea(inst, **ea))
         assert traj.final_tour == (child if exact <= worst else parent)
         return est, exact, worst
 
@@ -451,8 +441,8 @@ class TestEAChildPricing:
         script += [0] + child_draws(n, "two_opt", ("inversion", [(1, n - 1)]))
         script += [0] + child_draws(n, "two_opt", ("inversion", [worse]))
         for generations, survivor in ((1, tied), (2, parent)):
-            cfg = EAConfig(mu=2, lam=1, max_generations=generations)
-            run, _ = scripted(monkeypatch, script, lambda: run_ea(inst, cfg), lambda: reference_ea(inst, cfg))
+            ea = dict(budget=generations, seed=0, mu=2, lam=1)
+            run, _ = scripted(monkeypatch, script, lambda: run_ea(inst, **ea), lambda: reference_ea(inst, **ea))
             assert run.final_tour == survivor
 
     @settings(max_examples=300)
@@ -491,8 +481,8 @@ def test_run_ea_samples_away_words_over_the_limit(monkeypatch):
     for parent, moves in ((2, ("inversion", [(2, 5)])), (1, ("jump", [(3, 7)]))):
         child = child_draws(n, "mixed", moves)
         script += [top, parent, *child[:-1], top, child[-1]]
-    cfg = EAConfig(mu=3, lam=1, mutation=MutationSpec("mixed"), max_generations=2)
-    _, drawn = scripted(monkeypatch, script, lambda: run_ea(inst, cfg), lambda: reference_ea(inst, cfg))
+    ea = dict(budget=2, seed=0, mu=3, lam=1, mutation="mixed")
+    _, drawn = scripted(monkeypatch, script, lambda: run_ea(inst, **ea), lambda: reference_ea(inst, **ea))
     assert drawn == len(script)
 
 
@@ -1009,7 +999,7 @@ class TestEaCrossingWitness:
         inst = generate_grid(n, m, instance_seed)
         paths = Counter()
         for seed in (1, 2):
-            cfg = EAConfig(mu=mu, lam=lam, mutation=MutationSpec(kind), max_generations=budget, seed=seed)
+            ea = dict(budget=budget, seed=seed, mu=mu, lam=lam, mutation=kind)
 
             # the reference classifies the best tour of every generation
             bests = []
@@ -1019,7 +1009,7 @@ class TestEaCrossingWitness:
                 return crossing_pairs(instance, tour)
 
             monkeypatch.setattr(test_search_reference, "crossing_pairs", record_best)
-            slow = reference_ea(inst, cfg)
+            slow = reference_ea(inst, **ea)
             monkeypatch.undo()
             # run_ea takes the edge keys of each best tuple it classifies
             # once; the kernel calls that follow belong to that tour
@@ -1031,7 +1021,7 @@ class TestEaCrossingWitness:
                 return edge_keys(perm)
 
             monkeypatch.setattr(tsplab.search, "_edge_keys", record_classified)
-            fast = run_ea(inst, cfg)
+            fast = run_ea(inst, **ea)
             monkeypatch.undo()
             assert fast == slow
             assert calls[:2] == [("new best", bests[0]), ("_crossings0", bests[0])]  # the start's scan
@@ -1055,19 +1045,31 @@ class TestEaCrossingWitness:
         }
 
 
-class TestMutationSpecValidation:
-    def test_kind_checked(self):
-        with pytest.raises(ValueError):
-            MutationSpec("three_opt")
-
-    def test_ea_config_checked(self):
-        with pytest.raises(ValueError):
-            EAConfig(mu=0)
+def rejected_before_any_draw(monkeypatch, run) -> str:
+    """The message of the ValueError run() raises, checked to come before
+    the loop's generator makes a draw."""
+    draws = [0]
+    monkeypatch.setattr(tsplab.search, "Xoshiro256StarStar", counting_class(draws))
+    with pytest.raises(ValueError) as err:
+        run()
+    assert draws == [0]
+    return str(err.value)
 
 
 @pytest.mark.parametrize("bad", [0, -3])
-def test_budget_below_one_rejected(square, bad):
-    with pytest.raises(ValueError, match="^budget must be >= 1$"):
-        run_rls(square, bad, 1)
-    with pytest.raises(ValueError, match="^max_generations must be >= 1$"):
-        EAConfig(max_generations=bad)
+def test_budget_below_one_rejected(monkeypatch, square, bad):
+    for run in (run_rls, run_ea):
+        assert rejected_before_any_draw(monkeypatch, lambda: run(square, bad, 1)) == "budget must be >= 1"
+
+
+@pytest.mark.parametrize(
+    "settings,message",
+    [
+        (dict(mu=0), "mu and lambda must be >= 1"),
+        (dict(lam=-1), "mu and lambda must be >= 1"),
+        (dict(mutation="three_opt"), "unknown mutation kind 'three_opt'"),
+    ],
+    ids=["mu", "lambda", "mutation"],
+)
+def test_run_ea_settings_rejected(monkeypatch, square, settings, message):
+    assert rejected_before_any_draw(monkeypatch, lambda: run_ea(square, 100, 1, **settings)) == message

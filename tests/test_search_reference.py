@@ -16,8 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tsplab import (
-    EAConfig,
-    MutationSpec,
+    MUTATIONS,
     apply_inversion,
     crossing_pairs,
     generate_convex,
@@ -119,18 +118,18 @@ def reference_rls(instance, budget, seed, optimum_value=None):
     )
 
 
-def reference_ea(instance, config, optimum_value=None):
+def reference_ea(instance, budget, seed, mu=1, lam=1, mutation=MUTATIONS[0], optimum_value=None):
     n = instance.n
-    rng = Xoshiro256StarStar(config.seed)
-    mixed = config.mutation.kind == "mixed"
+    rng = Xoshiro256StarStar(seed)
+    mixed = mutation == "mixed"
     pop = []
-    for idx in range(config.mu):
+    for idx in range(mu):
         perm = list(range(n))
         rng.shuffle(perm)
         t = tuple(v + 1 for v in perm)
         pop.append((tour_length(instance, t), 1, idx, t))
     pop.sort(key=lambda ind: ind[:3])
-    next_idx = config.mu
+    next_idx = mu
     rel = None if optimum_value is None else optimum_value * 1e-12
 
     gens = alpha = 0
@@ -140,24 +139,24 @@ def reference_ea(instance, config, optimum_value=None):
         if rel is not None and abs(best[0] - optimum_value) <= rel:
             reached = True
             break
-        if gens >= config.max_generations:
+        if gens >= budget:
             break
         alpha += 1 if crossing_pairs(instance, best[3]) else 0
         gens += 1
         offspring = []
-        for _ in range(config.lam):
-            parent = pop[rng.randbelow(config.mu)]
+        for _ in range(lam):
+            parent = pop[rng.randbelow(mu)]
             child = reference_mutation(parent[3], rng, mixed)
             offspring.append((tour_length(instance, child), 0, next_idx, child))
             next_idx += 1
         merged = sorted(pop + offspring, key=lambda ind: ind[:3])
-        pop = [(f, 1, i, t) for f, _, i, t in merged[: config.mu]]
+        pop = [(f, 1, i, t) for f, _, i, t in merged[:mu]]
     best = pop[0]
     return Trajectory(
         generations=gens,
         reached_optimum=reached,
         reached_local_optimum=None,
-        fitness_evals=config.mu + config.lam * gens,
+        fitness_evals=mu + lam * gens,
         alpha_steps=alpha,
         beta_steps=gens - alpha,
         final_tour=best[3],
@@ -487,9 +486,9 @@ def test_ea_matches_reference(mu, lam, kind):
     inst = generate_with_inner(6, 2, 256, 213)
     opt = held_karp_optimum(inst).optimum_value
     for seed in (4, 5):
-        cfg = EAConfig(mu=mu, lam=lam, mutation=MutationSpec(kind), max_generations=1200, seed=seed)
-        fast = run_ea(inst, cfg, optimum_value=opt)
-        slow = reference_ea(inst, cfg, optimum_value=opt)
+        ea = dict(budget=1200, seed=seed, mu=mu, lam=lam, mutation=kind, optimum_value=opt)
+        fast = run_ea(inst, **ea)
+        slow = reference_ea(inst, **ea)
         assert fast == slow
 
 
@@ -499,14 +498,14 @@ def test_ea_matches_reference_on_a_tie_heavy_grid():
     inst = generate_grid(11, 7, 217)
     hk = held_karp_optimum(inst).optimum_value
     for seed, kind, opt in itertools.product((7, 8, 9), ("two_opt", "mixed"), (hk, None)):
-        cfg = EAConfig(mu=3, lam=4, mutation=MutationSpec(kind), max_generations=800, seed=seed)
-        assert run_ea(inst, cfg, optimum_value=opt) == reference_ea(inst, cfg, optimum_value=opt)
+        ea = dict(budget=800, seed=seed, mu=3, lam=4, mutation=kind, optimum_value=opt)
+        assert run_ea(inst, **ea) == reference_ea(inst, **ea)
 
 
 def test_ea_matches_reference_without_optimum():
     inst = generate_convex(7, 128, 215)
-    cfg = EAConfig(mu=2, lam=3, mutation=MutationSpec("mixed"), max_generations=800, seed=6)
-    assert run_ea(inst, cfg) == reference_ea(inst, cfg)
+    ea = dict(budget=800, seed=6, mu=2, lam=3, mutation="mixed")
+    assert run_ea(inst, **ea) == reference_ea(inst, **ea)
 
 
 def _general_position(candidates, n):
@@ -547,8 +546,8 @@ def _instances(draw):
 )
 def test_ea_matches_reference_on_random_instances(inst, mu, lam, kind, with_opt, seed):
     opt = held_karp_optimum(inst).optimum_value if with_opt else None
-    cfg = EAConfig(mu=mu, lam=lam, mutation=MutationSpec(kind), max_generations=150, seed=seed)
-    assert run_ea(inst, cfg, optimum_value=opt) == reference_ea(inst, cfg, optimum_value=opt)
+    ea = dict(budget=150, seed=seed, mu=mu, lam=lam, mutation=kind, optimum_value=opt)
+    assert run_ea(inst, **ea) == reference_ea(inst, **ea)
 
 
 @settings(max_examples=100)
