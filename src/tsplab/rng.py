@@ -270,8 +270,14 @@ class Xoshiro256StarStar:
         return (self.next_u64() >> 11) * _INV_2_53
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        randbelow = self.randbelow
+        """In-place Fisher-Yates shuffle: position i swaps with
+        randbelow(i + 1), drawn by randbelow's rejection rule inline."""
+        next_u64 = self.next_u64
         for i in range(len(items) - 1, 0, -1):
-            j = randbelow(i + 1)
+            bound = i + 1
+            limit = _TWO64 - _TWO64 % bound
+            u = next_u64()
+            while u >= limit:
+                u = next_u64()
+            j = u % bound
             items[i], items[j] = items[j], items[i]

@@ -14,6 +14,11 @@ bit. run_rls prices its steps from words it peeks from the generator,
 in one loop with one copy of the acceptance rule: once a cycle has stood
 a while, it marks in numpy, once per cycle, which pairs of the tour are
 candidates (_tour_marks), and prices only the words that pick one.
+run_ea builds a child only if it can enter the population: _child_pricer
+prices every move under the worst parent's fitness as a bar and makes
+the last move only on a child that passes, and a population that no
+child enters goes on to its next generation without its optimum check,
+classification or rebuild being redone.
 
 The inversion neighbourhood itself -- the one enumeration of the pairs,
 its slices, the marks and how pair indices move under the
@@ -387,11 +392,12 @@ def _ea_margin_unit(d, n: int) -> float:
 
 
 def _child_pricer(d, n: int, mixed: bool, next_u64):
-    """run_ea's mutation with its fitness estimate: the one definition of
-    both mutation operators.
+    """run_ea's mutation with its fitness estimate and survival filter: the
+    one definition of both mutation operators.
 
-    The returned price(tour, fitness) mutates a copy of the 0-based tour.
-    Its draws, in this order, define the operator:
+    The returned price(tour, est, worst=math.inf) makes one child of the
+    0-based tour whose fitness is est. Its draws, in this order, define
+    the operator:
 
     1. mixed only: a uniform r; the moves are inversions if r < 1/2, else
        jumps (two_opt always inverts);
@@ -402,61 +408,94 @@ def _child_pricer(d, n: int, mixed: bool, next_u64):
        0-based pairs (p, q), p != q, as p * (n - 1) + (q if q < p else
        q - 1), which moves the element at position p to position q.
 
-    A uniform is (next_u64() >> 11) * 2^-53. price returns (est, reps,
-    child): child is the mutated list, reps its number of moves, and
-    est = fitness plus the float delta of each move (4 terms per
-    inversion, 6 per jump; the full reversal keeps the cycle and adds
-    nothing). _ea_margin_unit bounds |est - fsum(child)|.
+    A uniform is (next_u64() >> 11) * 2^-53, so r < 1/2 iff the raw word
+    is < 2^63. price returns (est, reps, child): reps is the number of
+    moves, and est the fitness plus the float delta of each move (4 terms
+    per inversion, 6 per jump; the full reversal keeps the cycle and adds
+    nothing), each priced on the tour the moves before it left.
+
+    worst is the bar. _ea_margin_unit bounds |est - fsum(child)|, so a
+    child with est > worst + reps * unit has an exact fitness above worst
+    and is never built: child is None. Otherwise child is the mutated
+    list, as applying every move to a copy gives it. Every word is drawn
+    whatever the bar, so est, reps and the draws do not depend on it; with
+    no bar every child is built. A one-inversion child is priced on the
+    parent itself, with no copy; a copy is made when a move must be
+    applied before the next is priced, and for a jump, which is priced on
+    the copy with its element taken out (pricing it in place would map
+    positions around the gap, and measured no faster). The last move is
+    applied only to a child that passes.
     """
     two64 = 1 << 64
-    pairs = _slice_table(n)
+    half = 1 << 63
+    # rows[a][c] is d[a * n + c], the same stored double
+    rows = [d[a * n:(a + 1) * n] for a in range(n)]
+    unit = _ea_margin_unit(d, n)
+    # per pair (i, j): the slice i0:j0 it reverses, and the positions
+    # i0 - 1, j0 - 1 and j0 % n of a, c and e (b is at i0)
+    pairs = [(i0, j0, i0 - 1, j0 - 1, jmod) for i0, j0, jmod in _slice_table(n)]
     npairs = len(pairs)
+    full = n - 2  # the index of (1, n), the full reversal
     pair_limit = two64 - two64 % npairs
     njumps = n * (n - 1)
     jump_limit = two64 - two64 % njumps
     last = n - 1
 
-    def price(tour, est):
-        lst = list(tour)
-        inversions = (next_u64() >> 11) * _INV_2_53 < 0.5 if mixed else True
+    def price(tour, est, worst=math.inf):
+        inversions = next_u64() < half if mixed else True
         reps = 1
         prod = (next_u64() >> 11) * _INV_2_53
         while prod >= _INV_E:
             reps += 1
             prod *= (next_u64() >> 11) * _INV_2_53
+        # a jump is priced on a copy it moves an element of
+        lst = list(tour) if reps > 1 or not inversions else tour
+        left = reps
         if inversions:
-            for _ in range(reps):
+            while True:
                 u = next_u64()
                 while u >= pair_limit:
                     u = next_u64()
-                i0, j0, jmod = pairs[u % npairs]
-                if j0 - i0 == n:
-                    lst.reverse()
-                    continue
-                a = lst[i0 - 1]
-                b = lst[i0]
-                c = lst[j0 - 1]
-                e = lst[jmod]
-                est += d[a * n + c] + d[b * n + e] - d[a * n + b] - d[c * n + e]
+                k = u % npairs
+                i0, j0, ia, ic, ie = pairs[k]
+                if k != full:
+                    row_a = rows[lst[ia]]
+                    b = lst[i0]
+                    c = lst[ic]
+                    e = lst[ie]
+                    est += row_a[c] + rows[b][e] - row_a[b] - rows[c][e]
+                left -= 1
+                if not left:
+                    break
                 lst[i0:j0] = lst[i0:j0][::-1]
         else:
-            for _ in range(reps):
+            while True:
                 u = next_u64()
                 while u >= jump_limit:
                     u = next_u64()
                 p, r = divmod(u % njumps, last)
                 q = r if r < p else r + 1
                 # v leaves its neighbours lft, rgt and enters between x, y
-                lft = lst[p - 1]
+                row_lft = rows[lst[p - 1]]
                 rgt = lst[p - last]
                 v = lst.pop(p)
-                x = lst[q - 1]
+                row_x = rows[lst[q - 1]]
                 y = lst[q - last]
+                row_v = rows[v]
+                est += row_lft[rgt] + row_x[v] + row_v[y] - row_lft[v] - row_v[rgt] - row_x[y]
+                left -= 1
+                if not left:
+                    break
                 lst.insert(q, v)
-                est += (
-                    d[lft * n + rgt] + d[x * n + v] + d[v * n + y]
-                    - d[lft * n + v] - d[v * n + rgt] - d[x * n + y]
-                )
+        if est > worst + reps * unit:
+            return est, reps, None
+        # the last move, made only on a child that passes
+        if not inversions:
+            lst.insert(q, v)
+        else:
+            if lst is tour:
+                lst = list(tour)
+            lst[i0:j0] = lst[i0:j0][::-1]
         return est, reps, lst
 
     return price
@@ -483,11 +522,21 @@ def run_ea(
 
     A child is priced first by its parent's fitness plus the float deltas
     of its moves (_child_pricer). It can only survive if its exact fitness
-    is <= the worst parent's, so a child whose estimate exceeds that by
-    more than the proven error bound of _ea_margin_unit is dropped without
-    an exact length; every other child gets the exact fsum and the exact
-    sort, so the trajectory is the one full evaluation of every child
-    gives.
+    is <= the worst parent's, so the worst parent's fitness is the bar: a
+    child whose estimate exceeds it by more than the proven error bound of
+    _ea_margin_unit is dropped unbuilt, its last move never applied and no
+    exact length taken. Every other child gets the exact fsum and the
+    exact sort, so the trajectory is the one full evaluation of every
+    child gives.
+
+    A population that no child enters stands: its best and worst fitness,
+    and so the optimum check, the bar and the phase, stay as they are, and
+    the loop makes its next generation with none of them redone. The first
+    generation of a standing population sorts it, as every generation
+    without a survivor would: that puts tied survivors of the last merge
+    back into creation order, and if it moves the best, that tour is
+    classified before the next generation. Once sorted, the population
+    stays sorted until a child enters.
 
     Alpha/beta accounting keeps a crossing witness (see _witness) for the
     last best tour it classified, with that tour's edge keys. A new best
@@ -506,7 +555,6 @@ def run_ea(
     rng = Xoshiro256StarStar(seed)
     d = instance.distance_matrix
     xs, ys = instance.coords
-    unit = _ea_margin_unit(d, n)
     next_u64 = rng.next_u64
     mu_limit = (1 << 64) - (1 << 64) % mu
 
@@ -548,29 +596,39 @@ def run_ea(
                 witness = _update_witness(xs, ys, cls_tour, witness, cls_keys - keys, added)
                 has_cross = 0 if witness is None else 1
                 cls_keys = keys
-        alpha += has_cross
-        gens += 1
-        if series is not None and gens % stride == 0:
-            series.append(best[0])
-
         worst = pop[-1][0]
-        offspring = []
-        for _ in range(lam):
-            if mu > 1:
-                u = next_u64()
-                while u >= mu_limit:
+        # the generations of this population, while it stands
+        resorted = False
+        while True:
+            alpha += has_cross
+            gens += 1
+            if series is not None and gens % stride == 0:
+                series.append(best[0])
+            offspring = []
+            for _ in range(lam):
+                if mu > 1:
                     u = next_u64()
-                parent = pop[u % mu]
-            else:
-                parent = pop[0]
-            est, reps, lst = price(parent[3], parent[0])
-            if est <= worst + reps * unit:
-                offspring.append((_fsum_length(d, n, lst), 0, next_idx, tuple(lst)))
-            next_idx += 1
-        if offspring:
-            pop = [(f, 1, idx, t) for f, _, idx, t in sorted(pop + offspring)[:mu]]
-        else:
-            pop.sort()  # no child to merge; still puts tied survivors back in creation order
+                    while u >= mu_limit:
+                        u = next_u64()
+                    parent = pop[u % mu]
+                else:
+                    parent = best
+                child = price(parent[3], parent[0], worst)[2]
+                if child is not None:
+                    offspring.append((_fsum_length(d, n, child), 0, next_idx, tuple(child)))
+                next_idx += 1
+            if offspring:
+                pop = [(f, 1, idx, t) for f, _, idx, t in sorted(pop + offspring)[:mu]]
+                break
+            if not resorted:
+                # tied survivors go back into creation order; if that moves
+                # the best, it is classified before the next generation
+                resorted = True
+                pop.sort()
+                if pop[0] is not best:
+                    break
+            if gens >= budget:
+                break
 
     best = pop[0]
     return Trajectory(
@@ -638,7 +696,7 @@ def mutation_statistics(n: int, samples: int, seed: int) -> dict:
     branch_inversion = 0
     for _ in range(samples):
         price(identity, 0.0)
-        branch_inversion += (draws[0] >> 11) * _INV_2_53 < 0.5
+        branch_inversion += draws[0] < 1 << 63  # r < 1/2
         draws.clear()
 
     expected = count_one / npairs

@@ -168,6 +168,32 @@ class TestOverrideContract:
         assert counter[0] == 2 + 9
         assert rng.next_u64() == plain.next_u64()
 
+    def test_shuffle_rejects_words_as_randbelow_does(self):
+        # six items draw for the bounds 6, 5, 4, 3, 2. The limit 2^64 - 2^64 % 6
+        # is 2^64 - 4 and that of 5 is 2^64 - 1, so their first words are drawn
+        # again; 4 divides 2^64, so 2^64 - 1 is a word bound 4 takes. The
+        # picks are 13 % 6, 21 % 5, top % 4, 34 % 3, 55 % 2 = 1, 1, 3, 1, 1
+        top = 2**64 - 1
+        words = [top - 1, 13, top, 21, top, 34, 55]
+
+        class Scripted(Xoshiro256StarStar):
+            def __init__(self):
+                super().__init__(0)
+                self.at = 0
+
+            def next_u64(self):
+                self.at += 1
+                return words[self.at - 1]
+
+        rng, by_randbelow = Scripted(), Scripted()
+        items, again = list(range(6)), list(range(6))
+        rng.shuffle(items)
+        for i in range(5, 0, -1):
+            j = by_randbelow.randbelow(i + 1)
+            again[i], again[j] = again[j], again[i]
+        assert items == again == [0, 2, 4, 3, 5, 1]
+        assert rng.at == by_randbelow.at == len(words)
+
     def counted(self, monkeypatch, module, run):
         counter = [0]
         with monkeypatch.context() as m:

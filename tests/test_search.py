@@ -31,7 +31,7 @@ from tsplab.search import _INV_E, _child_pricer, _ea_margin_unit
 from tsplab.tour import _SHRINK, _reflection_table, _tour_marks
 
 import test_search_reference
-from conftest import ForcedRng, counting_class, cycle_edges, inversion_pairs, reference_mutation
+from conftest import ForcedRng, counting_class, cycle_edges, inversion_pairs, random_tour, reference_mutation
 from test_search_reference import (
     check_marking,
     marks_threshold,
@@ -359,14 +359,57 @@ def apply_moves(tour, moves):
     return tour
 
 
-def price_child(inst, kind, moves, tour):
-    """_child_pricer on the raw draws of one child of `tour` (1-based):
-    (est, reps, child), every draw used."""
+def price_child(inst, kind, moves, tour, worst=math.inf):
+    """_child_pricer on the raw draws of one child of `tour` (1-based)
+    under the bar `worst`: (est, reps, child), child None if priced out,
+    every draw used."""
     draws = iter(child_draws(inst.n, kind, moves))
     price = _child_pricer(inst.distance_matrix, inst.n, kind == "mixed", lambda: next(draws))
-    est, reps, lst = price(tuple(v - 1 for v in tour), tour_length(inst, tour))
+    est, reps, lst = price(tuple(v - 1 for v in tour), tour_length(inst, tour), worst)
     assert next(draws, None) is None, "draws left over"
-    return est, reps, tuple(v + 1 for v in lst)
+    return est, reps, None if lst is None else tuple(v + 1 for v in lst)
+
+
+def worst_at(est, slack):
+    """A worst whose bar, worst + slack in floats, is exactly est."""
+    worst = est - slack
+    for _ in range(8):
+        bar = worst + slack
+        if bar == est:
+            return worst
+        worst = math.nextafter(worst, -math.inf if bar > est else math.inf)
+    raise AssertionError(f"no float worst has the bar {est!r}")
+
+
+class TestPriceBar:
+    """price(tour, est, worst) builds a child only if est <= worst + reps *
+    unit, and then the child the moves make one by one; est, reps and the
+    words drawn do not depend on the bar."""
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_every_last_move(self, n):
+        inst = generate_grid(n, 1024, 40 + n)
+        unit = _ea_margin_unit(inst.distance_matrix, n)
+        tour = random_tour(n, Xoshiro256StarStar(n))
+        start = tour_length(inst, tour)
+        jumps = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        # each pair and each jump as the only move and after another one;
+        # the pairs include (1, n), (2, n) and (1, n-1)
+        cases = [("two_opt", "inversion", m, inversion_pairs(n)) for m in ([], [(2, n - 1)])]
+        cases += [("mixed", "inversion", [(1, n)], inversion_pairs(n))]
+        cases += [("mixed", "jump", m, jumps) for m in ([], [(n, 2)])]
+        for kind, branch, head, lasts in cases:
+            for move in lasts:
+                moves = (branch, head + [move])
+                built = apply_moves(tour, moves)
+                est, reps, child = price_child(inst, kind, moves, tour)
+                assert child == built
+                at = worst_at(est, reps * unit)
+                for worst, passes in ((at, True), (math.nextafter(at, -math.inf), False), (-math.inf, False)):
+                    assert price_child(inst, kind, moves, tour, worst) == (est, reps, built if passes else None)
+                # the parent's fitness as the bar, as in a (1+1) EA
+                passes = est <= start + reps * unit
+                assert price_child(inst, kind, moves, tour, start) == (est, reps, built if passes else None)
 
 
 class TestEAChildPricing:
